@@ -13,7 +13,7 @@ from .poly import (
     mono_divide,
     mono_lcm,
 )
-from .matrix import LabeledGradedMatrix, scalar_matrix, zero_matrix
+from .matrix import LabeledGradedMatrix, scalar_matrix
 from .report import Report
 from .taylor import (
     MonomialIdeal,

@@ -40,10 +40,18 @@ def label_text(label):
     return label.compact() if hasattr(label, "compact") else str(label)
 
 
+def _cells(mat, render):
+    """Rendered entries, row-major; absent entries read "0" without a Polynomial."""
+    cells = [["0"] * len(mat.cols) for _ in mat.rows]
+    for (i, j), p in mat.entries.items():
+        cells[i][j] = render(p)
+    return cells
+
+
 def matrix_text(mat, name):
     cols = [label_text(c) for c in mat.cols]
     rows = [label_text(r) for r in mat.rows]
-    cells = [[str(mat.entry(i, j)) for j in range(len(mat.cols))] for i in range(len(mat.rows))]
+    cells = _cells(mat, str)
     widths = [
         max([len(cols[j])] + [len(cells[i][j]) for i in range(len(mat.rows))])
         for j in range(len(mat.cols))
@@ -291,10 +299,9 @@ def matrix_tex(mat, name):
     lines = [rf"% {name}", r"\[", f"{name} = ", r"\begin{array}{c|" + "".join(colspec) + "}"]
     header = " & ".join([""] + [label_tex(c) for c in mat.cols])
     lines.append(header + r" \\ \hline")
-    for i in range(len(mat.rows)):
+    for i, cells in enumerate(_cells(mat, poly_tex)):
         if i in mat.row_dividers:
             lines.append(r"\hline")
-        cells = [poly_tex(mat.entry(i, j)) for j in range(len(mat.cols))]
         lines.append(" & ".join([label_tex(mat.rows[i])] + cells) + r" \\")
     lines.append(r"\end{array}")
     lines.append(r"\]")

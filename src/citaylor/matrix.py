@@ -4,8 +4,16 @@ Labels are arbitrary hashable objects exposing a ``twist`` attribute (internal
 degree of the corresponding free summand).  Entries live in a PolyRing; zero
 entries are never stored.  Divider positions record block boundaries for
 rendering and carry no algebraic meaning.
+
+``compose`` works on the entries' term dicts: each output entry accumulates
+the products of its left and right terms in one ``{exponents: coeff}`` dict,
+and one Polynomial is built per nonzero result entry.
 """
 from __future__ import annotations
+
+from operator import add
+
+from .poly import Polynomial
 
 
 class LabeledGradedMatrix:
@@ -78,19 +86,29 @@ class LabeledGradedMatrix:
         )
 
     def compose(self, other):
-        """Matrix of self∘other; requires self.cols == other.rows."""
+        """Matrix of self∘other; requires self.cols == other.rows and one ring."""
         if self.cols != other.rows:
             raise ValueError("inner labels do not match")
+        if self.ring != other.ring:
+            raise ValueError("matrices from different rings")
         by_col = {}
         for (i, j), p in self.entries.items():
-            by_col.setdefault(j, []).append((i, p))
+            by_col.setdefault(j, []).append((i, p.terms.items()))
         acc = {}
         for (j, k), q in other.entries.items():
-            for i, p in by_col.get(j, ()):
-                s = acc.get((i, k))
-                prod = p * q
-                acc[(i, k)] = prod if s is None else s + prod
-        return LabeledGradedMatrix(self.ring, self.rows, other.cols, acc)
+            right = q.terms.items()
+            for i, left in by_col.get(j, ()):
+                terms = acc.get((i, k))
+                if terms is None:
+                    terms = acc[(i, k)] = {}
+                for e1, c1 in left:
+                    for e2, c2 in right:
+                        e = tuple(map(add, e1, e2))
+                        s = terms.get(e)
+                        terms[e] = c1 * c2 if s is None else s + c1 * c2
+        ring = self.ring
+        entries = {ik: Polynomial(ring, t) for ik, t in acc.items() if any(t.values())}
+        return LabeledGradedMatrix(ring, self.rows, other.cols, entries)
 
     def first_failure(self):
         """(row label, col label, entry) of the first nonzero entry in column order."""
@@ -107,10 +125,6 @@ class LabeledGradedMatrix:
             if not p.is_homogeneous() or p.total_degree() != expected:
                 bad.append((self.rows[i], self.cols[j], p))
         return bad
-
-
-def zero_matrix(ring, rows, cols):
-    return LabeledGradedMatrix(ring, rows, cols, {})
 
 
 def scalar_matrix(ring, labels, poly):

@@ -20,13 +20,6 @@ class Report:
         if self.failure is None:
             self.failure = line
 
-    def merge(self, other):
-        self.details.extend(f"{other.title}: {line}" for line in other.details)
-        if not other.passed:
-            self.passed = False
-            if self.failure is None:
-                self.failure = other.failure
-
     def summary(self):
         verdict = "PASS" if self.passed else "FAIL"
         return "\n".join([f"[{verdict}] {self.title}", *(f"  {d}" for d in self.details)])

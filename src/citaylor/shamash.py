@@ -111,12 +111,18 @@ def _u_dividers(basis):
     )
 
 
-def shamash_differential(system, n):
-    """The assembled map F_n -> F_{n-1}, n >= 1."""
+def shamash_differential(system, n, rows=None, cols=None):
+    """The assembled map F_n -> F_{n-1}, n >= 1.
+
+    rows and cols, when given, must be shamash_basis(system, n - 1) and
+    shamash_basis(system, n); otherwise they are built here.
+    """
     if n < 1:
         raise ValueError(f"no differential at step {n}")
-    rows = shamash_basis(system, n - 1)
-    cols = shamash_basis(system, n)
+    if rows is None:
+        rows = shamash_basis(system, n - 1)
+    if cols is None:
+        cols = shamash_basis(system, n)
     row_index = {(b.u, b.label.indices): i for i, b in enumerate(rows)}
 
     taylor_pos = {}
@@ -265,7 +271,10 @@ def shamash_resolution(system, max_step):
     if max_step < 0:
         raise ValueError("max_step must be >= 0")
     bases = tuple(tuple(shamash_basis(system, n)) for n in range(max_step + 1))
-    diffs = tuple(shamash_differential(system, n) for n in range(1, max_step + 1))
+    diffs = tuple(
+        shamash_differential(system, n, bases[n - 1], bases[n])
+        for n in range(1, max_step + 1)
+    )
     return ShamashResolution(
         system,
         max_step,

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from operator import sub
 
 from .matrix import LabeledGradedMatrix
-from .poly import Monomial, mono_divide, mono_lcm
+from .poly import Monomial, Polynomial, mono_lcm
 from .report import Report
 
 
@@ -99,29 +99,55 @@ def monomial_ideal(ring, generators):
     return MonomialIdeal(ring, tuple(gens))
 
 
+def _bases(ideal, top):
+    """Subset labels of sizes 0..top, each size in lexicographic order.
+
+    Size k extends every size-(k-1) label by each larger index, so
+    lcm(S) = max(lcm(S minus its last index), m_last) entrywise.
+    """
+    gens = [m.exponents for m in ideal.generators]
+    level = [SubsetLabel((), Monomial((0,) * ideal.ring.nvars), 0)]
+    out = [level]
+    for _ in range(top):
+        nxt = []
+        for lab in level:
+            start = lab.indices[-1] if lab.indices else 0
+            for t in range(start + 1, len(gens) + 1):
+                lcm = tuple(map(max, lab.lcm.exponents, gens[t - 1]))
+                nxt.append(SubsetLabel(lab.indices + (t,), Monomial(lcm), sum(lcm)))
+        level = nxt
+        out.append(level)
+    return out
+
+
 def taylor_basis(ideal, k):
     """Size-k subset labels in lexicographic order."""
     if k < 0 or k > ideal.ngens:
         return []
-    return [ideal.subset(c) for c in combinations(range(1, ideal.ngens + 1), k)]
+    return _bases(ideal, k)[k]
+
+
+def _differential(ring, k, rows, cols):
+    """tau_k: T_k -> T_{k-1} from the two bases, entries straight from lcm exponents."""
+    plus, minus = ring.field.coerce(1), ring.field.coerce(-1)
+    row_index = {lab.indices: i for i, lab in enumerate(rows)}
+    entries = {}
+    for j, col in enumerate(cols):
+        s = col.indices
+        for pos in range(1, k + 1):
+            i = row_index[s[: pos - 1] + s[pos:]]
+            quot = tuple(map(sub, col.lcm.exponents, rows[i].lcm.exponents))
+            sign = plus if (k - pos) % 2 == 0 else minus
+            entries[(i, j)] = Polynomial(ring, {quot: sign})
+    return LabeledGradedMatrix(ring, rows, cols, entries)
 
 
 def taylor_differential(ideal, k):
     """The map T_k -> T_{k-1}, 1 <= k <= r."""
     if not 1 <= k <= ideal.ngens:
         raise ValueError(f"no differential at step {k}")
-    rows = taylor_basis(ideal, k - 1)
-    cols = taylor_basis(ideal, k)
-    row_index = {lab.indices: i for i, lab in enumerate(rows)}
-    entries = {}
-    for j, col in enumerate(cols):
-        for pos, s in enumerate(col.indices, start=1):
-            face = tuple(t for t in col.indices if t != s)
-            target = rows[row_index[face]]
-            quot = mono_divide(col.lcm, target.lcm)
-            sign = 1 if (k - pos) % 2 == 0 else -1
-            entries[(row_index[face], j)] = ideal.ring.from_monomial(quot, sign)
-    return LabeledGradedMatrix(ideal.ring, rows, cols, entries)
+    bases = _bases(ideal, k)
+    return _differential(ideal.ring, k, bases[k - 1], bases[k])
 
 
 @dataclass(frozen=True)
@@ -142,8 +168,10 @@ class TaylorComplex:
 
 def taylor_complex(ideal):
     r = ideal.ngens
-    bases = tuple(tuple(taylor_basis(ideal, k)) for k in range(r + 1))
-    diffs = tuple(taylor_differential(ideal, k) for k in range(1, r + 1))
+    bases = tuple(tuple(b) for b in _bases(ideal, r))
+    diffs = tuple(
+        _differential(ideal.ring, k, bases[k - 1], bases[k]) for k in range(1, r + 1)
+    )
     return TaylorComplex(ideal, bases, diffs)
 
 

@@ -1,4 +1,5 @@
 """Command-line interface: formats, golden text output, exit codes."""
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -65,6 +66,18 @@ def test_resolve_json_schema(capsys):
     assert first["entries"][0] == {"row": 0, "col": 0, "poly": "x^2"}
     assert doc["reports"]["periodicity"] == {"status": "periodic", "start": 3}
     assert doc["reports"]["minimality"]["minimal"] is True
+
+
+def test_resolve_json_bytes_unchanged(capsys):
+    """Byte guard on a larger resolution than the golden files cover (rank F_6 = 32)."""
+    code, out, _ = run(
+        capsys, "resolve", "--vars", "a,b,c,d,e,f", "--ideal", "a^2,b^2,c^2,d^2,e^2,f^2",
+        "--ci", "a^3+b^3", "--max-step", "6", "--format", "json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2088c183f88d22177736d92ccf1dac3893a195c09a5f6005ed77a52f1c265631"
+    )
 
 
 def test_resolve_json_round_trip(capsys):

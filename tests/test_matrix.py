@@ -1,0 +1,117 @@
+"""LabeledGradedMatrix.compose against a reference built from Polynomial arithmetic."""
+import random
+from fractions import Fraction
+
+import pytest
+
+from citaylor import GF, QQ, LabeledGradedMatrix
+
+from conftest import ring
+
+
+def reference_compose(left, right):
+    """Entries of left∘right summed with Polynomial.__mul__ / __add__, zeros dropped."""
+    acc = {}
+    for (i, j), p in left.entries.items():
+        for (jj, k), q in right.entries.items():
+            if j == jj:
+                acc[(i, k)] = acc.get((i, k), left.ring.zero) + p * q
+    return {key: p for key, p in acc.items() if p}
+
+
+def random_poly(rng, R, coeffs):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        e = tuple(rng.randint(0, 2) for _ in R.variables)
+        terms[e] = rng.choice(coeffs)
+    return R.polynomial(terms)
+
+
+def random_matrix(rng, R, nrows, ncols, density, coeffs):
+    entries = {}
+    for i in range(nrows):
+        for j in range(ncols):
+            if rng.random() < density:
+                entries[(i, j)] = random_poly(rng, R, coeffs)
+    return LabeledGradedMatrix(R, range(nrows), range(ncols), entries)
+
+
+def cancelling_pair(rng, R, n, m, p, density, coeffs):
+    """[L | L'] and [B; -B] with L' = L on about half the rows: those rows of the product cancel."""
+    L = random_matrix(rng, R, n, m, density, coeffs)
+    other = random_matrix(rng, R, n, m, density, coeffs)
+    B = random_matrix(rng, R, m, p, density, coeffs)
+    same = {i for i in range(n) if rng.random() < 0.5}
+    left = dict(L.entries)
+    source = {(i, j): q for (i, j), q in L.entries.items() if i in same}
+    source.update({(i, j): q for (i, j), q in other.entries.items() if i not in same})
+    left.update({(i, m + j): q for (i, j), q in source.items()})
+    right = dict(B.entries)
+    right.update({(m + j, k): -q for (j, k), q in B.entries.items()})
+    return (
+        LabeledGradedMatrix(R, range(n), range(2 * m), left),
+        LabeledGradedMatrix(R, range(2 * m), range(p), right),
+    )
+
+
+QQ_COEFFS = [1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+GF_COEFFS = [1, -1, 2, 32002, 16001, 12345]
+
+
+@pytest.mark.parametrize(
+    "field, coeffs", [(QQ, QQ_COEFFS), (GF(32003), GF_COEFFS)], ids=["QQ", "GF32003"]
+)
+def test_compose_matches_polynomial_reference(field, coeffs):
+    rng = random.Random(20261017)
+    R = ring("x,y", field)
+    saw_cancel = False
+    for trial in range(60):
+        n, m, p = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        density = rng.choice([0.0, 0.3, 0.7, 1.0])
+        if trial % 2:
+            left, right = cancelling_pair(rng, R, n, m, p, density, coeffs)
+        else:
+            left = random_matrix(rng, R, n, m, density, coeffs)
+            right = random_matrix(rng, R, m, p, density, coeffs)
+        product = left.compose(right)
+        expected = reference_compose(left, right)
+        assert product.rows == left.rows and product.cols == right.cols
+        assert product.entries == expected
+        assert all(product.entries.values())
+        touched = {(i, k) for i, j in left.entries for jj, k in right.entries if j == jj}
+        saw_cancel |= bool(touched - set(expected))
+    assert saw_cancel, "no random product cancelled; the zero-entry case went untested"
+
+
+def test_compose_drops_entries_that_cancel(ring_xyz):
+    R = ring_xyz
+    x, y, z = (R.variable(v) for v in "xyz")
+    half = R.term((0, 0, 0), Fraction(1, 2))
+    left = LabeledGradedMatrix(R, "ab", "uv", {(0, 0): x + y, (0, 1): half * y, (1, 0): z})
+    right = LabeledGradedMatrix(R, "uv", "s", {(0, 0): y, (1, 0): -(x + y) * R.term((0, 0, 0), 2)})
+    product = left.compose(right)
+    assert (0, 0) not in product.entries
+    assert product.entries == {(1, 0): z * y}
+    assert product.entries == reference_compose(left, right)
+
+
+def test_compose_of_empty_matrices(ring_xyz):
+    R = ring_xyz
+    empty = LabeledGradedMatrix(R, (), (), {})
+    assert empty.compose(empty).is_zero()
+    wide = LabeledGradedMatrix(R, "ab", "uv", {})
+    tall = LabeledGradedMatrix(R, "uv", "st", {(0, 0): R.variable("x")})
+    product = wide.compose(tall)
+    assert product.is_zero() and product.shape == (2, 2)
+
+
+def test_compose_rejects_mismatched_labels_and_rings():
+    R, S = ring("x,y"), ring("x,y", GF(32003))
+    a = LabeledGradedMatrix(R, "a", "u", {(0, 0): R.variable("x")})
+    b = LabeledGradedMatrix(S, "u", "s", {(0, 0): S.variable("y")})
+    with pytest.raises(ValueError):
+        a.compose(b)
+    with pytest.raises(ValueError):
+        LabeledGradedMatrix(R, "a", "u", {}).compose(LabeledGradedMatrix(S, "u", "s", {}))
+    with pytest.raises(ValueError):
+        a.compose(LabeledGradedMatrix(R, "v", "s", {}))

@@ -76,7 +76,8 @@ def test_monomial_lcm_and_divide():
 
 
 def test_monomial_degree_and_identity():
-    assert Monomial((0, 0)).is_one
+    assert Monomial((0, 0)).is_one()
+    assert not Monomial((1, 0)).is_one()
     assert Monomial((2, 1)).degree == 3
     assert Monomial((1, 0)) * Monomial((1, 2)) == Monomial((2, 2))
 

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from citaylor import (
+    GF,
+    QQ,
     NoStableTail,
     betti_bound,
     homotopy_system,
@@ -20,7 +22,7 @@ from citaylor import (
     tail_periodicity,
 )
 from citaylor.shamash import DPIndex, lower_shift_matrix
-from citaylor.instances import random_instance
+from citaylor.instances import random_ideal, random_instance, random_sequence
 
 from conftest import (
     build_codim2,
@@ -378,6 +380,24 @@ def test_phi_squared_random_instances():
         res = shamash_resolution(homotopy_system(ci, strategy="first"), 4)
         report = phi_squared_check(res)
         assert report.passed, report.failure
+
+
+@pytest.mark.parametrize("codim", [1, 2, 3])
+def test_resolution_matches_standalone_builders(codim):
+    rng = random.Random(20261017 + codim)
+    for trial in range(4):
+        field = GF(32003) if trial % 2 else QQ
+        ideal = random_ideal(rng, max_vars=3, max_gens=4, field=field)
+        ci = complete_intersection(ideal, random_sequence(rng, ideal, codim))
+        system = homotopy_system(ci, strategy="average" if trial >= 2 else "first")
+        res = shamash_resolution(system, 5)
+        for n in range(6):
+            assert list(res.basis(n)) == shamash_basis(system, n)
+        for n in range(1, 6):
+            alone = shamash_differential(system, n)
+            phi = res.differential(n)
+            assert phi == alone
+            assert (phi.row_dividers, phi.col_dividers) == (alone.row_dividers, alone.col_dividers)
 
 
 def test_window_validation(three_squares):

@@ -1,11 +1,16 @@
 """Taylor complex: bases, differentials, and the d^2 = 0 identity."""
 import math
 import random
+import warnings
+from itertools import combinations
 
 import pytest
 
 from citaylor import (
+    GF,
+    QQ,
     Monomial,
+    mono_divide,
     monomial_ideal,
     taylor_basis,
     taylor_complex,
@@ -135,6 +140,53 @@ def test_square_is_zero_random():
         cx = taylor_complex(I)
         for k in range(1, I.ngens):
             assert cx.differential(k).compose(cx.differential(k + 1)).is_zero()
+
+
+def random_gens(rng, nvars, r):
+    """r generators, some repeated and some multiples of earlier ones."""
+    gens = []
+    while len(gens) < r:
+        roll = rng.random()
+        if gens and roll < 0.2:
+            gens.append(rng.choice(gens))
+        elif gens and roll < 0.45:
+            bump = rng.randrange(nvars)
+            base = rng.choice(gens)
+            gens.append(tuple(e + (i == bump) for i, e in enumerate(base)))
+        else:
+            g = [rng.randint(0, 2) for _ in range(nvars)]
+            g[rng.randrange(nvars)] += not any(g)
+            gens.append(tuple(g))
+    return gens
+
+
+def test_single_pass_complex_matches_standalone_builders():
+    rng = random.Random(20261017)
+    for trial in range(24):
+        nvars = rng.randint(1, 4)
+        R = ring(",".join("xyzw"[:nvars]), GF(32003) if trial % 2 else QQ)
+        r = rng.randint(1, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            I = monomial_ideal(R, random_gens(rng, nvars, r))
+        cx = taylor_complex(I)
+        assert len(cx.bases) == r + 1
+        for k in range(r + 1):
+            labels = [I.subset(c) for c in combinations(range(1, r + 1), k)]
+            assert list(cx.basis(k)) == labels == taylor_basis(I, k)
+        for k in range(1, r + 1):
+            tau = cx.differential(k)
+            assert tau == taylor_differential(I, k)
+            assert tau.rows == cx.basis(k - 1) and tau.cols == cx.basis(k)
+            expected = {}
+            for j, col in enumerate(cx.basis(k)):
+                for pos, s in enumerate(col.indices, start=1):
+                    face = I.subset(t for t in col.indices if t != s)
+                    quot = mono_divide(col.lcm, face.lcm)
+                    expected[(cx.basis(k - 1).index(face), j)] = R.from_monomial(
+                        quot, (-1) ** (k - pos)
+                    )
+            assert tau.entries == expected
 
 
 # ---- construction edge cases -----------------------------------------------
