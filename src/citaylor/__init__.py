@@ -57,6 +57,7 @@ from .shamash import (
 from .quotient import (
     BadPrime,
     CapExceeded,
+    GradedExactness,
     GroebnerBasis,
     buchberger,
     check_exactness,

@@ -21,7 +21,7 @@ from .homotopy import (
 )
 from .matrix import LabeledGradedMatrix
 from .poly import QQ, ParseError, PolyRing, PrimeField
-from .quotient import BadPrime, CapExceeded, check_exactness
+from .quotient import BadPrime, CapExceeded, GradedExactness, check_exactness
 from .shamash import betti_bound, phi_squared_check, shamash_resolution
 from .taylor import monomial_ideal, taylor_complex, verify_taylor
 
@@ -466,6 +466,28 @@ def cmd_resolve(args):
     return EXIT_OK
 
 
+def _exactness_reports(res, args):
+    """check_exactness at steps 1..N-1, all sharing one engine over GF(p)."""
+    prime = args.char if args.char else 32003
+    engine = GradedExactness(res, prime)
+    return [
+        check_exactness(res, n, args.max_degree, prime, engine=engine)
+        for n in range(1, res.max_step)
+    ]
+
+
+def _emit_reports(args, res, reports):
+    passed = all(r.passed for r in reports)
+    if args.format == "json":
+        doc = resolution_json(res, {r.title: report_json(r) for r in reports})
+        emit(args, _dump(doc))
+    else:
+        out = [r.summary() for r in reports]
+        out.append("overall: " + ("PASS" if passed else "FAIL"))
+        emit(args, "\n".join(out) + "\n")
+    return EXIT_OK if passed else EXIT_VERIFY
+
+
 def cmd_verify(args):
     res = _build_resolution(args)
     system = res.system
@@ -475,20 +497,8 @@ def cmd_verify(args):
         phi_squared_check(res),
     ]
     if args.max_degree is not None:
-        prime = args.char if args.char else 32003
-        for n in range(1, res.max_step):
-            reports.append(check_exactness(res, n, args.max_degree, prime))
-    passed = all(r.passed for r in reports)
-    if args.format == "json":
-        doc = resolution_json(res, {r.title: report_json(r) for r in reports})
-        emit(args, _dump(doc))
-    else:
-        out = []
-        for r in reports:
-            out.append(r.summary())
-        out.append("overall: " + ("PASS" if passed else "FAIL"))
-        emit(args, "\n".join(out) + "\n")
-    return EXIT_OK if passed else EXIT_VERIFY
+        reports.extend(_exactness_reports(res, args))
+    return _emit_reports(args, res, reports)
 
 
 def cmd_betti(args):
@@ -523,19 +533,7 @@ def cmd_check_exactness(args):
     res = _build_resolution(args)
     if res.max_step < 2:
         raise ValueError("--max-step must be at least 2 so one window exists")
-    prime = args.char if args.char else 32003
-    reports = [
-        check_exactness(res, n, args.max_degree, prime) for n in range(1, res.max_step)
-    ]
-    passed = all(r.passed for r in reports)
-    if args.format == "json":
-        doc = resolution_json(res, {r.title: report_json(r) for r in reports})
-        emit(args, _dump(doc))
-    else:
-        out = [r.summary() for r in reports]
-        out.append("overall: " + ("PASS" if passed else "FAIL"))
-        emit(args, "\n".join(out) + "\n")
-    return EXIT_OK if passed else EXIT_VERIFY
+    return _emit_reports(args, res, _exactness_reports(res, args))
 
 
 # ---- parser --------------------------------------------------------------
@@ -550,6 +548,13 @@ def _add_ring_arguments(sp, with_ideal=True):
         sp.add_argument(
             "--ideal", required=True, help="comma-separated monomial generators, e.g. 'x*y,x*z'"
         )
+
+
+def degree(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0 (got {value})")
+    return value
 
 
 def _add_format_argument(sp, choices=("text", "json", "tex", "dot")):
@@ -593,7 +598,7 @@ def build_parser():
     sp.add_argument("--max-step", type=int, default=6)
     sp.add_argument(
         "--max-degree",
-        type=int,
+        type=degree,
         default=None,
         help="also check graded exactness up to this internal degree",
     )
@@ -619,7 +624,7 @@ def build_parser():
     sp.add_argument("--ci", required=True)
     sp.add_argument("--lift", default="first")
     sp.add_argument("--max-step", type=int, required=True)
-    sp.add_argument("--max-degree", type=int, default=10)
+    sp.add_argument("--max-degree", type=degree, default=10)
     _add_format_argument(sp, choices=("text", "json"))
     sp.set_defaults(func=cmd_check_exactness)
 

@@ -3,11 +3,14 @@
 The exactness check works one internal degree at a time over GF(p): each
 graded piece of the quotient ring has the standard monomials as a basis, so
 the assembled maps become finite matrices and homology vanishing is a rank
-condition.
+condition.  A ``GradedExactness`` engine holds what the checks of one
+resolution share, so each piece of that work is done once per run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add
 
 from .poly import Monomial, Polynomial, PolyRing, PrimeField, is_prime, monomial_key
 from .report import Report
@@ -27,14 +30,15 @@ class GroebnerBasis:
     order: str
     polys: tuple[Polynomial, ...]
 
-    @property
+    @cached_property
     def leading_exponents(self):
         key = monomial_key(self.order)
         return tuple(p.leading(key)[0] for p in self.polys)
 
 
-def _reduce_full(terms, divisors, key, field):
-    """Remainder of the full division algorithm; divisors are preprocessed."""
+def _reduce_full(terms, leads, polys, key):
+    """Remainder of the full division algorithm by polys, whose leading exponents are leads."""
+    divisors = [(le, g.terms[le], g.terms) for le, g in zip(leads, polys)]
     work = dict(terms)
     remainder = {}
     while work:
@@ -60,14 +64,6 @@ def _reduce_full(terms, divisors, key, field):
     return remainder
 
 
-def _prepared(polys, key):
-    out = []
-    for g in polys:
-        le, lc = g.leading(key)
-        out.append((le, lc, g.terms))
-    return out
-
-
 def buchberger(generators, order="grevlex", max_pairs=10000, max_degree=40):
     """Reduced Groebner basis with normal pair selection (lowest lcm degree first).
 
@@ -78,29 +74,32 @@ def buchberger(generators, order="grevlex", max_pairs=10000, max_degree=40):
         raise ValueError("need at least one nonzero generator")
     ring = gens[0].ring
     key = monomial_key(order)
+    one = ring.field.one
 
-    basis = []
+    # monic members and, next to them, their leading exponents
+    basis, leads = [], []
+
+    def append(g):
+        le, lc = g.leading(key)
+        basis.append(g if lc == one else g * (one / lc))
+        leads.append(le)
+
     for g in gens:
-        _, lc = g.leading(key)
-        basis.append(g if lc == ring.field.one else g * (ring.field.one / lc))
-
+        append(g)
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     processed = 0
 
-    def lead(i):
-        return basis[i].leading(key)[0]
+    def pair_key(idx):
+        i, j = idx
+        lcm = tuple(map(max, leads[i], leads[j]))
+        return (sum(lcm), key(lcm), i, j)
 
     while pairs:
-        def pair_key(idx):
-            i, j = idx
-            lcm = tuple(max(a, b) for a, b in zip(lead(i), lead(j)))
-            return (sum(lcm), key(lcm), i, j)
-
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
-        li, lj = lead(i), lead(j)
-        lcm = tuple(max(a, b) for a, b in zip(li, lj))
-        if tuple(a + b for a, b in zip(li, lj)) == lcm:
+        li, lj = leads[i], leads[j]
+        lcm = tuple(map(max, li, lj))
+        if tuple(map(add, li, lj)) == lcm:
             continue  # coprime leading terms: S-polynomial reduces to zero
         if sum(lcm) > max_degree:
             raise CapExceeded(
@@ -114,40 +113,34 @@ def buchberger(generators, order="grevlex", max_pairs=10000, max_degree=40):
         spoly = fi.mul_term(tuple(a - b for a, b in zip(lcm, li))) - fj.mul_term(
             tuple(a - b for a, b in zip(lcm, lj))
         )
-        rem = _reduce_full(spoly.terms, _prepared(basis, key), key, ring.field)
+        rem = _reduce_full(spoly.terms, leads, basis, key)
         if rem:
-            g = Polynomial(ring, rem)
-            _, lc = g.leading(key)
-            if lc != ring.field.one:
-                g = g * (ring.field.one / lc)
-            basis.append(g)
+            append(Polynomial(ring, rem))
             new = len(basis) - 1
             pairs.update((t, new) for t in range(new))
 
     # minimalize: keep ascending by leading term, drop anything an earlier
     # member's leading term divides (a proper divisor is always smaller)
     keep = []
-    for i in sorted(range(len(basis)), key=lambda t: key(lead(t))):
-        li = lead(i)
-        if not any(all(a >= b for a, b in zip(li, lead(j))) for j in keep):
+    for i in sorted(range(len(basis)), key=lambda t: key(leads[t])):
+        if not any(all(a >= b for a, b in zip(leads[i], leads[j])) for j in keep):
             keep.append(i)
-    minimal = [basis[i] for i in keep]
 
-    # inter-reduce tails
+    # inter-reduce tails; leading terms survive, so the order stays ascending
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        rem = _reduce_full(g.terms, _prepared(others, key), key, ring.field)
+    for i in keep:
+        others = [t for t in keep if t != i]
+        rem = _reduce_full(
+            basis[i].terms, [leads[t] for t in others], [basis[t] for t in others], key
+        )
         reduced.append(Polynomial(ring, rem))
-
-    reduced.sort(key=lambda g: key(g.leading(key)[0]))
     return GroebnerBasis(ring, order, tuple(reduced))
 
 
 def normal_form(poly, gb):
     """The unique remainder of poly modulo the reduced basis."""
     key = monomial_key(gb.order)
-    rem = _reduce_full(poly.terms, _prepared(gb.polys, key), key, gb.ring.field)
+    rem = _reduce_full(poly.terms, gb.leading_exponents, gb.polys, key)
     return Polynomial(gb.ring, rem)
 
 
@@ -183,109 +176,136 @@ def graded_piece_basis(gb, degree):
 
 
 def rank_mod_p(rows, p):
-    """Rank of an integer matrix over GF(p); consumes a copy."""
-    if not rows:
-        return 0
-    mat = [row[:] for row in rows]
-    ncols = len(mat[0])
-    rank = 0
-    pivot = 0
-    for col in range(ncols):
-        found = None
-        for r in range(pivot, len(mat)):
-            if mat[r][col] % p:
-                found = r
+    """Rank over GF(p) of a sparse integer matrix given as a list of {column: value} rows.
+
+    Each row is reduced against the pivot rows found so far, which are keyed
+    by their leading (smallest) column, as in the sparse elimination of F4
+    (Faugere-Lachartre 2010); a row left nonzero becomes a new pivot.
+    """
+    pivots = {}
+    for row in rows:
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in row.items()}
                 break
-        if found is None:
-            continue
-        mat[pivot], mat[found] = mat[found], mat[pivot]
-        inv = pow(mat[pivot][col], -1, p)
-        prow = mat[pivot]
-        for r in range(pivot + 1, len(mat)):
-            factor = mat[r][col] * inv % p
-            if factor:
-                row = mat[r]
-                for cc in range(col, ncols):
-                    row[cc] = (row[cc] - factor * prow[cc]) % p
-        pivot += 1
-        rank += 1
-        if pivot == len(mat):
-            break
-    return rank
+            factor = row[lead]
+            for c, v in pivot.items():
+                value = (row.get(c, 0) - factor * v) % p
+                if value:
+                    row[c] = value
+                else:
+                    del row[c]
+    return len(pivots)
 
 
-def change_ring(poly, ring):
-    return Polynomial(
-        ring, {e: ring.field.coerce(c) for e, c in poly.terms.items()}
-    )
+class GradedExactness:
+    """What the exactness checks of one resolution over GF(p) share, each computed once.
+
+    NF(w * f) is linear in the normal forms of the monomials of w * f, so one
+    table of monomial normal forms serves every map; steps n and n + 1 share
+    the (dim, rank) of (phi_{n + 1})_d.  The Groebner basis is built on first use.
+    """
+
+    def __init__(self, resolution, p=32003):
+        if not is_prime(p):
+            raise BadPrime(f"{p} is not prime")
+        if resolution.system.ci.codim < 1:
+            raise ValueError("exactness check needs a nonempty sequence")
+        self.resolution = resolution
+        self.p = p
+        ring = resolution.system.ring
+        self.ring = PolyRing(ring.variables, PrimeField(p), ring.order)
+        self._columns = {}  # k -> {column j: [(row i, [(exponents, int)])]} of phi_k
+        self._normal_forms = {}  # exponents -> [(exponents, int)]
+        self._standard = {}  # degree -> exponents of the standard monomials
+        self._ranks = {}  # (k, d) -> (dim (F_k)_d, rank (phi_k)_d)
+
+    def _over_field(self, poly):
+        coerce = self.ring.field.coerce
+        try:
+            return Polynomial(self.ring, {e: coerce(c) for e, c in poly.terms.items()})
+        except ZeroDivisionError as exc:
+            raise BadPrime(f"{self.p} divides a denominator: {exc}") from None
+
+    @cached_property
+    def gb(self):
+        sequence = [self._over_field(a) for a in self.resolution.system.ci.sequence]
+        return buchberger(sequence, "grevlex")
+
+    def _entries_by_column(self, k):
+        if k not in self._columns:
+            by_col = {}
+            for (i, j), poly in self.resolution.differential(k).entries.items():
+                terms = [(e, c.value) for e, c in self._over_field(poly).terms.items()]
+                by_col.setdefault(j, []).append((i, terms))
+            self._columns[k] = by_col
+        return self._columns[k]
+
+    def _monomials(self, degree):
+        if degree not in self._standard:
+            piece = graded_piece_basis(self.gb, degree)
+            self._standard[degree] = [m.exponents for m in piece.monomials]
+        return self._standard[degree]
+
+    def _normal_form(self, exponents):
+        if exponents not in self._normal_forms:
+            nf = normal_form(self.ring.term(exponents), self.gb)
+            self._normal_forms[exponents] = [(e, c.value) for e, c in nf.terms.items()]
+        return self._normal_forms[exponents]
+
+    def rank(self, k, d):
+        """(dim (F_k)_d, rank (phi_k)_d).  Each basis vector of (F_k)_d gives
+        one sparse row, its image: a column of (phi_k)_d, as rank(A^T) = rank(A).
+        """
+        if (k, d) not in self._ranks:
+            res = self.resolution
+            row_pos = {}
+            for i, b in enumerate(res.basis(k - 1)):
+                for w in self._monomials(d - b.twist):
+                    row_pos[(i, w)] = len(row_pos)
+            by_col = self._entries_by_column(k)
+            images = []
+            for j, b in enumerate(res.basis(k)):
+                entries = by_col.get(j, ())
+                for w in self._monomials(d - b.twist):
+                    image = {}
+                    for i, terms in entries:
+                        for e, c in terms:
+                            for ee, v in self._normal_form(tuple(map(add, e, w))):
+                                pos = row_pos[(i, ee)]
+                                image[pos] = image.get(pos, 0) + c * v
+                    images.append(image)
+            self._ranks[(k, d)] = (len(images), rank_mod_p(images, self.p))
+        return self._ranks[(k, d)]
 
 
-def _graded_map(matrix_p, row_basis, col_basis, gb, degree, std_cache):
-    """Matrix of one assembled map on the degree-d piece, over GF(p)."""
-
-    def std(d):
-        if d not in std_cache:
-            std_cache[d] = graded_piece_basis(gb, d)
-        return std_cache[d]
-
-    col_pieces = [(j, w) for j, b in enumerate(col_basis) for w in std(degree - b.twist).monomials]
-    row_pos = {}
-    row_pieces = []
-    for i, b in enumerate(row_basis):
-        for w in std(degree - b.twist).monomials:
-            row_pos[(i, w.exponents)] = len(row_pieces)
-            row_pieces.append((i, w))
-
-    by_col = {}
-    for (i, j), poly in matrix_p.entries.items():
-        by_col.setdefault(j, []).append((i, poly))
-
-    rows = [[0] * len(col_pieces) for _ in range(len(row_pieces))]
-    for cidx, (j, w) in enumerate(col_pieces):
-        for i, poly in by_col.get(j, ()):
-            image = normal_form(poly.mul_term(w.exponents), gb)
-            for e, coeff in image.terms.items():
-                rows[row_pos[(i, e)]][cidx] = coeff.value
-    return rows, len(col_pieces), len(row_pieces)
-
-
-def check_exactness(resolution, n, max_internal_degree, p=32003):
+def check_exactness(resolution, n, max_internal_degree, p=32003, *, engine=None):
     """Verify zero homology at F_n in all internal degrees <= the cap, over GF(p).
 
     For each degree d the check is
     dim (F_n)_d - rank (phi_n)_d == rank (phi_{n+1})_d.
+    Checks of several steps can share one ``engine``, a GradedExactness of
+    this resolution and p; without one, a fresh engine is built.
     """
-    if not is_prime(p):
-        raise BadPrime(f"{p} is not prime")
-    system = resolution.system
-    if system.ci.codim < 1:
-        raise ValueError("exactness check needs a nonempty sequence")
+    if engine is None:
+        engine = GradedExactness(resolution, p)
+    elif engine.resolution is not resolution or engine.p != p:
+        raise ValueError("engine was built for another resolution or prime")
     if not 1 <= n <= resolution.max_step - 1:
         raise ValueError(
             f"need 1 <= n <= {resolution.max_step - 1} so that phi_{n + 1} exists"
         )
+    if max_internal_degree < 0:
+        raise ValueError(f"max_internal_degree must be >= 0, got {max_internal_degree}")
 
-    field = PrimeField(p)
-    ring_p = PolyRing(system.ring.variables, field, system.ring.order)
-    try:
-        sequence_p = [change_ring(a, ring_p) for a in system.ci.sequence]
-        phi_n = _matrix_change_ring(resolution.differential(n), ring_p)
-        phi_next = _matrix_change_ring(resolution.differential(n + 1), ring_p)
-    except ZeroDivisionError as exc:
-        raise BadPrime(f"{p} divides a denominator: {exc}") from None
-
-    gb = buchberger(sequence_p, "grevlex")
     report = Report(f"exactness at step {n} over GF({p})")
-    std_cache = {}
     for d in range(max_internal_degree + 1):
-        m_n, dim_n, _ = _graded_map(
-            phi_n, resolution.basis(n - 1), resolution.basis(n), gb, d, std_cache
-        )
-        m_next, _, _ = _graded_map(
-            phi_next, resolution.basis(n), resolution.basis(n + 1), gb, d, std_cache
-        )
-        rank_n = rank_mod_p(m_n, p)
-        rank_next = rank_mod_p(m_next, p)
+        dim_n, rank_n = engine.rank(n, d)
+        _, rank_next = engine.rank(n + 1, d)
         kernel = dim_n - rank_n
         if kernel == rank_next:
             report.note(
@@ -298,16 +318,3 @@ def check_exactness(resolution, n, max_internal_degree, p=32003):
                 f"(dim {dim_n}, rank phi_{n} = {rank_n})"
             )
     return report
-
-
-def _matrix_change_ring(matrix, ring_p):
-    from .matrix import LabeledGradedMatrix
-
-    return LabeledGradedMatrix(
-        ring_p,
-        matrix.rows,
-        matrix.cols,
-        {k: change_ring(pp, ring_p) for k, pp in matrix.entries.items()},
-        matrix.row_dividers,
-        matrix.col_dividers,
-    )

@@ -2,10 +2,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import citaylor
 from citaylor import Report
 from citaylor.cli import main, resolution_from_json
 from citaylor.instances import seeded_rng
@@ -223,6 +226,42 @@ def test_check_exactness_cap_exit(capsys):
     assert "max_degree" in err
 
 
+SQUARES_CODIM2_ARGS = [
+    "--vars", "x,y,z,w",
+    "--ideal", "x^2,y^2,z^2,w^2",
+    "--ci", "x^3+y^3,z^3+w^3",
+    "--max-step", "4",
+    "--max-degree", "8",
+]
+
+
+@pytest.mark.parametrize(
+    "command, fmt, digest",
+    [
+        ("check-exactness", "text", "5f5d4ccc55d4aacceb8179187c23235e806ef359f220610a7b6b2d76c8359950"),
+        ("verify", "text", "c83823f0386f15778712578c2f69c5a126ea00fc8f5a52ff9e2c8d35c84dab84"),
+        ("check-exactness", "json", "795baaef1d8df29a6073e5d97b57a76a9358c1af7073fcbeb2561296a62eb4b7"),
+        ("verify", "json", "2a9edc7ce09828fddac347ae4b361fd592fff941180725b8bbb91edb9d620e7e"),
+    ],
+)
+def test_exactness_output_bytes_unchanged(capsys, command, fmt, digest):
+    """Byte guard on the codim-2 squares case: ranks of 4 steps up to degree 8."""
+    code, out, _ = run(capsys, command, *SQUARES_CODIM2_ARGS, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["check-exactness", "verify"])
+def test_negative_max_degree_exits_two(capsys, command):
+    code, out, err = run(
+        capsys, command, "--vars", "x,y", "--ideal", "x^2,y^2", "--ci", "x^3+y^3",
+        "--max-step", "3", "--max-degree", "-3",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--max-degree" in err
+
+
 # ---- lift files ----------------------------------------------------------------
 
 
@@ -376,3 +415,12 @@ def test_seed_env_controls_rng(monkeypatch):
     assert seeded_rng().random() == first
     monkeypatch.setenv("CITAYLOR_SEED", "54321")
     assert seeded_rng().random() != first
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(citaylor.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "citaylor", "--help"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: citaylor")

@@ -7,6 +7,7 @@ from citaylor import (
     BadPrime,
     CapExceeded,
     GF,
+    PolyRing,
     buchberger,
     check_exactness,
     complete_intersection,
@@ -17,7 +18,7 @@ from citaylor import (
     normal_form,
     shamash_resolution,
 )
-from citaylor.quotient import rank_mod_p
+from citaylor.quotient import GradedExactness, rank_mod_p
 
 from conftest import build_three_squares, build_poly_c1, ring
 
@@ -144,10 +145,57 @@ def test_graded_piece_monomials_are_standard():
 
 def test_rank_mod_p():
     assert rank_mod_p([], 5) == 0
-    assert rank_mod_p([[1, 0], [0, 1]], 5) == 2
-    assert rank_mod_p([[1, 2], [2, 4]], 5) == 1
-    assert rank_mod_p([[5]], 5) == 0
-    assert rank_mod_p([[2, 0, 1], [0, 3, 0]], 7) == 2
+    assert rank_mod_p([{0: 1}, {1: 1}], 5) == 2
+    assert rank_mod_p([{0: 1, 1: 2}, {0: 2, 1: 4}], 5) == 1
+    assert rank_mod_p([{0: 5}], 5) == 0
+    assert rank_mod_p([{0: 2, 2: 1}, {1: 3}], 7) == 2
+
+
+def dense_rank(rows, ncols, p):
+    """Reference: Gaussian elimination on dense lists."""
+    mat = [[row.get(c, 0) % p for c in range(ncols)] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        for r in range(rank + 1, len(mat)):
+            factor = mat[r][col] * inv % p
+            mat[r] = [(a - factor * b) % p for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [5, 7, 32003])
+def test_sparse_rank_matches_dense_reference(p):
+    rng = random.Random(p)
+    for _ in range(60):
+        nrows, ncols = rng.randint(0, 9), rng.randint(0, 9)
+        density = rng.random()
+        rows = []
+        for _ in range(nrows):
+            # explicit zeros, multiples of p and negative values all mean "reduce mod p"
+            row = {c: rng.randint(-2 * p, 2 * p) for c in range(ncols) if rng.random() < density}
+            if rows and rng.random() < 0.2:
+                row = dict(rng.choice(rows))  # duplicate row
+            elif rng.random() < 0.15:
+                row = {}  # zero row
+            rows.append(row)
+        if rows and ncols and rng.random() < 0.3:
+            # a combination of earlier rows, so the rank is short of full
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append({c: 3 * a.get(c, 0) - b.get(c, 0) for c in range(ncols)})
+        assert rank_mod_p(rows, p) == dense_rank(rows, ncols, p)
+        assert rank_mod_p(list(reversed(rows)), p) == dense_rank(rows, ncols, p)
+
+
+def test_sparse_rank_leaves_its_input_alone():
+    rows = [{0: 2, 3: 1}, {0: 4, 3: 2, 5: 6}]
+    copy = [dict(r) for r in rows]
+    assert rank_mod_p(rows, 7) == 2
+    assert rows == copy
 
 
 # ---- exactness -----------------------------------------------------------------------
@@ -208,3 +256,76 @@ def test_exactness_detects_a_broken_map():
     corrupted = replace(res, differentials=(res.differentials[0], broken, res.differentials[2]))
     report = check_exactness(corrupted, 1, 8)
     assert not report.passed
+
+
+def test_exactness_rejects_a_negative_degree_cap():
+    res = build_three_squares(max_step=3)
+    with pytest.raises(ValueError, match="max_internal_degree"):
+        check_exactness(res, 1, -1)
+
+
+def test_shared_engine_matches_fresh_checks(monkeypatch):
+    import citaylor.quotient as quotient
+
+    calls = []
+    rank = quotient.rank_mod_p
+    monkeypatch.setattr(quotient, "rank_mod_p", lambda rows, p: calls.append(p) or rank(rows, p))
+    res = build_three_squares(max_step=5)
+    engine = GradedExactness(res, 32003)
+    shared = [check_exactness(res, n, 9, engine=engine) for n in range(1, 5)]
+    assert len(calls) == 5 * 10  # each (phi_k, d), k = 1..5, ranked once
+    fresh = [check_exactness(res, n, 9) for n in range(1, 5)]
+    assert len(calls) == 50 + 4 * 2 * 10
+    assert [(r.title, r.passed, r.details) for r in shared] == [
+        (r.title, r.passed, r.details) for r in fresh
+    ]
+
+
+def dense_graded_rank(res, k, d, p):
+    """Reference: (dim, rank) of (phi_k)_d from the normal form of every entry
+    times every standard monomial, ranked by dense elimination."""
+    ring_p = PolyRing(res.system.ring.variables, GF(p))
+    gb = buchberger([ring_p.polynomial(a.terms) for a in res.system.ci.sequence])
+
+    def std(degree):
+        return [m.exponents for m in graded_piece_basis(gb, degree).monomials]
+
+    rows = [(i, e) for i, b in enumerate(res.basis(k - 1)) for e in std(d - b.twist)]
+    cols = [(j, w) for j, b in enumerate(res.basis(k)) for w in std(d - b.twist)]
+    phi = res.differential(k)
+    matrix = [{} for _ in rows]
+    for c, (j, w) in enumerate(cols):
+        for r, (i, e) in enumerate(rows):
+            if (i, j) in phi.entries:
+                image = normal_form(ring_p.polynomial(phi.entries[(i, j)].terms).mul_term(w), gb)
+                matrix[r][c] = image.terms.get(e, GF(p).zero).value
+    return len(cols), dense_rank(matrix, len(cols), p)
+
+
+@pytest.mark.parametrize("lift", ["first", "average"])
+def test_engine_ranks_match_dense_reference(lift):
+    # the lift puts two terms into one entry (x + y), so images need summing
+    R = ring("x,y,z")
+    ci = complete_intersection(
+        monomial_ideal(R, ["x^2", "y^2", "z^2"]), ["x^3 + x^2*y + x*y^2 + y^2*z"]
+    )
+    res = shamash_resolution(homotopy_system(ci, strategy=lift), 4)
+    for p in (5, 32003):
+        engine = GradedExactness(res, p)
+        for k in range(1, 5):
+            for d in range(8):
+                assert engine.rank(k, d) == dense_graded_rank(res, k, d, p), (p, k, d)
+
+
+def test_engine_belongs_to_one_resolution_and_prime():
+    res = build_three_squares(max_step=3)
+    engine = GradedExactness(res, 32003)
+    with pytest.raises(ValueError, match="another resolution"):
+        check_exactness(res, 1, 4, p=7, engine=engine)
+    from dataclasses import replace
+
+    copy = replace(res, differentials=tuple(res.differentials))
+    with pytest.raises(ValueError, match="another resolution"):
+        check_exactness(copy, 1, 4, engine=engine)
+    with pytest.raises(BadPrime, match="not prime"):
+        GradedExactness(res, 9)
