@@ -211,7 +211,15 @@ def resolution_from_json(doc):
     ring = PolyRing(tuple(doc["ring"]["vars"]), field)
     ideal = monomial_ideal(ring, doc["ideal"])
     ci = complete_intersection(ideal, doc["ci"])
-    rows = [[ring.parse(s) for s in row] for row in doc["lift"]]
+    parsed = {}  # text -> Polynomial: each distinct string is parsed once
+
+    def parse(text):
+        poly = parsed.get(text)
+        if poly is None:
+            poly = parsed[text] = ring.parse(text)
+        return poly
+
+    rows = [[parse(s) for s in row] for row in doc["lift"]]
     system = HomotopySystem(ci, lift_matrix_from_rows(ci, rows))
     res = shamash_resolution(system, len(doc["modules"]) - 1)
     for n, module in enumerate(doc["modules"]):
@@ -221,7 +229,7 @@ def resolution_from_json(doc):
             raise ValueError(f"stored basis at step {n} does not match the data")
     for dmat in doc["differentials"]:
         mat = res.differential(dmat["from"])
-        stored = {(e["row"], e["col"]): ring.parse(e["poly"]) for e in dmat["entries"]}
+        stored = {(e["row"], e["col"]): parse(e["poly"]) for e in dmat["entries"]}
         if stored != mat.entries:
             raise ValueError(f"stored differential {dmat['from']} does not match the data")
     return res
@@ -492,7 +500,7 @@ def cmd_verify(args):
     res = _build_resolution(args)
     system = res.system
     reports = [
-        verify_taylor(system.ideal),
+        verify_taylor(system.ideal, system.complex),
         verify_homotopy_system(system),
         phi_squared_check(res),
     ]

@@ -249,6 +249,8 @@ class HomotopySystem:
         cols = self.complex.basis(k)
         rows = self.complex.basis(k + 1)
         row_index = {lab.indices: idx for idx, lab in enumerate(rows)}
+        signs = (self.ring.field.one, -self.ring.field.one)
+        shared = {}  # (t, quotient exponents, sign) -> the one entry they all refer to
         entries = {}
         for j, col in enumerate(cols):
             present = set(col.indices)
@@ -262,9 +264,11 @@ class HomotopySystem:
                 target = rows[row_index[union]]
                 quot = mono_divide(self.ideal.generator(t) * col.lcm, target.lcm)
                 pos = union.index(t) + 1
-                poly = f.mul_term(quot.exponents)
-                if (k - pos - 1) % 2:
-                    poly = -poly
+                odd = (k - pos - 1) % 2
+                key = (t, quot.exponents, odd)
+                poly = shared.get(key)
+                if poly is None:
+                    poly = shared[key] = f.mul_term(quot.exponents, signs[odd])
                 entries[(row_index[union], j)] = poly
         built = LabeledGradedMatrix(self.ring, rows, cols, entries)
         self._sigma[(i, k)] = built

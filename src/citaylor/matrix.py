@@ -5,15 +5,47 @@ degree of the corresponding free summand).  Entries live in a PolyRing; zero
 entries are never stored.  Divider positions record block boundaries for
 rendering and carry no algebraic meaning.
 
-``compose`` works on the entries' term dicts: each output entry accumulates
-the products of its left and right terms in one ``{exponents: coeff}`` dict,
-and one Polynomial is built per nonzero result entry.
+``compose`` lowers each operand's coefficients to ``int``s once per call
+(each distinct entry object once): over GF(p) the representatives, over QQ
+the numerators scaled to the operand's common denominator D.  Each output
+entry accumulates plain integer products in one ``{exponents: int}`` dict,
+and each nonzero output coefficient is built once, as ``ModP(n, p)``,
+``Fraction(n)`` or ``Fraction(n, D1 * D2)``.
 """
 from __future__ import annotations
 
-from operator import add
+from fractions import Fraction
+from math import lcm
+from operator import add, attrgetter
 
-from .poly import Polynomial
+from .poly import ModP, Polynomial
+
+
+def _lowering(matrix):
+    """(lower, D): lower(p) lists p's terms as (exponents, n) with coefficient n / D.
+
+    Over GF(p), D = 1 and n is the representative; over QQ, D is the lcm of
+    the matrix's denominators and n the numerator scaled to D.  Each distinct
+    entry object is lowered once per call.
+    """
+    if matrix.ring.field.characteristic:
+        den = 1
+        to_int = attrgetter("value")
+    else:
+        den = lcm(*{c.denominator for p in matrix.entries.values() for c in p.terms.values()})
+
+        def to_int(c):
+            return c.numerator * (den // c.denominator)
+
+    memo = {}
+
+    def lower(p):
+        terms = memo.get(id(p))
+        if terms is None:
+            terms = memo[id(p)] = [(e, to_int(c)) for e, c in p.terms.items()]
+        return terms
+
+    return lower, den
 
 
 class LabeledGradedMatrix:
@@ -91,23 +123,34 @@ class LabeledGradedMatrix:
             raise ValueError("inner labels do not match")
         if self.ring != other.ring:
             raise ValueError("matrices from different rings")
+        lower_left, d1 = _lowering(self)
+        lower_right, d2 = _lowering(other)
         by_col = {}
         for (i, j), p in self.entries.items():
-            by_col.setdefault(j, []).append((i, p.terms.items()))
+            by_col.setdefault(j, []).append((i, lower_left(p)))
         acc = {}
         for (j, k), q in other.entries.items():
-            right = q.terms.items()
-            for i, left in by_col.get(j, ()):
+            right_terms = lower_right(q)
+            for i, left_terms in by_col.get(j, ()):
                 terms = acc.get((i, k))
                 if terms is None:
                     terms = acc[(i, k)] = {}
-                for e1, c1 in left:
-                    for e2, c2 in right:
+                for e1, c1 in left_terms:
+                    for e2, c2 in right_terms:
                         e = tuple(map(add, e1, e2))
-                        s = terms.get(e)
-                        terms[e] = c1 * c2 if s is None else s + c1 * c2
+                        terms[e] = terms.get(e, 0) + c1 * c2
         ring = self.ring
-        entries = {ik: Polynomial(ring, t) for ik, t in acc.items() if any(t.values())}
+        p, den = ring.field.characteristic, d1 * d2
+        entries = {}
+        for ik, terms in acc.items():
+            if p:
+                cell = {e: ModP(n, p) for e, n in terms.items() if n % p}
+            elif den == 1:
+                cell = {e: Fraction(n) for e, n in terms.items() if n}
+            else:
+                cell = {e: Fraction(n, den) for e, n in terms.items() if n}
+            if cell:
+                entries[ik] = Polynomial(ring, cell)
         return LabeledGradedMatrix(ring, self.rows, other.cols, entries)
 
     def first_failure(self):

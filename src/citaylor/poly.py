@@ -222,13 +222,18 @@ def monomial_key(order):
 
 
 class Polynomial:
-    """Immutable sparse polynomial attached to a PolyRing."""
+    """Immutable sparse polynomial attached to a PolyRing.
 
-    __slots__ = ("ring", "terms")
+    The canonical text is formatted on first use and kept, so an entry that
+    a matrix holds in many places is formatted once.
+    """
+
+    __slots__ = ("ring", "terms", "_text")
 
     def __init__(self, ring, terms):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(self, "_text", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -337,7 +342,11 @@ class Polynomial:
         return self.terms.get(monomial.exponents, self.ring.field.zero)
 
     def __str__(self):
-        return self.ring.format_polynomial(self)
+        text = self._text
+        if text is None:
+            text = self.ring.format_polynomial(self)
+            object.__setattr__(self, "_text", text)
+        return text
 
     def __repr__(self):
         return f"<{self}>"

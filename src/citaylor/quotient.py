@@ -238,8 +238,16 @@ class GradedExactness:
 
     def _entries_by_column(self, k):
         if k not in self._columns:
+            phi = self.resolution.differential(k)
+            bad = phi.homogeneity_violations()
+            if bad:
+                row, col, entry = bad[0]
+                raise ValueError(
+                    f"phi_{k} entry ({row}, {col}) = {entry} is not homogeneous "
+                    f"of degree {col.twist - row.twist}"
+                )
             by_col = {}
-            for (i, j), poly in self.resolution.differential(k).entries.items():
+            for (i, j), poly in phi.entries.items():
                 terms = [(e, c.value) for e, c in self._over_field(poly).terms.items()]
                 by_col.setdefault(j, []).append((i, terms))
             self._columns[k] = by_col

@@ -127,9 +127,13 @@ def taylor_basis(ideal, k):
     return _bases(ideal, k)[k]
 
 
-def _differential(ring, k, rows, cols):
-    """tau_k: T_k -> T_{k-1} from the two bases, entries straight from lcm exponents."""
-    plus, minus = ring.field.coerce(1), ring.field.coerce(-1)
+def _differential(ring, k, rows, cols, shared):
+    """tau_k: T_k -> T_{k-1} from the two bases, entries straight from lcm exponents.
+
+    shared maps (exponents, sign) to the one Polynomial that every equal
+    entry refers to.
+    """
+    signs = (ring.field.coerce(1), ring.field.coerce(-1))
     row_index = {lab.indices: i for i, lab in enumerate(rows)}
     entries = {}
     for j, col in enumerate(cols):
@@ -137,8 +141,11 @@ def _differential(ring, k, rows, cols):
         for pos in range(1, k + 1):
             i = row_index[s[: pos - 1] + s[pos:]]
             quot = tuple(map(sub, col.lcm.exponents, rows[i].lcm.exponents))
-            sign = plus if (k - pos) % 2 == 0 else minus
-            entries[(i, j)] = Polynomial(ring, {quot: sign})
+            odd = (k - pos) % 2
+            poly = shared.get((quot, odd))
+            if poly is None:
+                poly = shared[(quot, odd)] = Polynomial(ring, {quot: signs[odd]})
+            entries[(i, j)] = poly
     return LabeledGradedMatrix(ring, rows, cols, entries)
 
 
@@ -147,7 +154,7 @@ def taylor_differential(ideal, k):
     if not 1 <= k <= ideal.ngens:
         raise ValueError(f"no differential at step {k}")
     bases = _bases(ideal, k)
-    return _differential(ideal.ring, k, bases[k - 1], bases[k])
+    return _differential(ideal.ring, k, bases[k - 1], bases[k], {})
 
 
 @dataclass(frozen=True)
@@ -169,15 +176,20 @@ class TaylorComplex:
 def taylor_complex(ideal):
     r = ideal.ngens
     bases = tuple(tuple(b) for b in _bases(ideal, r))
+    shared = {}
     diffs = tuple(
-        _differential(ideal.ring, k, bases[k - 1], bases[k]) for k in range(1, r + 1)
+        _differential(ideal.ring, k, bases[k - 1], bases[k], shared) for k in range(1, r + 1)
     )
     return TaylorComplex(ideal, bases, diffs)
 
 
-def verify_taylor(ideal):
-    """Check tau_k . tau_{k+1} = 0 for every k and entry homogeneity."""
-    cx = taylor_complex(ideal)
+def verify_taylor(ideal, cx=None):
+    """Check tau_k . tau_{k+1} = 0 for every k and entry homogeneity.
+
+    cx, when given, must be taylor_complex(ideal); otherwise it is built here.
+    """
+    if cx is None:
+        cx = taylor_complex(ideal)
     report = Report("taylor complex")
     r = ideal.ngens
     for k in range(1, r):

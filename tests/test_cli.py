@@ -105,6 +105,30 @@ def test_round_trip_rejects_tampered_data(capsys):
         resolution_from_json(doc2)
 
 
+def test_round_trip_parses_each_text_once(capsys, monkeypatch):
+    from citaylor import PolyRing
+
+    code, out, _ = run(capsys, "resolve", *THREE_SQUARES_ARGS, "--max-step", "4", "--format", "json")
+    doc = json.loads(out)
+    entries = [e for d in doc["differentials"] for e in d["entries"]]
+    texts = {s for row in doc["lift"] for s in row} | {e["poly"] for e in entries}
+    calls = []
+    parse = PolyRing.parse
+    monkeypatch.setattr(PolyRing, "parse", lambda ring, src: calls.append(src) or parse(ring, src))
+    resolution_from_json(doc)
+    assert len(calls) == len(doc["ideal"]) + len(doc["ci"]) + len(texts) < len(entries)
+
+    # an equal entry in a non-canonical form still loads
+    squares = [e for e in entries if e["poly"] == "x^2"]
+    assert len(squares) > 1
+    squares[0]["poly"] = "2*x^2 - x^2"
+    resolution_from_json(doc)
+    # a wrong entry whose text another entry already uses still fails
+    squares[1]["poly"] = "y^2"
+    with pytest.raises(ValueError, match="does not match"):
+        resolution_from_json(doc)
+
+
 def test_taylor_json(capsys):
     code, out, _ = run(
         capsys, "taylor", "--vars", "x,y,z", "--ideal", "x*y,x*z,y*z", "--format", "json"
@@ -190,6 +214,24 @@ def test_verify_without_exactness(capsys):
     code, out, _ = run(capsys, "verify", *THREE_SQUARES_ARGS, "--max-step", "3")
     assert code == 0
     assert "exactness" not in out
+
+
+def test_verify_builds_the_taylor_complex_once(capsys, monkeypatch):
+    import citaylor.homotopy as homotopy_mod
+    import citaylor.taylor as taylor_mod
+
+    builds = []
+    build = taylor_mod.taylor_complex
+
+    def counted(ideal):
+        builds.append(ideal)
+        return build(ideal)
+
+    monkeypatch.setattr(taylor_mod, "taylor_complex", counted)
+    monkeypatch.setattr(homotopy_mod, "taylor_complex", counted)
+    code, out, _ = run(capsys, "verify", *THREE_SQUARES_ARGS, "--max-step", "3")
+    assert code == 0 and "[PASS] taylor complex" in out
+    assert len(builds) == 1
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

@@ -1,0 +1,87 @@
+"""Property: LabeledGradedMatrix.compose agrees with Polynomial.__mul__ / __add__."""
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from citaylor import GF, QQ, LabeledGradedMatrix  # noqa: E402
+from citaylor.poly import ModP  # noqa: E402
+
+from conftest import ring  # noqa: E402
+from test_matrix import reference_compose  # noqa: E402
+
+RINGS = {"QQ": ring("x,y", QQ), "GF7": ring("x,y", GF(7)), "GF32003": ring("x,y", GF(32003))}
+
+
+def coefficients(field_name, denominators):
+    if field_name == "QQ":
+        return st.builds(Fraction, st.integers(-6, 6), st.sampled_from(denominators))
+    return st.integers(-40000, 40000)
+
+
+@st.composite
+def matrices(draw, R, nrows, ncols, coeffs):
+    entries = {}
+    for i in range(nrows):
+        for j in range(ncols):
+            if draw(st.booleans()):
+                terms = draw(
+                    st.dictionaries(
+                        st.tuples(st.integers(0, 2), st.integers(0, 2)), coeffs, max_size=3
+                    )
+                )
+                entries[(i, j)] = R.polynomial(terms)
+    return LabeledGradedMatrix(R, range(nrows), range(ncols), entries)
+
+
+def stacked(R, top, bottom, nrows, ncols):
+    """[top; bottom] as one matrix."""
+    entries = dict(top.entries)
+    entries.update({(nrows + i, j): p for (i, j), p in bottom.entries.items()})
+    return LabeledGradedMatrix(R, range(2 * nrows), range(ncols), entries)
+
+
+@st.composite
+def operands(draw):
+    """A composable pair over QQ, GF(7) or GF(32003).
+
+    Over QQ each operand is integral or draws its denominators from its own
+    set, so the two common denominators differ.  Half the pairs are
+    [L | L] and [B; C - B], whose product L.C loses the L.B terms.
+    """
+    name = draw(st.sampled_from(sorted(RINGS)))
+    R = RINGS[name]
+    n, m, p = (draw(st.integers(0, 3)) for _ in range(3))
+    left_coeffs = coefficients(name, draw(st.sampled_from([(1,), (1, 2, 4, 9)])))
+    right_coeffs = coefficients(name, draw(st.sampled_from([(1,), (1, 3, 5, 7)])))
+    left = draw(matrices(R, n, m, left_coeffs))
+    if not draw(st.booleans()):
+        return left, draw(matrices(R, m, p, right_coeffs))
+    B = draw(matrices(R, m, p, right_coeffs))
+    C = draw(matrices(R, m, p, right_coeffs))
+    doubled = {(i, m + j): q for (i, j), q in left.entries.items()}
+    doubled.update(left.entries)
+    return (
+        LabeledGradedMatrix(R, range(n), range(2 * m), doubled),
+        stacked(R, B, C - B, m, p),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands())
+def test_compose_equals_polynomial_arithmetic(pair):
+    left, right = pair
+    product = left.compose(right)
+    assert product.rows == left.rows and product.cols == right.cols
+    assert product.entries == reference_compose(left, right)
+    field = left.ring.field
+    for poly in product.entries.values():
+        assert poly.terms
+        for c in poly.terms.values():
+            if field == QQ:
+                assert type(c) is Fraction
+            else:
+                assert isinstance(c, ModP) and c.p == field.p and 0 < c.value < field.p

@@ -109,6 +109,23 @@ def test_print_canonical_descending(ring_xyz):
     assert str(ring_xyz.parse("1 + x + x^3")) == "x^3 + x + 1"
 
 
+def test_text_is_cached_and_polynomial_stays_immutable(ring_xyz):
+    p = ring_xyz.parse("x^2*z - 1/2*x*y^2 + 3")
+    q = ring_xyz.parse("3 + z*x^2 - 1/2*y^2*x")
+    assert p == q and hash(p) == hash(q)  # neither text formatted yet
+    text = str(p)
+    assert text == "-1/2*x*y^2 + x^2*z + 3"
+    assert str(p) is text
+    assert repr(p) == f"<{text}>"
+    assert p == q and hash(p) == hash(q)  # one text cached, the other not
+    assert str(q) == text
+    assert p == q and hash(p) == hash(q)
+    for name, value in (("x", 1), ("_text", "junk"), ("terms", {})):
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+    assert str(p) == text
+
+
 def test_parse_format_round_trip(ring_xyz):
     rng = random.Random(11)
     for _ in range(60):

@@ -264,6 +264,25 @@ def test_exactness_rejects_a_negative_degree_cap():
         check_exactness(res, 1, -1)
 
 
+def test_exactness_names_a_misgraded_entry():
+    from dataclasses import replace
+
+    from citaylor import LabeledGradedMatrix
+
+    res = build_three_squares(max_step=4)
+    phi2 = res.differential(2)
+    assert str(phi2.entries[(0, 0)]) == "z"
+    entries = dict(phi2.entries)
+    entries[(0, 0)] = res.system.ring.parse("x^5")
+    broken = LabeledGradedMatrix(phi2.ring, phi2.rows, phi2.cols, entries)
+    diffs = res.differentials
+    corrupted = replace(res, differentials=(diffs[0], broken, *diffs[2:]))
+    with pytest.raises(
+        ValueError, match=r"^phi_2 entry \(1, \{\}\) = x\^5 is not homogeneous of degree 1$"
+    ):
+        check_exactness(corrupted, 1, 6)
+
+
 def test_shared_engine_matches_fresh_checks(monkeypatch):
     import citaylor.quotient as quotient
 

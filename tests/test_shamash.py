@@ -382,6 +382,69 @@ def test_phi_squared_random_instances():
         assert report.passed, report.failure
 
 
+def shift_reference_failure(res, n):
+    """First failure of phi_n.phi_{n+1} - sum_j a_j * shift_j, built from lower_shift_matrix."""
+    rhs = None
+    for j, a in enumerate(res.system.ci.sequence, start=1):
+        part = lower_shift_matrix(res, n, j).scale(a)
+        rhs = part if rhs is None else rhs + part
+    defect = res.differential(n).compose(res.differential(n + 1)) - rhs
+    return defect.first_failure()
+
+
+@pytest.mark.parametrize("build", [build_three_squares, build_codim2])
+def test_phi_squared_defect_matches_shift_reference(build):
+    from dataclasses import replace
+
+    from citaylor import LabeledGradedMatrix
+
+    res = build(max_step=4)
+    ring = res.system.ring
+    for n in (1, 2, 3):
+        for change in ("drop", "y", "-2*x^2"):
+            phi = res.differential(n)
+            entries = dict(phi.entries)
+            first = min(entries, key=lambda ij: (ij[1], ij[0]))
+            if change == "drop":
+                del entries[first]
+            else:
+                entries[first] = ring.parse(change)
+            broken = LabeledGradedMatrix(ring, phi.rows, phi.cols, entries)
+            diffs = list(res.differentials)
+            diffs[n - 1] = broken
+            bad = replace(res, differentials=tuple(diffs))
+            report = phi_squared_check(bad)
+            assert not report.passed
+            step = next(m for m in (1, 2, 3) if shift_reference_failure(bad, m))
+            row, col, entry = shift_reference_failure(bad, step)
+            assert report.failure == f"phi_{step}.phi_{step + 1} defect at ({row}, {col}): {entry}"
+
+
+def test_equal_entries_are_shared_objects():
+    # r = 6 squares: tau entries are +-v^2, sigma entries +-(a or b or c or d*e)
+    R = ring("a,b,c,d,e,f")
+    I = monomial_ideal(R, [f"{v}^2" for v in R.variables])
+    ci = complete_intersection(I, ["a^3 + b^3", "c^3 + d^2*e"])
+    res = shamash_resolution(homotopy_system(ci, strategy="first"), 6)
+    system = res.system
+    taylor_entries = {}
+    for k in range(1, 7):
+        for p in system.sigma_zero(k).entries.values():
+            assert taylor_entries.setdefault(p, p) is p, f"tau_{k} entry {p} is a copy"
+    sigma_ids = set()
+    for i in (1, 2):
+        for k in range(7):
+            sigma_entries = {}
+            for p in system.sigma_e(i, k).entries.values():
+                assert sigma_entries.setdefault(p, p) is p, f"sigma_{i} on T_{k}: {p} is a copy"
+            sigma_ids.update(map(id, sigma_entries.values()))
+    # phi_n places those very objects, without copying them
+    placed = set(map(id, taylor_entries.values())) | sigma_ids
+    for n in range(1, 7):
+        entries = res.differential(n).entries.values()
+        assert entries and all(id(p) in placed for p in entries)
+
+
 @pytest.mark.parametrize("codim", [1, 2, 3])
 def test_resolution_matches_standalone_builders(codim):
     rng = random.Random(20261017 + codim)

@@ -133,6 +133,35 @@ def test_verify_random_ideals():
         assert report.passed, report.failure
 
 
+def test_verify_taylor_reuses_a_built_complex(monkeypatch):
+    import citaylor.taylor as taylor
+
+    rng = random.Random(20261018)
+    for _ in range(5):
+        I = random_ideal(rng)
+        built = taylor_complex(I)
+        fresh = verify_taylor(I)
+        monkeypatch.setattr(taylor, "taylor_complex", lambda ideal: pytest.fail("rebuilt"))
+        reused = verify_taylor(I, built)
+        monkeypatch.undo()
+        assert (reused.passed, reused.details, reused.failure) == (
+            fresh.passed, fresh.details, fresh.failure
+        )
+
+
+def test_equal_taylor_entries_are_one_object():
+    # seven squares plus x*y: every entry is +-(one variable or its square)
+    R = ring("a,b,c,d,e,f,g")
+    cx = taylor_complex(monomial_ideal(R, [f"{v}^2" for v in R.variables] + ["a*b"]))
+    by_value = {}
+    total = 0
+    for k in range(1, cx.ideal.ngens + 1):
+        for p in cx.differential(k).entries.values():
+            assert by_value.setdefault(p, p) is p, f"tau_{k} entry {p} is a copy"
+            total += 1
+    assert total > 1000 and len(by_value) < 40
+
+
 def test_square_is_zero_random():
     rng = random.Random(5)
     for _ in range(6):
