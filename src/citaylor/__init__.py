@@ -4,14 +4,10 @@ intersection quotients, with exact arithmetic throughout."""
 from .poly import (
     GF,
     QQ,
-    Monomial,
-    NotDivisible,
     ParseError,
     Polynomial,
     PolyRing,
     PrimeField,
-    mono_divide,
-    mono_lcm,
 )
 from .matrix import LabeledGradedMatrix, scalar_matrix
 from .report import Report
@@ -40,19 +36,15 @@ from .homotopy import (
     verify_homotopy_system,
 )
 from .shamash import (
-    DPIndex,
     NoStableTail,
     ShamashBasisElement,
     ShamashResolution,
-    betti_bound,
     matrix_factorization,
-    minimality_check,
     phi_squared_check,
     rank_formula,
     shamash_basis,
     shamash_differential,
     shamash_resolution,
-    tail_periodicity,
 )
 from .quotient import (
     BadPrime,

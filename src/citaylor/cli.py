@@ -20,9 +20,9 @@ from .homotopy import (
     verify_homotopy_system,
 )
 from .matrix import LabeledGradedMatrix
-from .poly import QQ, ParseError, PolyRing, PrimeField
+from .poly import QQ, ParseError, PolyRing, PrimeField, render_terms
 from .quotient import BadPrime, CapExceeded, GradedExactness, check_exactness
-from .shamash import betti_bound, phi_squared_check, shamash_resolution
+from .shamash import phi_squared_check, rank_formula, shamash_resolution
 from .taylor import monomial_ideal, taylor_complex, verify_taylor
 
 EXIT_OK = 0
@@ -159,7 +159,7 @@ def ring_json(ring):
 
 
 def basis_element_json(b):
-    return {"u": list(b.u.exponents), "S": list(b.label.indices), "twist": b.twist}
+    return {"u": list(b.u), "S": list(b.label.indices), "twist": b.twist}
 
 
 def subset_json(label):
@@ -224,7 +224,7 @@ def resolution_from_json(doc):
     res = shamash_resolution(system, len(doc["modules"]) - 1)
     for n, module in enumerate(doc["modules"]):
         stored = [(tuple(e["u"]), tuple(e["S"]), e["twist"]) for e in module]
-        computed = [(b.u.exponents, b.label.indices, b.twist) for b in res.basis(n)]
+        computed = [(b.u, b.label.indices, b.twist) for b in res.basis(n)]
         if stored != computed:
             raise ValueError(f"stored basis at step {n} does not match the data")
     for dmat in doc["differentials"]:
@@ -259,36 +259,19 @@ def _name_tex(name):
     return name
 
 
+def _coeff_tex(mag):
+    if isinstance(mag, Fraction) and mag.denominator != 1:
+        return rf"\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
+    return str(mag)
+
+
 def poly_tex(poly):
-    ring = poly.ring
-    if not poly.terms:
-        return "0"
-    pieces = []
-    for e in poly.sorted_exponents():
-        c = poly.terms[e]
-        negative = isinstance(c, Fraction) and c < 0
-        mag = -c if negative else c
-        mono = "".join(
-            _name_tex(v) + (f"^{{{k}}}" if k > 1 else "")
-            for v, k in zip(ring.variables, e)
-            if k
-        )
-        if isinstance(mag, Fraction) and mag.denominator != 1:
-            coeff = rf"\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
-        else:
-            coeff = str(mag)
-        if not mono:
-            body = coeff
-        elif mag == ring.field.one:
-            body = mono
-        else:
-            body = coeff + mono
-        pieces.append(("-" if negative else "+", body))
-    sign, body = pieces[0]
-    out = [body if sign == "+" else f"-{body}"]
-    for sign, body in pieces[1:]:
-        out.append(f" {sign} {body}")
-    return "".join(out)
+    names = [_name_tex(v) for v in poly.ring.variables]
+
+    def mono_tex(e):
+        return "".join(v + (f"^{{{k}}}" if k > 1 else "") for v, k in zip(names, e) if k)
+
+    return render_terms(poly, _coeff_tex, mono_tex, "")
 
 
 def label_tex(label):
@@ -510,9 +493,7 @@ def cmd_verify(args):
 
 
 def cmd_betti(args):
-    bounds = [
-        betti_bound(args.gens, args.codim, n // 2, n % 2) for n in range(args.max_step + 1)
-    ]
+    bounds = [rank_formula(args.gens, args.codim, n) for n in range(args.max_step + 1)]
     if args.format == "json":
         emit(args, _dump({"r": args.gens, "c": args.codim, "bounds": bounds}))
     else:
@@ -616,7 +597,7 @@ def build_parser():
     sp = sub.add_parser("betti", help="rank bounds from the closed formula")
     sp.add_argument("--gens", type=int, required=True, help="number of ideal generators r")
     sp.add_argument("--codim", type=int, required=True, help="sequence length c")
-    sp.add_argument("--max-step", type=int, default=10)
+    sp.add_argument("--max-step", type=degree, default=10)
     _add_format_argument(sp, choices=("text", "json"))
     sp.set_defaults(func=cmd_betti)
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .matrix import LabeledGradedMatrix, scalar_matrix
-from .poly import Monomial, Polynomial, mono_divide
+from .poly import Polynomial
 from .report import Report
 from .taylor import MonomialIdeal, taylor_complex
 
@@ -102,13 +103,16 @@ def compute_lift(a, ideal, strategy="first", assignments=None):
         acc[exponents] = coeff if prev is None else prev + coeff
 
     for e, c in a.terms.items():
-        m = Monomial(e)
-        divisors = [t for t in range(1, ideal.ngens + 1) if ideal.generator(t).divides(m)]
+        divisors = {}  # 1-based index of each generator dividing the term -> term / generator
+        for t, m in enumerate(ideal.generators, start=1):
+            quot = tuple(map(sub, e, m))
+            if min(quot) >= 0:
+                divisors[t] = quot
         if not divisors:
             raise NotInIdeal(f"term {ring.term(e, c)} lies outside the ideal")
         if strategy == "first":
-            t = divisors[0]
-            add(t, mono_divide(m, ideal.generator(t)).exponents, c)
+            t = next(iter(divisors))
+            add(t, divisors[t], c)
         elif strategy == "average":
             try:
                 share = ring.field.coerce(Fraction(1, len(divisors)))
@@ -117,8 +121,8 @@ def compute_lift(a, ideal, strategy="first", assignments=None):
                     f"cannot average over {len(divisors)} divisors in "
                     f"characteristic {ring.field.characteristic}"
                 ) from None
-            for t in divisors:
-                add(t, mono_divide(m, ideal.generator(t)).exponents, c * share)
+            for t, quot in divisors.items():
+                add(t, quot, c * share)
         else:
             if assignments is None:
                 raise ValueError("fixed-assignment strategy needs an assignment map")
@@ -131,7 +135,7 @@ def compute_lift(a, ideal, strategy="first", assignments=None):
                 raise ValueError(
                     f"generator {t} does not divide term {ring.format_exponents(e) or '1'}"
                 )
-            add(t, mono_divide(m, ideal.generator(t)).exponents, c)
+            add(t, divisors[t], c)
     return tuple(Polynomial(ring, terms) for terms in row)
 
 
@@ -246,6 +250,7 @@ class HomotopySystem:
         cached = self._sigma.get((i, k))
         if cached is not None:
             return cached
+        gens = self.ideal.generators
         cols = self.complex.basis(k)
         rows = self.complex.basis(k + 1)
         row_index = {lab.indices: idx for idx, lab in enumerate(rows)}
@@ -262,13 +267,14 @@ class HomotopySystem:
                     continue
                 union = tuple(sorted(col.indices + (t,)))
                 target = rows[row_index[union]]
-                quot = mono_divide(self.ideal.generator(t) * col.lcm, target.lcm)
+                # m_t * lcm(S) / lcm(S + t), a monomial since lcm(S + t) divides m_t * lcm(S)
+                quot = tuple(map(sub, map(add, gens[t - 1], col.lcm), target.lcm))
                 pos = union.index(t) + 1
                 odd = (k - pos - 1) % 2
-                key = (t, quot.exponents, odd)
+                key = (t, quot, odd)
                 poly = shared.get(key)
                 if poly is None:
-                    poly = shared[key] = f.mul_term(quot.exponents, signs[odd])
+                    poly = shared[key] = f.mul_term(quot, signs[odd])
                 entries[(row_index[union], j)] = poly
         built = LabeledGradedMatrix(self.ring, rows, cols, entries)
         self._sigma[(i, k)] = built

@@ -48,14 +48,14 @@ def random_sequence(rng, ideal, codim):
     for _ in range(codim):
         while True:
             picks = [rng.randint(1, ideal.ngens) for _ in range(rng.randint(1, 3))]
-            top = max(ideal.generator(t).degree for t in picks)
+            top = max(sum(ideal.generator(t)) for t in picks)
             degree = top + rng.randint(0, 2)
             total = ring.zero
             for t in picks:
-                pad = _random_exponents(rng, ring.nvars, degree - ideal.generator(t).degree)
+                pad = _random_exponents(rng, ring.nvars, degree - sum(ideal.generator(t)))
                 coeff = rng.choice([-3, -2, -1, 1, 2, 3])
                 total = total + ring.term(
-                    tuple(a + b for a, b in zip(ideal.generator(t).exponents, pad)), coeff
+                    tuple(a + b for a, b in zip(ideal.generator(t), pad)), coeff
                 )
             if not total.is_zero():
                 out.append(total)

@@ -13,10 +13,6 @@ from fractions import Fraction
 MONOMIAL_ORDERS = ("grlex", "grevlex", "lex")
 
 
-class NotDivisible(ArithmeticError):
-    """Monomial quotient would have a negative exponent."""
-
-
 class ParseError(ValueError):
     """Malformed polynomial input; carries the source offset."""
 
@@ -170,46 +166,6 @@ def GF(p):
     return PrimeField(p)
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Exponent vector; the ambient ring supplies variable names."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(e < 0 for e in self.exponents):
-            raise ValueError(f"negative exponent in {self.exponents}")
-
-    @property
-    def degree(self):
-        return sum(self.exponents)
-
-    def is_one(self):
-        return not any(self.exponents)
-
-    def __mul__(self, other):
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def divides(self, other):
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-
-def mono_lcm(a, b):
-    if len(a.exponents) != len(b.exponents):
-        raise ValueError("monomials from different rings")
-    return Monomial(tuple(max(x, y) for x, y in zip(a.exponents, b.exponents)))
-
-
-def mono_divide(num, den):
-    """Exact monomial quotient num/den; raises NotDivisible otherwise."""
-    if len(num.exponents) != len(den.exponents):
-        raise ValueError("monomials from different rings")
-    diff = tuple(x - y for x, y in zip(num.exponents, den.exponents))
-    if any(e < 0 for e in diff):
-        raise NotDivisible(f"{den.exponents} does not divide {num.exponents}")
-    return Monomial(diff)
-
-
 def monomial_key(order):
     """Sort key realizing a monomial order: bigger key = bigger monomial."""
     if order == "grlex":
@@ -322,9 +278,6 @@ class Polynomial:
         zero = (0,) * len(self.ring.variables)
         return self.terms.get(zero, self.ring.field.zero)
 
-    def monomials(self):
-        return [Monomial(e) for e in self.sorted_exponents()]
-
     def sorted_exponents(self):
         key = monomial_key(self.ring.order)
         return sorted(self.terms, key=key, reverse=True)
@@ -337,9 +290,6 @@ class Polynomial:
             key = monomial_key(self.ring.order)
         e = max(self.terms, key=key)
         return e, self.terms[e]
-
-    def coefficient(self, monomial):
-        return self.terms.get(monomial.exponents, self.ring.field.zero)
 
     def __str__(self):
         text = self._text
@@ -403,22 +353,19 @@ class PolyRing:
         return Polynomial(self, {e: self.field.one})
 
     def monomial(self, exponents):
+        """The exponent tuple of a monomial of this ring, checked."""
         exponents = tuple(exponents)
         if len(exponents) != self.nvars:
             raise ValueError(f"expected {self.nvars} exponents, got {len(exponents)}")
-        return Monomial(exponents)
+        if any(e < 0 for e in exponents):
+            raise ValueError(f"negative exponent in {exponents}")
+        return exponents
 
     def term(self, exponents, coeff=1):
         return Polynomial(self, {tuple(exponents): self.field.coerce(coeff)})
 
     def polynomial(self, mapping):
         return Polynomial(self, {tuple(e): self.field.coerce(c) for e, c in mapping.items()})
-
-    def from_monomial(self, m, coeff=1):
-        return self.term(m.exponents, coeff)
-
-    def key(self):
-        return monomial_key(self.order)
 
     # ---- parsing -------------------------------------------------------
 
@@ -513,30 +460,38 @@ class PolyRing:
                 parts.append(f"{name}^{e}")
         return "*".join(parts)
 
-    def format_monomial(self, m):
-        return self.format_exponents(m.exponents) or "1"
+    def format_monomial(self, exponents):
+        return self.format_exponents(exponents) or "1"
 
     def format_polynomial(self, poly):
         """Canonical text form: terms descending in the ring order."""
-        if not poly.terms:
-            return "0"
-        one = self.field.one
-        pieces = []
-        for e in poly.sorted_exponents():
-            c = poly.terms[e]
-            negative = isinstance(c, Fraction) and c < 0
-            mag = -c if negative else c
-            mono = self.format_exponents(e)
-            if not mono:
-                body = str(mag)
-            elif mag == one:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            pieces.append(("-" if negative else "+", body))
-        sign, body = pieces[0]
-        out = [body if sign == "+" else f"-{body}"]
-        for sign, body in pieces[1:]:
-            out.append(f" {sign} {body}")
+        return render_terms(poly, str, self.format_exponents, "*")
 
-        return "".join(out)
+
+def render_terms(poly, coeff_text, mono_text, times):
+    """The signed term walk behind every rendering of a polynomial.
+
+    Terms run descending in the ring order.  A negative rational coefficient
+    becomes a minus sign; a unit coefficient is dropped before a nonconstant
+    monomial, and any other one is joined to it by times.
+    """
+    if not poly.terms:
+        return "0"
+    one = poly.ring.field.one
+    out = []
+    for e in poly.sorted_exponents():
+        c = poly.terms[e]
+        negative = isinstance(c, Fraction) and c < 0
+        mag = -c if negative else c
+        mono = mono_text(e)
+        if not mono:
+            body = coeff_text(mag)
+        elif mag == one:
+            body = mono
+        else:
+            body = coeff_text(mag) + times + mono
+        if out:
+            out.append(f" - {body}" if negative else f" + {body}")
+        else:
+            out.append(f"-{body}" if negative else body)
+    return "".join(out)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import add
 
-from .poly import Monomial, Polynomial, PolyRing, PrimeField, is_prime, monomial_key
+from .poly import Polynomial, PolyRing, PrimeField, is_prime, monomial_key
 from .report import Report
 
 
@@ -156,7 +156,7 @@ def _exponents_of_degree(nvars, degree):
 @dataclass(frozen=True)
 class GradedPieceBasis:
     degree: int
-    monomials: tuple[Monomial, ...]
+    monomials: tuple[tuple[int, ...], ...]
 
     @property
     def dimension(self):
@@ -171,7 +171,7 @@ def graded_piece_basis(gb, degree):
     out = []
     for e in _exponents_of_degree(gb.ring.nvars, degree):
         if not any(all(a >= b for a, b in zip(e, le)) for le in leads):
-            out.append(Monomial(e))
+            out.append(e)
     return GradedPieceBasis(degree, tuple(out))
 
 
@@ -255,8 +255,7 @@ class GradedExactness:
 
     def _monomials(self, degree):
         if degree not in self._standard:
-            piece = graded_piece_basis(self.gb, degree)
-            self._standard[degree] = [m.exponents for m in piece.monomials]
+            self._standard[degree] = graded_piece_basis(self.gb, degree).monomials
         return self._standard[degree]
 
     def _normal_form(self, exponents):

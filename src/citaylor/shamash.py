@@ -1,10 +1,11 @@
 """Free resolution over the quotient by the sequence, assembled step by step.
 
 Homological degree n is spanned by pairs (u, S): a divided-power multi-index
-u over the sequence and a subset label S, with |S| + 2|u| = n.  The summand
-(u, S) sits in internal degree deg lcm(S) + sum_j u_j * deg a_j.  The
-differential applies the Taylor differential to S (keeping u) and, for every
-j with u_j >= 1, the homotopy sigma_j (lowering u_j by one); no extra signs.
+u over the sequence (an exponent tuple, y^(u) = y_1^(u_1) ... y_c^(u_c)) and
+a subset label S, with |S| + 2|u| = n.  The summand (u, S) sits in internal
+degree deg lcm(S) + sum_j u_j * deg a_j.  The differential applies the
+Taylor differential to S (keeping u) and, for every j with u_j >= 1, the
+homotopy sigma_j (lowering u_j by one); no extra signs.
 
 Composing two consecutive differentials gives sum_j a_j * shift_j on the
 nose, where shift_j lowers u_j; over the quotient ring the a_j vanish, so
@@ -26,50 +27,27 @@ class NoStableTail(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DPIndex:
-    """Divided-power multi-index t^u = y_1^(u_1) ... y_c^(u_c)."""
-
-    exponents: tuple[int, ...]
-
-    @property
-    def weight(self):
-        return sum(self.exponents)
-
-    def lower(self, j):
-        """u - e_j, 1-based; requires u_j >= 1."""
-        if self.exponents[j - 1] < 1:
-            raise ValueError(f"index {j} already zero in {self.exponents}")
-        return DPIndex(
-            tuple(e - 1 if i == j - 1 else e for i, e in enumerate(self.exponents))
-        )
-
-    def raised(self, j):
-        """u + e_j, 1-based."""
-        return DPIndex(
-            tuple(e + 1 if i == j - 1 else e for i, e in enumerate(self.exponents))
-        )
-
-    def __str__(self):
-        return "(" + ",".join(str(e) for e in self.exponents) + ")"
-
-
-@dataclass(frozen=True)
 class ShamashBasisElement:
     """Pair (u, S) with cached homological degree and twist."""
 
-    u: DPIndex
+    u: tuple[int, ...]
     label: SubsetLabel
     hdeg: int
     twist: int
 
     def compact(self):
         s = self.label.compact()
-        if self.u.weight == 0 or len(self.u.exponents) == 1:
+        if len(self.u) == 1 or not any(self.u):
             return s
-        return f"y{self.u}*{s}"
+        return f"y({','.join(map(str, self.u))})*{s}"
 
     def __str__(self):
         return self.compact()
+
+
+def _lowered(u, j):
+    """u - e_j, 1-based; callers check u_j >= 1."""
+    return u[: j - 1] + (u[j - 1] - 1,) + u[j:]
 
 
 def _dp_exponents(total, length):
@@ -94,7 +72,7 @@ def shamash_basis(system, n):
         for label in system.complex.basis(k):
             for exps in _dp_exponents(q, c):
                 twist = label.degree + sum(u * d for u, d in zip(exps, degrees))
-                out.append(ShamashBasisElement(DPIndex(exps), label, n, twist))
+                out.append(ShamashBasisElement(exps, label, n, twist))
     return out
 
 
@@ -151,11 +129,11 @@ def shamash_differential(system, n, rows=None, cols=None):
             for i_row, p in tau_cols[k].get(pos, ()):
                 add(row_index[(b.u, lower[i_row].indices)], j, p)
         for i in range(1, system.ci.codim + 1):
-            if b.u.exponents[i - 1] < 1:
+            if b.u[i - 1] < 1:
                 continue
             upper = system.complex.basis(k + 1)
             for i_row, p in sigma_cols[(i, k)].get(pos, ()):
-                add(row_index[(b.u.lower(i), upper[i_row].indices)], j, p)
+                add(row_index[(_lowered(b.u, i), upper[i_row].indices)], j, p)
 
     return LabeledGradedMatrix(
         system.ring, rows, cols, entries, _u_dividers(rows), _u_dividers(cols)
@@ -206,6 +184,7 @@ class ShamashResolution:
 
 
 def _minimality(system):
+    """Minimal iff no Taylor entry is a unit and no lift entry has a constant term."""
     units = []
     r = system.ideal.ngens
     for k in range(1, r + 1):
@@ -222,14 +201,10 @@ def _minimality(system):
     return MinimalityReport(not units and not constants, tuple(units), tuple(constants))
 
 
-def minimality_check(resolution):
-    """Minimal iff no Taylor entry is a unit and no lift entry has a constant term."""
-    return _minimality(resolution.system)
-
-
 def _shifted(element, degree):
+    """(u, S) -> (u + e_1, S) for a length-one sequence of that degree."""
     return ShamashBasisElement(
-        element.u.raised(1), element.label, element.hdeg + 2, element.twist + degree
+        (element.u[0] + 1,), element.label, element.hdeg + 2, element.twist + degree
     )
 
 
@@ -245,6 +220,7 @@ def _shift_matches(differentials, degree, n):
 
 
 def _periodicity(system, differentials, max_step):
+    """Smallest n0 with phi_{n+2} = phi_n under (u,S) -> (u+1,S) through the window."""
     if system.ci.codim != 1:
         return PeriodicityInfo("not-applicable")
     degree = system.ci.degrees[0]
@@ -257,13 +233,6 @@ def _periodicity(system, differentials, max_step):
     if stable_from is None:
         return PeriodicityInfo("none")
     return PeriodicityInfo("periodic", stable_from)
-
-
-def tail_periodicity(resolution):
-    """Smallest n0 with phi_{n+2} = phi_n under (u,S) -> (u+1,S) through the window."""
-    return _periodicity(
-        resolution.system, resolution.differentials, resolution.max_step
-    )
 
 
 def shamash_resolution(system, max_step):
@@ -289,8 +258,8 @@ def _shift_positions(resolution, n, j):
     """(row, col) of each (u - e_j, S) <- (u, S) with u_j >= 1, from F_{n+1} to F_{n-1}."""
     row_index = {(b.u, b.label.indices): i for i, b in enumerate(resolution.basis(n - 1))}
     for jj, b in enumerate(resolution.basis(n + 1)):
-        if b.u.exponents[j - 1] >= 1:
-            yield row_index[(b.u.lower(j), b.label.indices)], jj
+        if b.u[j - 1] >= 1:
+            yield row_index[(_lowered(b.u, j), b.label.indices)], jj
 
 
 def lower_shift_matrix(resolution, n, j):
@@ -330,6 +299,10 @@ def phi_squared_check(resolution):
 
 def rank_formula(r, c, n):
     """Closed-form rank of F_n: sum over |S| = n - 2q of C(r,|S|) * #(u of weight q)."""
+    if r < 1 or c < 1:
+        raise ValueError(
+            f"rank formula needs r >= 1 generators and c >= 1 sequence elements (got r={r}, c={c})"
+        )
     if n < 0:
         return 0
     m, parity = divmod(n, 2)
@@ -338,11 +311,6 @@ def rank_formula(r, c, n):
         k = 2 * j + parity
         total += comb(r, k) * comb(c + (m - j) - 1, c - 1)
     return total
-
-
-def betti_bound(r, c, m, parity=0):
-    """Upper bound for the Betti number in homological degree 2m + parity."""
-    return rank_formula(r, c, 2 * m + parity)
 
 
 def matrix_factorization(resolution):

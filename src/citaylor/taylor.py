@@ -2,6 +2,7 @@
 
 Free summands in homological degree k are labelled by size-k subsets S of the
 generator index set {1..r}; the summand sits in internal degree deg lcm(S).
+Generators and lcms are exponent tuples.
 The differential sends the basis element of S = {s_1 < ... < s_k} to
 
     sum_i (-1)^(k-i) * (lcm(S)/lcm(S - s_i)) * e_{S - s_i},
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from operator import sub
 
 from .matrix import LabeledGradedMatrix
-from .poly import Monomial, Polynomial, mono_lcm
+from .poly import Polynomial
 from .report import Report
 
 
@@ -24,7 +25,7 @@ class SubsetLabel:
     """Subset of generator indices (1-based, strictly increasing) with its lcm."""
 
     indices: tuple[int, ...]
-    lcm: Monomial
+    lcm: tuple[int, ...]
     degree: int
 
     @property
@@ -49,14 +50,14 @@ class SubsetLabel:
 @dataclass(frozen=True)
 class MonomialIdeal:
     ring: object
-    generators: tuple[Monomial, ...]
+    generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if not self.generators:
             raise ValueError("ideal needs at least one generator")
         n = self.ring.nvars
         for m in self.generators:
-            if len(m.exponents) != n:
+            if len(m) != n:
                 raise ValueError("generator does not live in the ring")
         if len(set(self.generators)) != len(self.generators):
             warnings.warn("duplicate generators make every resolution here nonminimal")
@@ -71,22 +72,20 @@ class MonomialIdeal:
 
     def subset(self, indices):
         indices = tuple(indices)
-        lcm = Monomial((0,) * self.ring.nvars)
+        lcm = (0,) * self.ring.nvars
         for i in indices:
-            lcm = mono_lcm(lcm, self.generators[i - 1])
-        return SubsetLabel(indices, lcm, lcm.degree)
+            lcm = tuple(map(max, lcm, self.generators[i - 1]))
+        return SubsetLabel(indices, lcm, sum(lcm))
 
     def generator_polys(self):
-        return [self.ring.from_monomial(m) for m in self.generators]
+        return [self.ring.term(m) for m in self.generators]
 
 
 def monomial_ideal(ring, generators):
-    """Build an ideal from Monomials, exponent tuples, or generator strings."""
+    """Build an ideal from exponent tuples or generator strings."""
     gens = []
     for g in generators:
-        if isinstance(g, Monomial):
-            gens.append(ring.monomial(g.exponents))
-        elif isinstance(g, str):
+        if isinstance(g, str):
             p = ring.parse(g)
             if len(p.terms) != 1:
                 raise ValueError(f"{g!r} is not a monomial")
@@ -105,16 +104,16 @@ def _bases(ideal, top):
     Size k extends every size-(k-1) label by each larger index, so
     lcm(S) = max(lcm(S minus its last index), m_last) entrywise.
     """
-    gens = [m.exponents for m in ideal.generators]
-    level = [SubsetLabel((), Monomial((0,) * ideal.ring.nvars), 0)]
+    gens = ideal.generators
+    level = [SubsetLabel((), (0,) * ideal.ring.nvars, 0)]
     out = [level]
     for _ in range(top):
         nxt = []
         for lab in level:
             start = lab.indices[-1] if lab.indices else 0
             for t in range(start + 1, len(gens) + 1):
-                lcm = tuple(map(max, lab.lcm.exponents, gens[t - 1]))
-                nxt.append(SubsetLabel(lab.indices + (t,), Monomial(lcm), sum(lcm)))
+                lcm = tuple(map(max, lab.lcm, gens[t - 1]))
+                nxt.append(SubsetLabel(lab.indices + (t,), lcm, sum(lcm)))
         level = nxt
         out.append(level)
     return out
@@ -140,7 +139,7 @@ def _differential(ring, k, rows, cols, shared):
         s = col.indices
         for pos in range(1, k + 1):
             i = row_index[s[: pos - 1] + s[pos:]]
-            quot = tuple(map(sub, col.lcm.exponents, rows[i].lcm.exponents))
+            quot = tuple(map(sub, col.lcm, rows[i].lcm))
             odd = (k - pos) % 2
             poly = shared.get((quot, odd))
             if poly is None:

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 
 import citaylor
 from citaylor import Report
-from citaylor.cli import main, resolution_from_json
+from citaylor.cli import main, poly_tex, resolution_from_json
+from citaylor.poly import PolyRing
 from citaylor.instances import seeded_rng
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -160,6 +162,21 @@ def test_taylor_tex_smoke(capsys):
     assert "\\tau_{2}" in out
 
 
+def test_poly_tex_follows_the_text_term_walk():
+    R = PolyRing(("x", "y", "z1"))
+    cases = {
+        "-1/2*x^2 + 3*y*z1 - 1/3": r"-\tfrac{1}{2}x^{2} + 3yz_{1} - \tfrac{1}{3}",
+        "x - y": "x - y",
+        "-x*z1^3 + 5/4": r"-xz_{1}^{3} + \tfrac{5}{4}",
+        "0": "0",
+        "-1": "-1",
+    }
+    for text, tex in cases.items():
+        poly = R.parse(text)
+        assert str(poly) == text
+        assert poly_tex(poly) == tex
+
+
 def test_dot_counts_three_squares(capsys):
     code, out, _ = run(capsys, "export-dot", *THREE_SQUARES_ARGS)
     assert code == 0
@@ -268,13 +285,13 @@ def test_check_exactness_cap_exit(capsys):
     assert "max_degree" in err
 
 
-SQUARES_CODIM2_ARGS = [
+SQUARES_CODIM2_RESOLVE_ARGS = [
     "--vars", "x,y,z,w",
     "--ideal", "x^2,y^2,z^2,w^2",
     "--ci", "x^3+y^3,z^3+w^3",
     "--max-step", "4",
-    "--max-degree", "8",
 ]
+SQUARES_CODIM2_ARGS = [*SQUARES_CODIM2_RESOLVE_ARGS, "--max-degree", "8"]
 
 
 @pytest.mark.parametrize(
@@ -289,6 +306,36 @@ SQUARES_CODIM2_ARGS = [
 def test_exactness_output_bytes_unchanged(capsys, command, fmt, digest):
     """Byte guard on the codim-2 squares case: ranks of 4 steps up to degree 8."""
     code, out, _ = run(capsys, command, *SQUARES_CODIM2_ARGS, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "7aa751e3accfd2084336018fa355fb7d1d1c506623d1e175013c8be34ead20cd"),
+        ("tex", "301950fa6dcfffa697530aa6bd698181d2a2bdbdbaac29c37b8cdb22b564aaa1"),
+        ("dot", "ae3ed47454deae47f74446a20b1fd0927bd08ec22795a2b6c45b2170b2f1453d"),
+    ],
+)
+def test_codim2_resolve_output_bytes_unchanged(capsys, fmt, digest):
+    """Byte guard on y(u)*S labels and u-block dividers: the codim-2 squares case to F_4."""
+    code, out, _ = run(capsys, "resolve", *SQUARES_CODIM2_RESOLVE_ARGS, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("tex", "2d216c86a870d2d92f873d025b13ff2f191dda58a81347d79f4f0182dc7c7a81"),
+        ("dot", "1039580043d3c1a07019abc833983853eb5bfac24e3c89e3f9a1f1429a2ffe61"),
+        ("json", "2761087630f2d2448a0fcb96e9558a9d00742347b16629e0ba366d449d7077b1"),
+    ],
+)
+def test_taylor_output_bytes_unchanged(capsys, fmt, digest):
+    """Byte guard on the squarefree Taylor complex in the formats the golden text leaves out."""
+    code, out, _ = run(capsys, "taylor", "--vars", "x,y,z", "--ideal", "x*y,x*z,y*z", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -380,6 +427,14 @@ def test_lift_file_missing(capsys, tmp_path):
 # ---- input errors ----------------------------------------------------------------
 
 
+# betti argv -> the text naming the bad value in its error message
+BAD_BETTI_INPUT = {
+    ("betti", "--gens", "3", "--codim", "0"): "c=0",
+    ("betti", "--gens", "-2", "--codim", "1"): "r=-2",
+    ("betti", "--gens", "3", "--codim", "1", "--max-step", "-1"): "--max-step: must be at least 0 (got -1)",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -390,12 +445,18 @@ def test_lift_file_missing(capsys, tmp_path):
         ["resolve", "--vars", "x,y", "--ideal", "w^2", "--ci", "x^2", "--lift", "first", "--max-step", "2"],
         ["taylor", "--vars", "x,y", "--ideal", ""],
         ["resolve", "--vars", "x,y", "--char", "6", "--ideal", "x^2", "--ci", "x^3", "--lift", "first", "--max-step", "2"],
+        *BAD_BETTI_INPUT,
     ],
 )
 def test_input_errors_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert err.startswith("error:")
+    # argparse rejects an option's value after the usage line, naming the command
+    message = err.splitlines()[-1]
+    assert message.startswith(("error:", f"citaylor {argv[0]}: error:"))
+    bad_value = BAD_BETTI_INPUT.get(tuple(argv))
+    if bad_value is not None:
+        assert bad_value in message
 
 
 def test_average_lift_in_bad_characteristic_exits_two(capsys):
@@ -457,6 +518,19 @@ def test_seed_env_controls_rng(monkeypatch):
     assert seeded_rng().random() == first
     monkeypatch.setenv("CITAYLOR_SEED", "54321")
     assert seeded_rng().random() != first
+
+
+def test_package_imports_without_site_packages():
+    """Every module imports under python -S: the package needs the standard library only."""
+    src = Path(citaylor.__file__).parents[1]
+    names = [m.name for m in pkgutil.walk_packages(citaylor.__path__, "citaylor.")]
+    assert "citaylor.quotient" in names
+    script = "import importlib, sys\nfor name in sys.argv[1:]:\n    importlib.import_module(name)\n"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, *names], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_python_dash_m_runs_the_cli():

@@ -4,16 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from citaylor import (
-    GF,
-    QQ,
-    Monomial,
-    NotDivisible,
-    ParseError,
-    PolyRing,
-    mono_divide,
-    mono_lcm,
-)
+from citaylor import GF, QQ, ParseError, PolyRing
 from citaylor.poly import is_prime, monomial_key
 
 from conftest import ring
@@ -60,26 +51,6 @@ def test_qq_coerce():
     assert QQ.coerce(2) == Fraction(2)
     assert QQ.coerce(Fraction(1, 3)) == Fraction(1, 3)
     assert QQ.characteristic == 0
-
-
-# ---- monomials ------------------------------------------------------------
-
-
-def test_monomial_lcm_and_divide():
-    a = Monomial((2, 0, 1))
-    b = Monomial((1, 3, 0))
-    assert mono_lcm(a, b) == Monomial((2, 3, 1))
-    assert mono_divide(mono_lcm(a, b), a) == Monomial((0, 3, 0))
-    assert b.divides(mono_lcm(a, b))
-    with pytest.raises(NotDivisible):
-        mono_divide(a, b)
-
-
-def test_monomial_degree_and_identity():
-    assert Monomial((0, 0)).is_one()
-    assert not Monomial((1, 0)).is_one()
-    assert Monomial((2, 1)).degree == 3
-    assert Monomial((1, 0)) * Monomial((1, 2)) == Monomial((2, 2))
 
 
 # ---- parsing and printing -------------------------------------------------
