@@ -9,7 +9,7 @@ from .poly import (
     PolyRing,
     PrimeField,
 )
-from .matrix import LabeledGradedMatrix, scalar_matrix
+from .matrix import LabeledGradedMatrix
 from .report import Report
 from .taylor import (
     MonomialIdeal,

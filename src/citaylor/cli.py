@@ -19,7 +19,6 @@ from .homotopy import (
     parse_assignments,
     verify_homotopy_system,
 )
-from .matrix import LabeledGradedMatrix
 from .poly import QQ, ParseError, PolyRing, PrimeField, render_terms
 from .quotient import BadPrime, CapExceeded, GradedExactness, check_exactness
 from .shamash import phi_squared_check, rank_formula, shamash_resolution
@@ -561,8 +560,7 @@ def build_parser():
         epilog=(
             "Lift files for --lift file:PATH contain "
             '{"assignments": [{"term": "x^2*z", "gen": 1}, ...]} '
-            "(a JSON list of such objects when the sequence has length > 1). "
-            "CITAYLOR_SEED fixes the randomness of the property-test helpers."
+            "(a JSON list of such objects when the sequence has length > 1)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -576,7 +574,7 @@ def build_parser():
     _add_ring_arguments(sp)
     sp.add_argument("--ci", required=True, help="comma-separated sequence elements")
     sp.add_argument("--lift", default="first", help="first | average | file:PATH")
-    sp.add_argument("--max-step", type=int, required=True, help="resolve up to F_N")
+    sp.add_argument("--max-step", type=degree, required=True, help="resolve up to F_N")
     _add_format_argument(sp)
     sp.set_defaults(func=cmd_resolve)
 
@@ -584,7 +582,7 @@ def build_parser():
     _add_ring_arguments(sp)
     sp.add_argument("--ci", required=True)
     sp.add_argument("--lift", default="first")
-    sp.add_argument("--max-step", type=int, default=6)
+    sp.add_argument("--max-step", type=degree, default=6)
     sp.add_argument(
         "--max-degree",
         type=degree,
@@ -612,7 +610,7 @@ def build_parser():
     _add_ring_arguments(sp)
     sp.add_argument("--ci", required=True)
     sp.add_argument("--lift", default="first")
-    sp.add_argument("--max-step", type=int, required=True)
+    sp.add_argument("--max-step", type=degree, required=True)
     sp.add_argument("--max-degree", type=degree, default=10)
     _add_format_argument(sp, choices=("text", "json"))
     sp.set_defaults(func=cmd_check_exactness)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
-from .matrix import LabeledGradedMatrix, scalar_matrix
+from .matrix import LabeledGradedMatrix, defect
 from .poly import Polynomial
 from .report import Report
 from .taylor import MonomialIdeal, taylor_complex
@@ -311,19 +311,17 @@ def verify_homotopy_system(system):
     for i in range(1, c + 1):
         a = system.ci.sequence[i - 1]
         for k in range(0, r + 1):
-            basis = system.complex.basis(k)
-            total = None
+            products = []
             if k < r:
-                total = system.sigma_zero(k + 1).compose(system.sigma_e(i, k))
+                products.append(system.sigma_zero(k + 1).compose(system.sigma_e(i, k)))
             if k >= 1:
-                down = system.sigma_e(i, k - 1).compose(system.sigma_zero(k))
-                total = down if total is None else total + down
-            expected = scalar_matrix(system.ring, basis, a)
-            defect = total - expected
-            if defect.is_zero():
+                products.append(system.sigma_e(i, k - 1).compose(system.sigma_zero(k)))
+            diagonal = (((d, d), a) for d in range(len(system.complex.basis(k))))
+            residual = defect(products, diagonal)
+            if residual.is_zero():
                 report.note(f"(b) tau.sigma_{i} + sigma_{i}.tau = a_{i} on T_{k}")
             else:
-                row, col, entry = defect.first_failure()
+                row, col, entry = residual.first_failure()
                 report.fail(
                     f"(b) fails for a_{i} on T_{k} at ({row}, {col}): defect {entry}"
                 )
@@ -331,15 +329,14 @@ def verify_homotopy_system(system):
     for i in range(1, c + 1):
         for j in range(i, c + 1):
             for k in range(0, r - 1):
-                first = system.sigma_e(i, k + 1).compose(system.sigma_e(j, k))
-                if i == j:
-                    defect = first
-                else:
-                    defect = first + system.sigma_e(j, k + 1).compose(system.sigma_e(i, k))
-                if defect.is_zero():
+                products = [system.sigma_e(i, k + 1).compose(system.sigma_e(j, k))]
+                if i != j:
+                    products.append(system.sigma_e(j, k + 1).compose(system.sigma_e(i, k)))
+                residual = defect(products)
+                if residual.is_zero():
                     report.note(f"(c) sigma_{i}, sigma_{j} anticommute on T_{k}")
                 else:
-                    row, col, entry = defect.first_failure()
+                    row, col, entry = residual.first_failure()
                     report.fail(
                         f"(c) fails for sigma_{i}, sigma_{j} on T_{k} at ({row}, {col}): {entry}"
                     )

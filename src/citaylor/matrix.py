@@ -11,6 +11,10 @@ the numerators scaled to the operand's common denominator D.  Each output
 entry accumulates plain integer products in one ``{exponents: int}`` dict,
 and each nonzero output coefficient is built once, as ``ModP(n, p)``,
 ``Fraction(n)`` or ``Fraction(n, D1 * D2)``.
+
+``defect`` is the one shape every identity check takes: it sums product
+matrices with the same labels and subtracts the expected polynomial at each
+listed cell, in place, so a check passes exactly when the result is zero.
 """
 from __future__ import annotations
 
@@ -83,40 +87,6 @@ class LabeledGradedMatrix:
 
     __hash__ = None
 
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("labels do not match")
-        acc = dict(self.entries)
-        for k, p in other.entries.items():
-            q = acc.get(k)
-            acc[k] = p if q is None else q + p
-        return LabeledGradedMatrix(
-            self.ring, self.rows, self.cols, acc, self.row_dividers, self.col_dividers
-        )
-
-    def __neg__(self):
-        return LabeledGradedMatrix(
-            self.ring,
-            self.rows,
-            self.cols,
-            {k: -p for k, p in self.entries.items()},
-            self.row_dividers,
-            self.col_dividers,
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, poly):
-        return LabeledGradedMatrix(
-            self.ring,
-            self.rows,
-            self.cols,
-            {k: poly * p for k, p in self.entries.items()},
-            self.row_dividers,
-            self.col_dividers,
-        )
-
     def compose(self, other):
         """Matrix of self∘other; requires self.cols == other.rows and one ring."""
         if self.cols != other.rows:
@@ -170,9 +140,21 @@ class LabeledGradedMatrix:
         return bad
 
 
-def scalar_matrix(ring, labels, poly):
-    """poly times the identity on the given labels."""
-    labels = tuple(labels)
-    return LabeledGradedMatrix(
-        ring, labels, labels, {(i, i): poly for i in range(len(labels))}
-    )
+def defect(products, corrections=()):
+    """Entrywise sum of the products, minus poly at (row, col) for each ((row, col), poly).
+
+    The products must share row and column labels; the result carries them
+    and drops zero entries.
+    """
+    first, *rest = products
+    entries = dict(first.entries)
+    for other in rest:
+        if other.rows != first.rows or other.cols != first.cols:
+            raise ValueError("labels do not match")
+        for k, p in other.entries.items():
+            q = entries.get(k)
+            entries[k] = p if q is None else q + p
+    for k, p in corrections:
+        q = entries.get(k)
+        entries[k] = -p if q is None else q - p
+    return LabeledGradedMatrix(first.ring, first.rows, first.cols, entries)

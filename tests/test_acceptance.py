@@ -28,8 +28,6 @@ from citaylor import (
     taylor_complex,
     verify_homotopy_system,
 )
-from citaylor.instances import random_instance, seeded_rng
-
 from conftest import (
     build_codim2,
     build_three_squares,
@@ -37,7 +35,10 @@ from conftest import (
     build_poly_c1,
     build_tate,
     grid,
+    random_instance,
     ring,
+    seeded_rng,
+    weighted_sum,
 )
 
 
@@ -365,8 +366,5 @@ def test_criterion_8_averaged_lift():
         third = ci.ring.field.coerce(Fraction(1, 3))
         systems = [homotopy_system(ci, lift=lift) for lift in lifts]
         for k in range(ci.ideal.ngens):
-            expected = None
-            for system in systems:
-                part = system.sigma_e(1, k).scale(third)
-                expected = part if expected is None else expected + part
+            expected = weighted_sum([system.sigma_e(1, k) for system in systems], [third] * 3)
             assert avg_system.sigma_e(1, k) == expected

@@ -1,4 +1,5 @@
 """Command-line interface: formats, golden text output, exit codes."""
+import ast
 import hashlib
 import json
 import os
@@ -13,7 +14,8 @@ import citaylor
 from citaylor import Report
 from citaylor.cli import main, poly_tex, resolution_from_json
 from citaylor.poly import PolyRing
-from citaylor.instances import seeded_rng
+
+from conftest import seeded_rng
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -427,11 +429,15 @@ def test_lift_file_missing(capsys, tmp_path):
 # ---- input errors ----------------------------------------------------------------
 
 
-# betti argv -> the text naming the bad value in its error message
-BAD_BETTI_INPUT = {
+# argv -> the text naming the bad value in its error message
+NEGATIVE_MAX_STEP = "argument --max-step: must be at least 0 (got -1)"
+BAD_VALUE_INPUT = {
     ("betti", "--gens", "3", "--codim", "0"): "c=0",
     ("betti", "--gens", "-2", "--codim", "1"): "r=-2",
-    ("betti", "--gens", "3", "--codim", "1", "--max-step", "-1"): "--max-step: must be at least 0 (got -1)",
+    ("betti", "--gens", "3", "--codim", "1", "--max-step", "-1"): NEGATIVE_MAX_STEP,
+    ("resolve", *THREE_SQUARES_ARGS, "--max-step", "-1"): NEGATIVE_MAX_STEP,
+    ("verify", *THREE_SQUARES_ARGS, "--max-step", "-1"): NEGATIVE_MAX_STEP,
+    ("check-exactness", *THREE_SQUARES_ARGS, "--max-step", "-1"): NEGATIVE_MAX_STEP,
 }
 
 
@@ -445,7 +451,7 @@ BAD_BETTI_INPUT = {
         ["resolve", "--vars", "x,y", "--ideal", "w^2", "--ci", "x^2", "--lift", "first", "--max-step", "2"],
         ["taylor", "--vars", "x,y", "--ideal", ""],
         ["resolve", "--vars", "x,y", "--char", "6", "--ideal", "x^2", "--ci", "x^3", "--lift", "first", "--max-step", "2"],
-        *BAD_BETTI_INPUT,
+        *BAD_VALUE_INPUT,
     ],
 )
 def test_input_errors_exit_two(capsys, argv):
@@ -454,7 +460,7 @@ def test_input_errors_exit_two(capsys, argv):
     # argparse rejects an option's value after the usage line, naming the command
     message = err.splitlines()[-1]
     assert message.startswith(("error:", f"citaylor {argv[0]}: error:"))
-    bad_value = BAD_BETTI_INPUT.get(tuple(argv))
+    bad_value = BAD_VALUE_INPUT.get(tuple(argv))
     if bad_value is not None:
         assert bad_value in message
 
@@ -531,6 +537,33 @@ def test_package_imports_without_site_packages():
         [sys.executable, "-S", "-c", script, *names], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def unused_imports(source):
+    """(line, name) of each name the module imports and never reads; __future__ is exempt."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_modules_use_every_name_they_import():
+    """``__init__`` re-exports its imports; every other module reads each one it imports."""
+    source = "from __future__ import annotations\nimport os, sys\nfrom json import dumps as d\n"
+    assert unused_imports(source + "sys.exit()\n") == [(2, "os"), (3, "d")]
+    src = Path(citaylor.__file__).parent
+    found = {
+        path.name: unused_imports(path.read_text())
+        for path in sorted(src.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: dead for name, dead in found.items() if dead} == {}
 
 
 def test_python_dash_m_runs_the_cli():

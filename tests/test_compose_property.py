@@ -64,9 +64,11 @@ def operands(draw):
     C = draw(matrices(R, m, p, right_coeffs))
     doubled = {(i, m + j): q for (i, j), q in left.entries.items()}
     doubled.update(left.entries)
+    cells = sorted(C.entries.keys() | B.entries.keys())
+    c_minus_b = {ij: C.entry(*ij) - B.entry(*ij) for ij in cells}
     return (
         LabeledGradedMatrix(R, range(n), range(2 * m), doubled),
-        stacked(R, B, C - B, m, p),
+        stacked(R, B, LabeledGradedMatrix(R, range(m), range(p), c_minus_b), m, p),
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 from citaylor import (
     GF,
     HomotopySystem,
+    LabeledGradedMatrix,
     NonHomogeneous,
     NotInIdeal,
     average_lifts,
@@ -19,9 +20,8 @@ from citaylor import (
     verify_homotopy_system,
 )
 from citaylor.homotopy import check_lift, parse_assignments
-from citaylor.instances import random_instance
 
-from conftest import grid, ring
+from conftest import grid, random_instance, ring, weighted_sum
 
 
 def squarefree_ci(field=None):
@@ -297,7 +297,37 @@ def test_verify_flags_corrupted_lift():
     bad = lift_matrix_from_rows(ci, ((R.parse("z"), R.zero, R.parse("1")),), check=False)
     report = verify_homotopy_system(HomotopySystem(ci, bad))
     assert not report.passed
-    assert "(b)" in report.failure
+    assert report.failure == "(b) fails for a_1 on T_0 at ({}, {}): defect y*z"
+    assert failures(report) == [
+        "(b) fails for a_1 on T_0 at ({}, {}): defect y*z",
+        "(b) fails for a_1 on T_1 at (1, 1): defect y*z",
+        "(b) fails for a_1 on T_2 at (12, 12): defect y*z",
+        "(b) fails for a_1 on T_3 at (123, 123): defect y*z",
+    ]
+
+
+def failures(report):
+    return [line[len("FAIL: "):] for line in report.details if line.startswith("FAIL: ")]
+
+
+def test_verify_pins_defects_of_a_corrupted_sigma():
+    """One sigma_1 entry on T_1 off by x: (b) on T_1, T_2 and (c) with i = j and i < j fail."""
+    ci = codim2_ci()
+    R = ci.ring
+    system = homotopy_system(ci, strategy="first")
+    sigma = system.sigma_e(1, 1)
+    entries = dict(sigma.entries)
+    first = min(entries, key=lambda ij: (ij[1], ij[0]))
+    entries[first] = entries[first] + R.parse("x")
+    system._sigma[(1, 1)] = LabeledGradedMatrix(R, sigma.rows, sigma.cols, entries)
+    report = verify_homotopy_system(system)
+    assert report.failure == "(b) fails for a_1 on T_1 at (1, 1): defect x*y^2"
+    assert failures(report) == [
+        "(b) fails for a_1 on T_1 at (1, 1): defect x*y^2",
+        "(b) fails for a_1 on T_2 at (12, 12): defect x*y^2",
+        "(c) fails for sigma_1, sigma_1 on T_0 at (12, {}): x^2",
+        "(c) fails for sigma_1, sigma_2 on T_1 at (123, 1): x*z",
+    ]
 
 
 def test_sigma_is_linear_in_the_lift():
@@ -305,11 +335,9 @@ def test_sigma_is_linear_in_the_lift():
     weights = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
     avg_system = HomotopySystem(ci, average_lifts(lifts, weights))
     systems = [HomotopySystem(ci, lift) for lift in lifts]
+    coerced = [ci.ring.field.coerce(w) for w in weights]
     for k in range(0, 4):
-        expected = None
-        for system, w in zip(systems, weights):
-            part = system.sigma_e(1, k).scale(ci.ring.field.coerce(w))
-            expected = part if expected is None else expected + part
+        expected = weighted_sum([system.sigma_e(1, k) for system in systems], coerced)
         assert avg_system.sigma_e(1, k) == expected
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from citaylor import GF, QQ, LabeledGradedMatrix
+from citaylor.matrix import defect
 
 from conftest import ring
 
@@ -115,3 +116,17 @@ def test_compose_rejects_mismatched_labels_and_rings():
         LabeledGradedMatrix(R, "a", "u", {}).compose(LabeledGradedMatrix(S, "u", "s", {}))
     with pytest.raises(ValueError):
         a.compose(LabeledGradedMatrix(R, "v", "s", {}))
+
+
+def test_defect_sums_products_and_subtracts_corrections():
+    R = ring("x,y")
+    x, y = R.variable("x"), R.variable("y")
+    a = LabeledGradedMatrix(R, "ab", "uv", {(0, 0): x, (0, 1): y, (1, 1): x})
+    b = LabeledGradedMatrix(R, "ab", "uv", {(0, 0): y, (1, 0): x})
+    d = defect([a, b], [((0, 0), x + y), ((1, 1), x), ((1, 1), y)])
+    assert (d.rows, d.cols) == (a.rows, a.cols)
+    # (0, 0) cancels and is dropped; two corrections at (1, 1) both subtract
+    assert d.entries == {(0, 1): y, (1, 0): x, (1, 1): -y}
+    assert defect([a]) == a
+    with pytest.raises(ValueError, match="labels do not match"):
+        defect([a, LabeledGradedMatrix(R, "ab", "uw", {})])

@@ -18,8 +18,7 @@ from citaylor import (
     shamash_differential,
     shamash_resolution,
 )
-from citaylor.shamash import lower_shift_matrix
-from citaylor.instances import random_ideal, random_instance, random_sequence
+from citaylor.shamash import _shift_positions
 
 from conftest import (
     build_codim2,
@@ -29,6 +28,9 @@ from conftest import (
     build_poly_c1,
     build_tate,
     grid,
+    random_ideal,
+    random_instance,
+    random_sequence,
     ring,
 )
 
@@ -288,6 +290,27 @@ def test_matrix_factorization_three_squares(three_squares):
     assert grid(B.compose(three_squares.differential(5))) == diagonal_grid(a, 4)
 
 
+@pytest.mark.parametrize("offset", [0, 2])
+def test_matrix_factorization_rejects_a_broken_identity(three_squares, offset):
+    """A corrupted phi_{n0} breaks AB = a at n0; a corrupted phi_{n0+2} breaks BA at n0 + 1."""
+    from dataclasses import replace
+
+    from citaylor import LabeledGradedMatrix
+
+    n0 = three_squares.periodicity.start
+    m = n0 + offset
+    phi = three_squares.differential(m)
+    entries = dict(phi.entries)
+    first = min(entries, key=lambda ij: (ij[1], ij[0]))
+    entries[first] = entries[first] + three_squares.system.ring.parse("y")
+    diffs = list(three_squares.differentials)
+    diffs[m - 1] = LabeledGradedMatrix(phi.ring, phi.rows, phi.cols, entries)
+    bad = replace(three_squares, differentials=tuple(diffs))
+    step = n0 + offset // 2
+    with pytest.raises(AssertionError, match=rf"^factorization identity fails at step {step}$"):
+        matrix_factorization(bad)
+
+
 def test_matrix_factorization_requires_stable_tail(codim2):
     with pytest.raises(NoStableTail):
         matrix_factorization(codim2)
@@ -347,11 +370,13 @@ def test_tate_case_ranks():
 
 
 def test_lower_shift_matrix_structure(three_squares):
-    L = lower_shift_matrix(three_squares, 2, 1)
-    assert L.shape == (3, 4)
+    """The shift_1 cells F_3 -> F_1 that phi_squared_check subtracts a_1 at."""
+    cells = set(_shift_positions(three_squares, 2, 1))
+    shape = (len(three_squares.basis(1)), len(three_squares.basis(3)))
+    assert shape == (3, 4)
     # (u, S) -> (u - 1, S): the three u = 1 columns hit the matching subsets,
     # the u = 0 column dies
-    assert grid(L) == [
+    assert [["1" if (i, j) in cells else "0" for j in range(4)] for i in range(3)] == [
         ["1", "0", "0", "0"],
         ["0", "1", "0", "0"],
         ["0", "0", "1", "0"],
@@ -380,13 +405,24 @@ def test_phi_squared_random_instances():
 
 
 def shift_reference_failure(res, n):
-    """First failure of phi_n.phi_{n+1} - sum_j a_j * shift_j, built from lower_shift_matrix."""
-    rhs = None
-    for j, a in enumerate(res.system.ci.sequence, start=1):
-        part = lower_shift_matrix(res, n, j).scale(a)
-        rhs = part if rhs is None else rhs + part
-    defect = res.differential(n).compose(res.differential(n + 1)) - rhs
-    return defect.first_failure()
+    """First failure, in column order, of phi_n.phi_{n+1} - sum_j a_j * shift_j.
+
+    The shift_j cells (u - e_j, S) <- (u, S) are found by searching the bases.
+    """
+    rows, cols = res.basis(n - 1), res.basis(n + 1)
+    entries = dict(res.differential(n).compose(res.differential(n + 1)).entries)
+    for jj, col in enumerate(cols):
+        for j, a in enumerate(res.system.ci.sequence):
+            if col.u[j] < 1:
+                continue
+            u = col.u[:j] + (col.u[j] - 1,) + col.u[j + 1:]
+            (ii,) = [i for i, row in enumerate(rows) if (row.u, row.label) == (u, col.label)]
+            entries[(ii, jj)] = entries.get((ii, jj), res.system.ring.zero) - a
+    nonzero = sorted((jj, ii) for (ii, jj), p in entries.items() if p)
+    if not nonzero:
+        return None
+    jj, ii = nonzero[0]
+    return rows[ii], cols[jj], entries[(ii, jj)]
 
 
 @pytest.mark.parametrize("build", [build_three_squares, build_codim2])

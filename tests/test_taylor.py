@@ -15,9 +15,8 @@ from citaylor import (
     taylor_differential,
     verify_taylor,
 )
-from citaylor.instances import random_ideal
 
-from conftest import build_squarefree_taylor, grid, ring
+from conftest import build_squarefree_taylor, grid, random_ideal, ring
 
 
 def test_basis_sizes_are_binomial(ring_xyz):
