@@ -16,9 +16,7 @@ from .taylor import (
     SubsetLabel,
     TaylorComplex,
     monomial_ideal,
-    taylor_basis,
     taylor_complex,
-    taylor_differential,
     verify_taylor,
 )
 from .homotopy import (

@@ -35,10 +35,6 @@ EDGE_COLORS = ("red", "orange", "purple", "brown", "cyan4", "magenta")
 # ---- text rendering ------------------------------------------------------
 
 
-def label_text(label):
-    return label.compact() if hasattr(label, "compact") else str(label)
-
-
 def _cells(mat, render):
     """Rendered entries, row-major; absent entries read "0" without a Polynomial."""
     cells = [["0"] * len(mat.cols) for _ in mat.rows]
@@ -48,8 +44,8 @@ def _cells(mat, render):
 
 
 def matrix_text(mat, name):
-    cols = [label_text(c) for c in mat.cols]
-    rows = [label_text(r) for r in mat.rows]
+    cols = [str(c) for c in mat.cols]
+    rows = [str(r) for r in mat.rows]
     cells = _cells(mat, str)
     widths = [
         max([len(cols[j])] + [len(cells[i][j]) for i in range(len(mat.rows))])
@@ -274,7 +270,7 @@ def poly_tex(poly):
 
 
 def label_tex(label):
-    text = label_text(label)
+    text = str(label)
     if text == "{}":
         return r"\emptyset"
     return text.replace("*", r" \cdot ").replace("y(", "y^{(").replace(")", ")}")
@@ -321,22 +317,22 @@ def taylor_tex(cx):
 # ---- dot -----------------------------------------------------------------
 
 
-def dot_text(ideal, system=None):
-    cx = system.complex if system is not None else taylor_complex(ideal)
-    r = ideal.ngens
+def dot_text(cx, system=None):
+    """Divisibility graph of the Taylor complex, plus sigma edges when system is given."""
+    r = cx.ideal.ngens
     lines = ["digraph resolution {", "  rankdir=LR;"]
     even, odd = [], []
     for k in range(r + 1):
         for lab in cx.basis(k):
             (even if k % 2 == 0 else odd).append(lab)
     for group in (even, odd):
-        names = "; ".join(f'"{label_text(b)}"' for b in group)
+        names = "; ".join(f'"{b}"' for b in group)
         lines.append(f"  {{ rank=same; {names}; }}")
     for k in range(1, r + 1):
         tau = cx.differential(k)
         for (i, j), p in sorted(tau.entries.items(), key=lambda kv: (kv[0][1], kv[0][0])):
             lines.append(
-                f'  "{label_text(tau.cols[j])}" -> "{label_text(tau.rows[i])}"'
+                f'  "{tau.cols[j]}" -> "{tau.rows[i]}"'
                 f' [color=blue, label="{p}"];'
             )
     if system is not None:
@@ -346,7 +342,7 @@ def dot_text(ideal, system=None):
                 sig = system.sigma_e(i, k)
                 for (ri, j), p in sorted(sig.entries.items(), key=lambda kv: (kv[0][1], kv[0][0])):
                     lines.append(
-                        f'  "{label_text(sig.cols[j])}" -> "{label_text(sig.rows[ri])}"'
+                        f'  "{sig.cols[j]}" -> "{sig.rows[ri]}"'
                         f' [color={color}, label="{p}"];'
                     )
     lines.append("}")
@@ -384,10 +380,8 @@ def build_ci(args, ideal):
 
 def build_lift(args, ci):
     spec = args.lift
-    if spec == "first":
-        return lift_matrix(ci, "first")
-    if spec == "average":
-        return lift_matrix(ci, "average")
+    if spec in ("first", "average"):
+        return lift_matrix(ci, spec)
     if spec.startswith("file:"):
         path = spec[len("file:") :]
         with open(path, encoding="utf-8") as fh:
@@ -429,28 +423,32 @@ def cmd_taylor(args):
     elif args.format == "tex":
         emit(args, taylor_tex(cx))
     elif args.format == "dot":
-        emit(args, dot_text(ideal))
+        emit(args, dot_text(cx))
     else:
         emit(args, taylor_text(cx))
     return EXIT_OK
 
 
-def _build_resolution(args):
-    ring = build_ring(args)
-    ideal = build_ideal(args, ring)
+def _build_system(args):
+    ideal = build_ideal(args, build_ring(args))
     ci = build_ci(args, ideal)
-    system = HomotopySystem(ci, build_lift(args, ci))
-    return shamash_resolution(system, args.max_step)
+    return HomotopySystem(ci, build_lift(args, ci))
+
+
+def _build_resolution(args):
+    return shamash_resolution(_build_system(args), args.max_step)
 
 
 def cmd_resolve(args):
+    if args.format == "dot":
+        system = _build_system(args)
+        emit(args, dot_text(system.complex, system))
+        return EXIT_OK
     res = _build_resolution(args)
     if args.format == "json":
         emit(args, _dump(resolution_json(res)))
     elif args.format == "tex":
         emit(args, resolution_tex(res))
-    elif args.format == "dot":
-        emit(args, dot_text(res.system.ideal, res.system))
     else:
         emit(args, resolution_text(res))
     return EXIT_OK
@@ -458,12 +456,8 @@ def cmd_resolve(args):
 
 def _exactness_reports(res, args):
     """check_exactness at steps 1..N-1, all sharing one engine over GF(p)."""
-    prime = args.char if args.char else 32003
-    engine = GradedExactness(res, prime)
-    return [
-        check_exactness(res, n, args.max_degree, prime, engine=engine)
-        for n in range(1, res.max_step)
-    ]
+    engine = GradedExactness(res, args.char if args.char else 32003)
+    return [check_exactness(engine, n, args.max_degree) for n in range(1, res.max_step)]
 
 
 def _emit_reports(args, res, reports):
@@ -482,7 +476,7 @@ def cmd_verify(args):
     res = _build_resolution(args)
     system = res.system
     reports = [
-        verify_taylor(system.ideal, system.complex),
+        verify_taylor(system.complex),
         verify_homotopy_system(system),
         phi_squared_check(res),
     ]
@@ -507,13 +501,11 @@ def cmd_betti(args):
 
 
 def cmd_export_dot(args):
-    ring = build_ring(args)
-    ideal = build_ideal(args, ring)
-    system = None
     if args.ci:
-        ci = build_ci(args, ideal)
-        system = HomotopySystem(ci, build_lift(args, ci))
-    emit(args, dot_text(ideal, system))
+        system = _build_system(args)
+        emit(args, dot_text(system.complex, system))
+    else:
+        emit(args, dot_text(taylor_complex(build_ideal(args, build_ring(args)))))
     return EXIT_OK
 
 
@@ -527,15 +519,14 @@ def cmd_check_exactness(args):
 # ---- parser --------------------------------------------------------------
 
 
-def _add_ring_arguments(sp, with_ideal=True):
+def _add_ring_arguments(sp):
     sp.add_argument("--vars", required=True, help="comma-separated variable names")
     sp.add_argument(
         "--char", type=int, default=0, help="coefficient characteristic: 0 (default) or a prime"
     )
-    if with_ideal:
-        sp.add_argument(
-            "--ideal", required=True, help="comma-separated monomial generators, e.g. 'x*y,x*z'"
-        )
+    sp.add_argument(
+        "--ideal", required=True, help="comma-separated monomial generators, e.g. 'x*y,x*z'"
+    )
 
 
 def degree(text):

@@ -139,7 +139,7 @@ def compute_lift(a, ideal, strategy="first", assignments=None):
     return tuple(Polynomial(ring, terms) for terms in row)
 
 
-def lift_matrix(ci, strategy="first", assignments=None, check=True):
+def lift_matrix(ci, strategy="first", assignments=None):
     """Lift every sequence element; assignments is one map per row when fixed."""
     rows = []
     for i, a in enumerate(ci.sequence):
@@ -150,17 +150,15 @@ def lift_matrix(ci, strategy="first", assignments=None, check=True):
             amap = assignments[i]
         rows.append(compute_lift(a, ci.ideal, strategy, amap))
     rows = tuple(rows)
-    if check:
-        check_lift(ci, rows)
+    check_lift(ci, rows)
     return LiftMatrix(ci, rows)
 
 
-def lift_matrix_from_rows(ci, rows, check=True):
+def lift_matrix_from_rows(ci, rows):
     rows = tuple(tuple(row) for row in rows)
     if len(rows) != len(ci.sequence) or any(len(r) != ci.ideal.ngens for r in rows):
         raise ValueError("lift matrix must be c x r")
-    if check:
-        check_lift(ci, rows)
+    check_lift(ci, rows)
     return LiftMatrix(ci, rows)
 
 

@@ -290,26 +290,22 @@ class GradedExactness:
         return self._ranks[(k, d)]
 
 
-def check_exactness(resolution, n, max_internal_degree, p=32003, *, engine=None):
-    """Verify zero homology at F_n in all internal degrees <= the cap, over GF(p).
+def check_exactness(engine, n, max_internal_degree):
+    """Verify zero homology at F_n of engine.resolution in all internal degrees
+    <= the cap, over GF(engine.p).
 
     For each degree d the check is
     dim (F_n)_d - rank (phi_n)_d == rank (phi_{n+1})_d.
-    Checks of several steps can share one ``engine``, a GradedExactness of
-    this resolution and p; without one, a fresh engine is built.
+    Checks of several steps share the engine's Groebner basis, normal forms
+    and ranks.
     """
-    if engine is None:
-        engine = GradedExactness(resolution, p)
-    elif engine.resolution is not resolution or engine.p != p:
-        raise ValueError("engine was built for another resolution or prime")
-    if not 1 <= n <= resolution.max_step - 1:
-        raise ValueError(
-            f"need 1 <= n <= {resolution.max_step - 1} so that phi_{n + 1} exists"
-        )
+    top = engine.resolution.max_step - 1
+    if not 1 <= n <= top:
+        raise ValueError(f"need 1 <= n <= {top} so that phi_{n + 1} exists")
     if max_internal_degree < 0:
         raise ValueError(f"max_internal_degree must be >= 0, got {max_internal_degree}")
 
-    report = Report(f"exactness at step {n} over GF({p})")
+    report = Report(f"exactness at step {n} over GF({engine.p})")
     for d in range(max_internal_degree + 1):
         dim_n, rank_n = engine.rank(n, d)
         _, rank_next = engine.rank(n + 1, d)

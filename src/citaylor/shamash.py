@@ -5,7 +5,10 @@ u over the sequence (an exponent tuple, y^(u) = y_1^(u_1) ... y_c^(u_c)) and
 a subset label S, with |S| + 2|u| = n.  The summand (u, S) sits in internal
 degree deg lcm(S) + sum_j u_j * deg a_j.  The differential applies the
 Taylor differential to S (keeping u) and, for every j with u_j >= 1, the
-homotopy sigma_j (lowering u_j by one); no extra signs.
+homotopy sigma_j (lowering u_j by one); no extra signs.  So phi_n holds
+each entry of tau_k once for every u of weight (n - k) / 2, and each entry of
+sigma_j on T_k once for every such u with u_j >= 1.  No two of them land in
+one cell: tau keeps u and shrinks S, while sigma_j lowers u_j and grows S.
 
 Composing two consecutive differentials gives sum_j a_j * shift_j on the
 nose, where shift_j lowers u_j; over the quotient ring the a_j vanish, so
@@ -75,65 +78,38 @@ def shamash_basis(system, n):
     return out
 
 
-def _by_column(matrix):
-    out = {}
-    for (i, j), p in matrix.entries.items():
-        out.setdefault(j, []).append((i, p))
-    return out
-
-
 def _u_dividers(basis):
     return tuple(
         i for i in range(1, len(basis)) if basis[i].u != basis[i - 1].u
     )
 
 
-def shamash_differential(system, n, rows=None, cols=None):
-    """The assembled map F_n -> F_{n-1}, n >= 1.
-
-    rows and cols, when given, must be shamash_basis(system, n - 1) and
-    shamash_basis(system, n); otherwise they are built here.
+def shamash_differential(system, n, rows, cols):
+    """The assembled map F_n -> F_{n-1}, n >= 1, with rows = shamash_basis(system, n - 1)
+    and cols = shamash_basis(system, n); each tau and sigma entry is placed by
+    assignment, once per u, into a cell nothing else writes.
     """
-    if n < 1:
-        raise ValueError(f"no differential at step {n}")
-    if rows is None:
-        rows = shamash_basis(system, n - 1)
-    if cols is None:
-        cols = shamash_basis(system, n)
     row_index = {(b.u, b.label.indices): i for i, b in enumerate(rows)}
-
-    taylor_pos = {}
-    tau_cols = {}
-    sigma_cols = {}
-    for k in {b.label.size for b in cols}:
-        taylor_pos[k] = {
-            lab.indices: j for j, lab in enumerate(system.complex.basis(k))
-        }
-        if k >= 1:
-            tau_cols[k] = _by_column(system.sigma_zero(k))
-        for i in range(1, system.ci.codim + 1):
-            sigma_cols[(i, k)] = _by_column(system.sigma_e(i, k))
-
+    col_index = {(b.u, b.label.indices): j for j, b in enumerate(cols)}
+    c = system.ci.codim
     entries = {}
-
-    def add(ri, j, poly):
-        prev = entries.get((ri, j))
-        entries[(ri, j)] = poly if prev is None else prev + poly
-
-    for j, b in enumerate(cols):
-        k = b.label.size
-        pos = taylor_pos[k][b.label.indices]
+    for k in range(n % 2, min(n, system.ideal.ngens) + 1, 2):
+        us = list(_dp_exponents((n - k) // 2, c))
         if k >= 1:
-            lower = system.complex.basis(k - 1)
-            for i_row, p in tau_cols[k].get(pos, ()):
-                add(row_index[(b.u, lower[i_row].indices)], j, p)
-        for i in range(1, system.ci.codim + 1):
-            if b.u[i - 1] < 1:
-                continue
-            upper = system.complex.basis(k + 1)
-            for i_row, p in sigma_cols[(i, k)].get(pos, ()):
-                add(row_index[(_lowered(b.u, i), upper[i_row].indices)], j, p)
-
+            tau = system.sigma_zero(k)
+            for (i, j), p in tau.entries.items():
+                row, col = tau.rows[i].indices, tau.cols[j].indices
+                for u in us:
+                    entries[(row_index[(u, row)], col_index[(u, col)])] = p
+        if k == n:
+            continue
+        for i in range(1, c + 1):
+            shifts = [(_lowered(u, i), u) for u in us if u[i - 1] >= 1]
+            sigma = system.sigma_e(i, k)
+            for (ri, j), p in sigma.entries.items():
+                row, col = sigma.rows[ri].indices, sigma.cols[j].indices
+                for lowered, u in shifts:
+                    entries[(row_index[(lowered, row)], col_index[(u, col)])] = p
     return LabeledGradedMatrix(
         system.ring, rows, cols, entries, _u_dividers(rows), _u_dividers(cols)
     )
@@ -172,14 +148,19 @@ class ShamashResolution:
     periodicity: PeriodicityInfo
 
     def basis(self, n):
+        """F_n, 0 <= n <= max_step."""
+        if not 0 <= n <= self.max_step:
+            raise ValueError(f"no module at step {n}: steps run 0..{self.max_step}")
         return self.bases[n]
 
     def differential(self, n):
-        """phi_n: F_n -> F_{n-1}, 1-based."""
+        """phi_n: F_n -> F_{n-1}, 1 <= n <= max_step."""
+        if not 1 <= n <= self.max_step:
+            raise ValueError(f"no differential at step {n}: steps run 1..{self.max_step}")
         return self.differentials[n - 1]
 
     def rank(self, n):
-        return len(self.bases[n])
+        return len(self.basis(n))
 
 
 def _minimality(system):

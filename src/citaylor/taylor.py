@@ -98,32 +98,25 @@ def monomial_ideal(ring, generators):
     return MonomialIdeal(ring, tuple(gens))
 
 
-def _bases(ideal, top):
-    """Subset labels of sizes 0..top, each size in lexicographic order.
+def _bases(ideal):
+    """Subset labels of sizes 0..r, each size in lexicographic order.
 
     Size k extends every size-(k-1) label by each larger index, so
     lcm(S) = max(lcm(S minus its last index), m_last) entrywise.
     """
     gens = ideal.generators
-    level = [SubsetLabel((), (0,) * ideal.ring.nvars, 0)]
+    level = (SubsetLabel((), (0,) * ideal.ring.nvars, 0),)
     out = [level]
-    for _ in range(top):
+    for _ in gens:
         nxt = []
         for lab in level:
             start = lab.indices[-1] if lab.indices else 0
             for t in range(start + 1, len(gens) + 1):
                 lcm = tuple(map(max, lab.lcm, gens[t - 1]))
                 nxt.append(SubsetLabel(lab.indices + (t,), lcm, sum(lcm)))
-        level = nxt
+        level = tuple(nxt)
         out.append(level)
-    return out
-
-
-def taylor_basis(ideal, k):
-    """Size-k subset labels in lexicographic order."""
-    if k < 0 or k > ideal.ngens:
-        return []
-    return _bases(ideal, k)[k]
+    return tuple(out)
 
 
 def _differential(ring, k, rows, cols, shared):
@@ -148,14 +141,6 @@ def _differential(ring, k, rows, cols, shared):
     return LabeledGradedMatrix(ring, rows, cols, entries)
 
 
-def taylor_differential(ideal, k):
-    """The map T_k -> T_{k-1}, 1 <= k <= r."""
-    if not 1 <= k <= ideal.ngens:
-        raise ValueError(f"no differential at step {k}")
-    bases = _bases(ideal, k)
-    return _differential(ideal.ring, k, bases[k - 1], bases[k], {})
-
-
 @dataclass(frozen=True)
 class TaylorComplex:
     ideal: MonomialIdeal
@@ -163,18 +148,23 @@ class TaylorComplex:
     differentials: tuple[LabeledGradedMatrix, ...]
 
     def basis(self, k):
+        """T_k; empty outside 0..r, so sigma on T_r has an empty target."""
         if 0 <= k < len(self.bases):
             return self.bases[k]
         return ()
 
     def differential(self, k):
-        """tau_k: T_k -> T_{k-1}."""
+        """tau_k: T_k -> T_{k-1}, 1 <= k <= r."""
+        if not 1 <= k <= len(self.differentials):
+            raise ValueError(
+                f"no differential at step {k}: steps run 1..{len(self.differentials)}"
+            )
         return self.differentials[k - 1]
 
 
 def taylor_complex(ideal):
     r = ideal.ngens
-    bases = tuple(tuple(b) for b in _bases(ideal, r))
+    bases = _bases(ideal)
     shared = {}
     diffs = tuple(
         _differential(ideal.ring, k, bases[k - 1], bases[k], shared) for k in range(1, r + 1)
@@ -182,15 +172,10 @@ def taylor_complex(ideal):
     return TaylorComplex(ideal, bases, diffs)
 
 
-def verify_taylor(ideal, cx=None):
-    """Check tau_k . tau_{k+1} = 0 for every k and entry homogeneity.
-
-    cx, when given, must be taylor_complex(ideal); otherwise it is built here.
-    """
-    if cx is None:
-        cx = taylor_complex(ideal)
+def verify_taylor(cx):
+    """Check tau_k . tau_{k+1} = 0 for every k and entry homogeneity."""
     report = Report("taylor complex")
-    r = ideal.ngens
+    r = cx.ideal.ngens
     for k in range(1, r):
         square = cx.differential(k).compose(cx.differential(k + 1))
         if square.is_zero():

@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from citaylor import (
+    GradedExactness,
     average_lifts,
     check_exactness,
     complete_intersection,
@@ -342,9 +343,9 @@ def test_criterion_7_exactness_spot_check():
     with criterion(7, "exactness over GF(32003) in degrees 1..4, internal <= 10"):
         started = time.perf_counter()
         for build in (build_three_squares, build_poly_c1):
-            res = build(max_step=5)
+            engine = GradedExactness(build(max_step=5), 32003)
             for n in range(1, 5):
-                report = check_exactness(res, n, max_internal_degree=10, p=32003)
+                report = check_exactness(engine, n, max_internal_degree=10)
                 assert report.passed, report.summary()
         elapsed = time.perf_counter() - started
         assert elapsed < 120.0, f"took {elapsed:.1f}s, budget is 120s"

@@ -253,6 +253,30 @@ def test_verify_builds_the_taylor_complex_once(capsys, monkeypatch):
     assert len(builds) == 1
 
 
+def test_taylor_dot_builds_the_taylor_complex_once(capsys, monkeypatch):
+    import citaylor.cli as cli_mod
+
+    builds = []
+    build = cli_mod.taylor_complex
+    monkeypatch.setattr(cli_mod, "taylor_complex", lambda ideal: builds.append(ideal) or build(ideal))
+    code, out, _ = run(capsys, "taylor", "--vars", "x,y,z", "--ideal", "x*y,x*z,y*z", "--format", "dot")
+    assert code == 0 and out.startswith("digraph resolution {")
+    assert len(builds) == 1
+
+
+def test_resolve_dot_assembles_no_differential(capsys, monkeypatch):
+    import citaylor.shamash as shamash_mod
+
+    calls = []
+    assemble = shamash_mod.shamash_differential
+    monkeypatch.setattr(
+        shamash_mod, "shamash_differential", lambda *args: calls.append(args) or assemble(*args)
+    )
+    code, out, _ = run(capsys, "resolve", *THREE_SQUARES_ARGS, "--max-step", "6", "--format", "dot")
+    assert code == 0 and "color=red" in out
+    assert calls == []
+
+
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     bad = Report("homotopy system")
     bad.fail("(b) forced failure for the exit-code path")

@@ -8,6 +8,7 @@ from citaylor import (
     GF,
     HomotopySystem,
     LabeledGradedMatrix,
+    LiftMatrix,
     NonHomogeneous,
     NotInIdeal,
     average_lifts,
@@ -142,8 +143,8 @@ def test_lift_rows_are_checked():
         lift_matrix_from_rows(ci, bad)
     with pytest.raises(ValueError, match="c x r"):
         lift_matrix_from_rows(ci, ((R.parse("z"),),))
-    # the escape hatch skips the sum check, for feeding the verifier bad data
-    lift = lift_matrix_from_rows(ci, bad, check=False)
+    # a LiftMatrix built directly skips the sum check, for feeding the verifier bad data
+    lift = LiftMatrix(ci, bad)
     assert str(lift.entry(1, 2)) == "1"
 
 
@@ -294,7 +295,7 @@ def test_verify_all_strategies_on_monomial_example():
 def test_verify_flags_corrupted_lift():
     ci = squarefree_ci()
     R = ci.ring
-    bad = lift_matrix_from_rows(ci, ((R.parse("z"), R.zero, R.parse("1")),), check=False)
+    bad = LiftMatrix(ci, ((R.parse("z"), R.zero, R.parse("1")),))
     report = verify_homotopy_system(HomotopySystem(ci, bad))
     assert not report.passed
     assert report.failure == "(b) fails for a_1 on T_0 at ({}, {}): defect y*z"

@@ -202,31 +202,30 @@ def test_sparse_rank_leaves_its_input_alone():
 
 
 def test_exactness_three_squares():
-    res = build_three_squares(max_step=3)
+    engine = GradedExactness(build_three_squares(max_step=3))
     for n in (1, 2):
-        report = check_exactness(res, n, 8)
+        report = check_exactness(engine, n, 8)
         assert report.passed, report.failure
         assert all("homology 0" in line for line in report.details)
 
 
 def test_exactness_poly_example():
-    res = build_poly_c1(max_step=3)
-    report = check_exactness(res, 1, 8)
+    report = check_exactness(GradedExactness(build_poly_c1(max_step=3)), 1, 8)
     assert report.passed, report.failure
 
 
 def test_exactness_window_validation():
-    res = build_three_squares(max_step=3)
+    engine = GradedExactness(build_three_squares(max_step=3))
     with pytest.raises(ValueError):
-        check_exactness(res, 0, 5)
+        check_exactness(engine, 0, 5)
     with pytest.raises(ValueError):
-        check_exactness(res, 3, 5)
+        check_exactness(engine, 3, 5)
 
 
 def test_exactness_composite_prime_rejected():
     res = build_three_squares(max_step=3)
     with pytest.raises(BadPrime, match="not prime"):
-        check_exactness(res, 1, 5, p=4)
+        GradedExactness(res, 4)
 
 
 def test_exactness_prime_dividing_denominator_rejected():
@@ -236,8 +235,8 @@ def test_exactness_prime_dividing_denominator_rejected():
     lift = lift_matrix(ci, "average")  # entries 1/3*z etc.
     res = shamash_resolution(homotopy_system(ci, lift=lift), 3)
     with pytest.raises(BadPrime, match="denominator"):
-        check_exactness(res, 1, 5, p=3)
-    report = check_exactness(res, 1, 6, p=5)
+        check_exactness(GradedExactness(res, 3), 1, 5)
+    report = check_exactness(GradedExactness(res, 5), 1, 6)
     assert report.passed, report.failure
 
 
@@ -254,14 +253,14 @@ def test_exactness_detects_a_broken_map():
         phi2.ring, phi2.rows, phi2.cols, entries, phi2.row_dividers, phi2.col_dividers
     )
     corrupted = replace(res, differentials=(res.differentials[0], broken, res.differentials[2]))
-    report = check_exactness(corrupted, 1, 8)
+    report = check_exactness(GradedExactness(corrupted), 1, 8)
     assert not report.passed
 
 
 def test_exactness_rejects_a_negative_degree_cap():
-    res = build_three_squares(max_step=3)
+    engine = GradedExactness(build_three_squares(max_step=3))
     with pytest.raises(ValueError, match="max_internal_degree"):
-        check_exactness(res, 1, -1)
+        check_exactness(engine, 1, -1)
 
 
 def test_exactness_names_a_misgraded_entry():
@@ -280,7 +279,7 @@ def test_exactness_names_a_misgraded_entry():
     with pytest.raises(
         ValueError, match=r"^phi_2 entry \(1, \{\}\) = x\^5 is not homogeneous of degree 1$"
     ):
-        check_exactness(corrupted, 1, 6)
+        check_exactness(GradedExactness(corrupted), 1, 6)
 
 
 def test_shared_engine_matches_fresh_checks(monkeypatch):
@@ -291,9 +290,9 @@ def test_shared_engine_matches_fresh_checks(monkeypatch):
     monkeypatch.setattr(quotient, "rank_mod_p", lambda rows, p: calls.append(p) or rank(rows, p))
     res = build_three_squares(max_step=5)
     engine = GradedExactness(res, 32003)
-    shared = [check_exactness(res, n, 9, engine=engine) for n in range(1, 5)]
+    shared = [check_exactness(engine, n, 9) for n in range(1, 5)]
     assert len(calls) == 5 * 10  # each (phi_k, d), k = 1..5, ranked once
-    fresh = [check_exactness(res, n, 9) for n in range(1, 5)]
+    fresh = [check_exactness(GradedExactness(res, 32003), n, 9) for n in range(1, 5)]
     assert len(calls) == 50 + 4 * 2 * 10
     assert [(r.title, r.passed, r.details) for r in shared] == [
         (r.title, r.passed, r.details) for r in fresh
@@ -337,14 +336,12 @@ def test_engine_ranks_match_dense_reference(lift):
 
 
 def test_engine_belongs_to_one_resolution_and_prime():
+    # the engine carries the resolution and the prime, so a check cannot mix them
     res = build_three_squares(max_step=3)
-    engine = GradedExactness(res, 32003)
-    with pytest.raises(ValueError, match="another resolution"):
-        check_exactness(res, 1, 4, p=7, engine=engine)
-    from dataclasses import replace
-
-    copy = replace(res, differentials=tuple(res.differentials))
-    with pytest.raises(ValueError, match="another resolution"):
-        check_exactness(copy, 1, 4, engine=engine)
+    for p in (7, 32003):
+        engine = GradedExactness(res, p)
+        report = check_exactness(engine, 1, 4)
+        assert report.title == f"exactness at step 1 over GF({p})"
+        assert engine.resolution is res and engine.ring.field.characteristic == p
     with pytest.raises(BadPrime, match="not prime"):
         GradedExactness(res, 9)

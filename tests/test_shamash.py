@@ -15,7 +15,6 @@ from citaylor import (
     phi_squared_check,
     rank_formula,
     shamash_basis,
-    shamash_differential,
     shamash_resolution,
 )
 from citaylor.shamash import _shift_positions
@@ -478,6 +477,41 @@ def test_equal_entries_are_shared_objects():
         assert entries and all(id(p) in placed for p in entries)
 
 
+def reference_differential(system, rows, cols):
+    """Entries of phi_n: cols -> rows, column by column from the definitions:
+    the Taylor differential on S keeping u, and sigma_i on S lowering u_i,
+    with whatever lands in one cell summed."""
+    ring, ideal = system.ring, system.ideal
+    row_index = {(b.u, b.label.indices): i for i, b in enumerate(rows)}
+    entries = {}
+
+    def add(u, label, j, poly):
+        pos = (row_index[(u, label.indices)], j)
+        entries[pos] = entries[pos] + poly if pos in entries else poly
+
+    for j, b in enumerate(cols):
+        S, k = b.label.indices, b.label.size
+        for pos, s in enumerate(S, start=1):
+            face = ideal.subset(t for t in S if t != s)
+            quot = tuple(x - y for x, y in zip(b.label.lcm, face.lcm))
+            add(b.u, face, j, ring.term(quot, (-1) ** (k - pos)))
+        for i in range(1, system.ci.codim + 1):
+            if b.u[i - 1] == 0:
+                continue
+            lowered = b.u[: i - 1] + (b.u[i - 1] - 1,) + b.u[i:]
+            for t in range(1, ideal.ngens + 1):
+                if t in S:
+                    continue
+                union = ideal.subset(sorted(S + (t,)))
+                quot = tuple(
+                    g + x - y for g, x, y in zip(ideal.generator(t), b.label.lcm, union.lcm)
+                )
+                pos = union.indices.index(t) + 1
+                term = ring.term(quot, -1 if (k - pos - 1) % 2 else 1)
+                add(lowered, union, j, system.lift.entry(i, t) * term)
+    return {pos: p for pos, p in entries.items() if not p.is_zero()}
+
+
 @pytest.mark.parametrize("codim", [1, 2, 3])
 def test_resolution_matches_standalone_builders(codim):
     rng = random.Random(20261017 + codim)
@@ -490,16 +524,38 @@ def test_resolution_matches_standalone_builders(codim):
         for n in range(6):
             assert list(res.basis(n)) == shamash_basis(system, n)
         for n in range(1, 6):
-            alone = shamash_differential(system, n)
+            rows, cols = res.basis(n - 1), res.basis(n)
             phi = res.differential(n)
-            assert phi == alone
-            assert (phi.row_dividers, phi.col_dividers) == (alone.row_dividers, alone.col_dividers)
+            assert (phi.rows, phi.cols) == (rows, cols)
+            assert phi.entries == reference_differential(system, rows, cols)
+            for labels, dividers in ((rows, phi.row_dividers), (cols, phi.col_dividers)):
+                changes = [i for i in range(1, len(labels)) if labels[i].u != labels[i - 1].u]
+                assert list(dividers) == changes
+
+
+def test_accessors_reject_steps_outside_the_window(three_squares):
+    with pytest.raises(ValueError, match=r"^no differential at step 0: steps run 1\.\.6$"):
+        three_squares.differential(0)
+    with pytest.raises(ValueError, match=r"^no differential at step 7: steps run 1\.\.6$"):
+        three_squares.differential(7)
+    for n in (-1, 7):
+        with pytest.raises(ValueError, match=rf"^no module at step {n}: steps run 0\.\.6$"):
+            three_squares.basis(n)
+        with pytest.raises(ValueError, match=rf"^no module at step {n}"):
+            three_squares.rank(n)
+    cx = three_squares.system.complex
+    for k in (0, 4):
+        with pytest.raises(ValueError, match=rf"^no differential at step {k}: steps run 1\.\.3$"):
+            cx.differential(k)
+    # the Taylor bases stay empty outside 0..r: sigma on T_r maps into T_{r+1} = 0
+    assert cx.basis(-1) == () == cx.basis(4)
+    assert three_squares.system.sigma_e(1, 3).rows == ()
 
 
 def test_window_validation(three_squares):
     with pytest.raises(ValueError):
         shamash_resolution(three_squares.system, -1)
     with pytest.raises(ValueError):
-        shamash_differential(three_squares.system, 0)
+        three_squares.differential(0)
     tiny = shamash_resolution(three_squares.system, 0)
     assert tiny.rank(0) == 1 and tiny.differentials == ()

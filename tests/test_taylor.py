@@ -10,9 +10,7 @@ from citaylor import (
     GF,
     QQ,
     monomial_ideal,
-    taylor_basis,
     taylor_complex,
-    taylor_differential,
     verify_taylor,
 )
 
@@ -20,15 +18,15 @@ from conftest import build_squarefree_taylor, grid, random_ideal, ring
 
 
 def test_basis_sizes_are_binomial(ring_xyz):
-    I = monomial_ideal(ring_xyz, ["x^2", "y^2", "z^2"])
+    cx = taylor_complex(monomial_ideal(ring_xyz, ["x^2", "y^2", "z^2"]))
     for k in range(5):
-        assert len(taylor_basis(I, k)) == math.comb(3, k)
-    assert taylor_basis(I, -1) == []
+        assert len(cx.basis(k)) == math.comb(3, k)
+    assert cx.basis(-1) == ()
 
 
 def test_labels_sorted_and_one_based(ring_xyz):
     I = monomial_ideal(ring_xyz, ["x*y", "x*z", "y*z"])
-    labels = taylor_basis(I, 2)
+    labels = taylor_complex(I).basis(2)
     assert [lab.indices for lab in labels] == [(1, 2), (1, 3), (2, 3)]
     assert [lab.compact() for lab in labels] == ["12", "13", "23"]
     assert I.generator(1) == (1, 1, 0)
@@ -94,11 +92,10 @@ def test_basis_out_of_range_is_empty():
 
 
 def test_differential_out_of_range(ring_xyz):
-    I = monomial_ideal(ring_xyz, ["x*y"])
-    with pytest.raises(ValueError):
-        taylor_differential(I, 0)
-    with pytest.raises(ValueError):
-        taylor_differential(I, 2)
+    cx = taylor_complex(monomial_ideal(ring_xyz, ["x*y"]))
+    for k in (0, 2, -1):
+        with pytest.raises(ValueError, match=rf"^no differential at step {k}: steps run 1\.\.1$"):
+            cx.differential(k)
 
 
 # ---- verification ----------------------------------------------------------
@@ -106,13 +103,13 @@ def test_differential_out_of_range(ring_xyz):
 
 def test_verify_squarefree_example(ring_xyz):
     I = monomial_ideal(ring_xyz, ["x*y", "x*z", "y*z"])
-    report = verify_taylor(I)
+    report = verify_taylor(taylor_complex(I))
     assert report.passed
     assert any("tau_1.tau_2" in line for line in report.details)
 
 
 def test_verify_single_generator(ring_xyz):
-    report = verify_taylor(monomial_ideal(ring_xyz, ["x^2*y"]))
+    report = verify_taylor(taylor_complex(monomial_ideal(ring_xyz, ["x^2*y"])))
     assert report.passed
 
 
@@ -126,7 +123,7 @@ def test_verify_random_ideals():
     rng = random.Random(20260816)
     for _ in range(10):
         I = random_ideal(rng)
-        report = verify_taylor(I)
+        report = verify_taylor(taylor_complex(I))
         assert report.passed, report.failure
 
 
@@ -136,10 +133,12 @@ def test_verify_taylor_reuses_a_built_complex(monkeypatch):
     rng = random.Random(20261018)
     for _ in range(5):
         I = random_ideal(rng)
+        fresh = verify_taylor(taylor_complex(I))
         built = taylor_complex(I)
-        fresh = verify_taylor(I)
         monkeypatch.setattr(taylor, "taylor_complex", lambda ideal: pytest.fail("rebuilt"))
-        reused = verify_taylor(I, built)
+        monkeypatch.setattr(taylor, "_bases", lambda ideal: pytest.fail("rebuilt"))
+        monkeypatch.setattr(taylor, "_differential", lambda *args: pytest.fail("rebuilt"))
+        reused = verify_taylor(built)
         monkeypatch.undo()
         assert (reused.passed, reused.details, reused.failure) == (
             fresh.passed, fresh.details, fresh.failure
@@ -199,10 +198,9 @@ def test_single_pass_complex_matches_standalone_builders():
         assert len(cx.bases) == r + 1
         for k in range(r + 1):
             labels = [I.subset(c) for c in combinations(range(1, r + 1), k)]
-            assert list(cx.basis(k)) == labels == taylor_basis(I, k)
+            assert list(cx.basis(k)) == labels
         for k in range(1, r + 1):
             tau = cx.differential(k)
-            assert tau == taylor_differential(I, k)
             assert tau.rows == cx.basis(k - 1) and tau.cols == cx.basis(k)
             expected = {}
             for j, col in enumerate(cx.basis(k)):
