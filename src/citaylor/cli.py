@@ -106,18 +106,22 @@ def periodicity_text(info):
     return "periodicity: not applicable (sequence length != 1)"
 
 
+def sections_text(cx, module, name):
+    """Each module, then each differential, of anything with bases and differentials."""
+    lines = [f"{module}_{k} = {module_text(basis)}" for k, basis in enumerate(cx.bases)]
+    for k, mat in enumerate(cx.differentials, start=1):
+        lines += ["", matrix_text(mat, f"{name}_{k}")]
+    return lines
+
+
 def taylor_text(cx):
     ideal = cx.ideal
     lines = [
         f"taylor complex of <{', '.join(ideal.ring.format_monomial(m) for m in ideal.generators)}>"
         f" over {ring_text(ideal.ring)}",
         "",
+        *sections_text(cx, "T", "tau"),
     ]
-    for k in range(ideal.ngens + 1):
-        lines.append(f"T_{k} = {module_text(cx.basis(k))}")
-    for k in range(1, ideal.ngens + 1):
-        lines.append("")
-        lines.append(matrix_text(cx.differential(k), f"tau_{k}"))
     return "\n".join(lines) + "\n"
 
 
@@ -134,13 +138,7 @@ def resolution_text(res):
     ]
     for i, row in enumerate(system.lift.rows, start=1):
         lines.append(f"  f[{i}] = [{', '.join(str(p) for p in row)}]")
-    lines.append("")
-    for n in range(res.max_step + 1):
-        lines.append(f"F_{n} = {module_text(res.basis(n))}")
-    for n in range(1, res.max_step + 1):
-        lines.append("")
-        lines.append(matrix_text(res.differential(n), f"phi_{n}"))
-    lines.append("")
+    lines += ["", *sections_text(res, "F", "phi"), ""]
     lines.extend(minimality_text(res.minimality))
     lines.append(periodicity_text(res.periodicity))
     return "\n".join(lines) + "\n"
@@ -153,21 +151,20 @@ def ring_json(ring):
     return {"vars": list(ring.variables), "char": ring.field.characteristic}
 
 
-def basis_element_json(b):
-    return {"u": list(b.u), "S": list(b.label.indices), "twist": b.twist}
-
-
-def subset_json(label):
-    return {"u": [], "S": list(label.indices), "twist": label.degree}
-
-
-def matrix_json(mat, step):
+def sections_json(cx, element_json):
+    """The modules, each element as element_json gives it, then the differentials."""
     return {
-        "from": step,
-        "to": step - 1,
-        "entries": [
-            {"row": i, "col": j, "poly": str(mat.entries[(i, j)])}
-            for i, j in sorted(mat.entries)
+        "modules": [[element_json(b) for b in basis] for basis in cx.bases],
+        "differentials": [
+            {
+                "from": k,
+                "to": k - 1,
+                "entries": [
+                    {"row": i, "col": j, "poly": str(mat.entries[(i, j)])}
+                    for i, j in sorted(mat.entries)
+                ],
+            }
+            for k, mat in enumerate(cx.differentials, start=1)
         ],
     }
 
@@ -193,8 +190,9 @@ def resolution_json(res, extra_reports=None):
         "ideal": [system.ring.format_monomial(m) for m in ci.ideal.generators],
         "ci": [str(a) for a in ci.sequence],
         "lift": [[str(p) for p in row] for row in system.lift.rows],
-        "modules": [[basis_element_json(b) for b in res.basis(n)] for n in range(res.max_step + 1)],
-        "differentials": [matrix_json(res.differential(n), n) for n in range(1, res.max_step + 1)],
+        **sections_json(
+            res, lambda b: {"u": list(b.u), "S": list(b.label.indices), "twist": b.twist}
+        ),
         "reports": reports,
     }
 
@@ -236,10 +234,7 @@ def taylor_json(cx):
         "ring": ring_json(ideal.ring),
         "ideal": [ideal.ring.format_monomial(m) for m in ideal.generators],
         "ci": [],
-        "modules": [[subset_json(b) for b in cx.basis(k)] for k in range(ideal.ngens + 1)],
-        "differentials": [
-            matrix_json(cx.differential(k), k) for k in range(1, ideal.ngens + 1)
-        ],
+        **sections_json(cx, lambda b: {"u": [], "S": list(b.indices), "twist": b.degree}),
         "reports": {},
     }
 
@@ -294,24 +289,21 @@ def matrix_tex(mat, name):
     return "\n".join(lines)
 
 
+def sections_tex(cx, module, name):
+    """Each module as a comment, then each differential as an array."""
+    parts = [f"% {module}_{k} = {module_text(basis)}" for k, basis in enumerate(cx.bases)]
+    for k, mat in enumerate(cx.differentials, start=1):
+        parts.append(matrix_tex(mat, f"{name}_{{{k}}}"))
+    return parts
+
+
 def resolution_tex(res):
-    parts = []
-    mods = " \\to ".join(
-        f"F_{{{n}}}" for n in range(res.max_step, -1, -1)
-    )
-    parts.append(f"% {mods}")
-    for n in range(res.max_step + 1):
-        parts.append(f"% F_{n} = {module_text(res.basis(n))}")
-    for n in range(1, res.max_step + 1):
-        parts.append(matrix_tex(res.differential(n), rf"\varphi_{{{n}}}"))
-    return "\n".join(parts) + "\n"
+    mods = " \\to ".join(f"F_{{{n}}}" for n in range(res.max_step, -1, -1))
+    return "\n".join([f"% {mods}", *sections_tex(res, "F", r"\varphi")]) + "\n"
 
 
 def taylor_tex(cx):
-    parts = [f"% T_{k} = {module_text(cx.basis(k))}" for k in range(cx.ideal.ngens + 1)]
-    for k in range(1, cx.ideal.ngens + 1):
-        parts.append(matrix_tex(cx.differential(k), rf"\tau_{{{k}}}"))
-    return "\n".join(parts) + "\n"
+    return "\n".join(sections_tex(cx, "T", r"\tau")) + "\n"
 
 
 # ---- dot -----------------------------------------------------------------
@@ -319,32 +311,18 @@ def taylor_tex(cx):
 
 def dot_text(cx, system=None):
     """Divisibility graph of the Taylor complex, plus sigma edges when system is given."""
-    r = cx.ideal.ngens
     lines = ["digraph resolution {", "  rankdir=LR;"]
-    even, odd = [], []
-    for k in range(r + 1):
-        for lab in cx.basis(k):
-            (even if k % 2 == 0 else odd).append(lab)
-    for group in (even, odd):
-        names = "; ".join(f'"{b}"' for b in group)
+    for parity in (0, 1):
+        names = "; ".join(f'"{b}"' for basis in cx.bases[parity::2] for b in basis)
         lines.append(f"  {{ rank=same; {names}; }}")
-    for k in range(1, r + 1):
-        tau = cx.differential(k)
-        for (i, j), p in sorted(tau.entries.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            lines.append(
-                f'  "{tau.cols[j]}" -> "{tau.rows[i]}"'
-                f' [color=blue, label="{p}"];'
-            )
+    maps = [("blue", tau) for tau in cx.differentials]
     if system is not None:
         for i in range(1, system.ci.codim + 1):
             color = EDGE_COLORS[(i - 1) % len(EDGE_COLORS)]
-            for k in range(0, r):
-                sig = system.sigma_e(i, k)
-                for (ri, j), p in sorted(sig.entries.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-                    lines.append(
-                        f'  "{sig.cols[j]}" -> "{sig.rows[ri]}"'
-                        f' [color={color}, label="{p}"];'
-                    )
+            maps += [(color, system.sigma_e(i, k)) for k in range(cx.ideal.ngens)]
+    for color, mat in maps:
+        for (i, j), p in sorted(mat.entries.items(), key=lambda kv: kv[0][::-1]):
+            lines.append(f'  "{mat.cols[j]}" -> "{mat.rows[i]}" [color={color}, label="{p}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -391,10 +369,7 @@ def build_lift(args, ci):
             raise ValueError(
                 f"lift file provides {len(docs)} assignment rows, sequence has {ci.codim}"
             )
-        try:
-            maps = [parse_assignments(ci.ring, d) for d in docs]
-        except KeyError as exc:
-            raise ValueError(f"lift file is missing key {exc}") from None
+        maps = [parse_assignments(ci.ring, d) for d in docs]
         return lift_matrix(ci, "fixed-assignment", maps)
     raise ValueError(f"--lift must be first, average, or file:PATH (got {spec!r})")
 
@@ -414,19 +389,20 @@ def _dump(doc):
 # ---- commands ------------------------------------------------------------
 
 
-def cmd_taylor(args):
-    ring = build_ring(args)
-    ideal = build_ideal(args, ring)
-    cx = taylor_complex(ideal)
+def _write(args, obj, text, tex, to_json):
+    """Emit obj through the writer that args.format names."""
     if args.format == "json":
-        emit(args, _dump(taylor_json(cx)))
+        emit(args, _dump(to_json(obj)))
     elif args.format == "tex":
-        emit(args, taylor_tex(cx))
-    elif args.format == "dot":
-        emit(args, dot_text(cx))
+        emit(args, tex(obj))
     else:
-        emit(args, taylor_text(cx))
+        emit(args, text(obj))
     return EXIT_OK
+
+
+def cmd_taylor(args):
+    cx = taylor_complex(build_ideal(args, build_ring(args)))
+    return _write(args, cx, taylor_text, taylor_tex, taylor_json)
 
 
 def _build_system(args):
@@ -440,18 +416,8 @@ def _build_resolution(args):
 
 
 def cmd_resolve(args):
-    if args.format == "dot":
-        system = _build_system(args)
-        emit(args, dot_text(system.complex, system))
-        return EXIT_OK
     res = _build_resolution(args)
-    if args.format == "json":
-        emit(args, _dump(resolution_json(res)))
-    elif args.format == "tex":
-        emit(args, resolution_tex(res))
-    else:
-        emit(args, resolution_text(res))
-    return EXIT_OK
+    return _write(args, res, resolution_text, resolution_tex, resolution_json)
 
 
 def _exactness_reports(res, args):
@@ -536,7 +502,7 @@ def degree(text):
     return value
 
 
-def _add_format_argument(sp, choices=("text", "json", "tex", "dot")):
+def _add_format_argument(sp, choices=("text", "json", "tex")):
     sp.add_argument("--format", choices=choices, default="text")
     sp.add_argument("--out", help="write output to this file instead of stdout")
 

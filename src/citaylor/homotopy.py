@@ -12,6 +12,7 @@ verify_homotopy_system; all higher sigma_u (|u| >= 2) vanish for this family.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
@@ -164,17 +165,24 @@ def lift_matrix_from_rows(ci, rows):
 
 def parse_assignments(ring, doc):
     """Decode {"assignments": [{"term": "x^2*z", "gen": 1}, ...]}."""
+    items = doc.get("assignments") if isinstance(doc, dict) else None
+    if not isinstance(items, list):
+        raise ValueError(f'expected {{"assignments": [...]}}, got {json.dumps(doc)}')
     out = {}
-    for item in doc["assignments"]:
+    for item in items:
+        if not isinstance(item, dict) or not isinstance(item.get("term"), str):
+            raise ValueError(f'assignment {json.dumps(item)} needs a "term" string')
         p = ring.parse(item["term"])
         if len(p.terms) != 1:
             raise ValueError(f"term pattern {item['term']!r} is not a single monomial")
         (e, c), = p.terms.items()
         if c != ring.field.one:
             raise ValueError(f"term pattern {item['term']!r} must be a bare monomial")
-        gen = item["gen"]
-        if not isinstance(gen, int):
-            raise ValueError("assignment 'gen' must be a 1-based integer index")
+        gen = item.get("gen")
+        if not isinstance(gen, int) or isinstance(gen, bool):
+            raise ValueError(
+                f"assignment 'gen' must be a 1-based integer index (got {json.dumps(gen)})"
+            )
         if e in out:
             raise ValueError(f"term pattern {item['term']!r} assigned twice")
         out[e] = gen
@@ -286,25 +294,16 @@ def homotopy_system(ci, lift=None, strategy="first", assignments=None):
 
 
 def verify_homotopy_system(system):
-    """Exact check of the defining identities.
+    """Exact check of the identities that involve the homotopies.
 
-    (a) tau.tau = 0; (b) tau.sigma_i + sigma_i.tau = a_i on every T_k;
+    (b) tau.sigma_i + sigma_i.tau = a_i on every T_k;
     (c) sigma_i.sigma_j + sigma_j.sigma_i = 0 for i < j, and sigma_i^2 = 0.
-    Missing maps at the boundary (k = 0 and k = r) are zero.
+    Missing maps at the boundary (k = 0 and k = r) are zero.  tau.tau = 0 is
+    the Taylor complex's own identity, and verify_taylor checks it.
     """
     report = Report("homotopy system")
     r = system.ideal.ngens
     c = system.ci.codim
-
-    for k in range(1, r):
-        square = system.sigma_zero(k).compose(system.sigma_zero(k + 1))
-        if square.is_zero():
-            report.note(f"(a) tau_{k}.tau_{k + 1} = 0")
-        else:
-            row, col, entry = square.first_failure()
-            report.fail(f"(a) tau_{k}.tau_{k + 1} nonzero at ({row}, {col}): {entry}")
-    if r == 1:
-        report.note("(a) single generator, d^2 vacuous")
 
     for i in range(1, c + 1):
         a = system.ci.sequence[i - 1]

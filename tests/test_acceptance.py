@@ -28,6 +28,7 @@ from citaylor import (
     shamash_resolution,
     taylor_complex,
     verify_homotopy_system,
+    verify_taylor,
 )
 from conftest import (
     build_codim2,
@@ -200,8 +201,8 @@ def last_divisor_assignments(ci):
 
 
 def run_identity_suite(system, max_step=8):
-    report = verify_homotopy_system(system)
-    assert report.passed, report.summary()
+    for report in (verify_taylor(system.complex), verify_homotopy_system(system)):
+        assert report.passed, report.summary()
     squared = phi_squared_check(shamash_resolution(system, max_step))
     assert squared.passed, squared.summary()
 

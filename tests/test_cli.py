@@ -1,9 +1,11 @@
 """Command-line interface: formats, golden text output, exit codes."""
 import ast
 import hashlib
+import importlib.util
 import json
 import os
 import pkgutil
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ from citaylor.poly import PolyRing
 from conftest import seeded_rng
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parents[1]
 
 THREE_SQUARES_ARGS = [
     "--vars", "x,y,z",
@@ -46,6 +49,19 @@ def test_resolve_text_golden(capsys):
     code, out, _ = run(capsys, "resolve", *THREE_SQUARES_ARGS, "--max-step", "6")
     assert code == 0
     assert out == (GOLDEN / "resolve_three_squares.txt").read_text()
+
+
+def test_readme_resolve_example_matches_the_program(capsys):
+    """Each line the README shows for its resolve example, bar "...", is printed, in order."""
+    blocks = (ROOT / "README.md").read_text().split("```")[1::2]
+    command = next(b for b in blocks if b.lstrip().startswith("citaylor resolve"))
+    shown = blocks[blocks.index(command) + 1]
+    code, out, _ = run(capsys, *shlex.split(command.replace("\\\n", " "))[1:])
+    assert code == 0
+    printed = iter(out.splitlines())
+    for line in shown.strip("\n").splitlines():
+        if line != "...":
+            assert line in printed, line
 
 
 def test_resolve_max_step_zero(capsys):
@@ -259,7 +275,7 @@ def test_taylor_dot_builds_the_taylor_complex_once(capsys, monkeypatch):
     builds = []
     build = cli_mod.taylor_complex
     monkeypatch.setattr(cli_mod, "taylor_complex", lambda ideal: builds.append(ideal) or build(ideal))
-    code, out, _ = run(capsys, "taylor", "--vars", "x,y,z", "--ideal", "x*y,x*z,y*z", "--format", "dot")
+    code, out, _ = run(capsys, "export-dot", "--vars", "x,y,z", "--ideal", "x*y,x*z,y*z")
     assert code == 0 and out.startswith("digraph resolution {")
     assert len(builds) == 1
 
@@ -272,7 +288,7 @@ def test_resolve_dot_assembles_no_differential(capsys, monkeypatch):
     monkeypatch.setattr(
         shamash_mod, "shamash_differential", lambda *args: calls.append(args) or assemble(*args)
     )
-    code, out, _ = run(capsys, "resolve", *THREE_SQUARES_ARGS, "--max-step", "6", "--format", "dot")
+    code, out, _ = run(capsys, "export-dot", *THREE_SQUARES_ARGS)
     assert code == 0 and "color=red" in out
     assert calls == []
 
@@ -311,12 +327,12 @@ def test_check_exactness_cap_exit(capsys):
     assert "max_degree" in err
 
 
-SQUARES_CODIM2_RESOLVE_ARGS = [
+SQUARES_CODIM2_SYSTEM_ARGS = [
     "--vars", "x,y,z,w",
     "--ideal", "x^2,y^2,z^2,w^2",
     "--ci", "x^3+y^3,z^3+w^3",
-    "--max-step", "4",
 ]
+SQUARES_CODIM2_RESOLVE_ARGS = [*SQUARES_CODIM2_SYSTEM_ARGS, "--max-step", "4"]
 SQUARES_CODIM2_ARGS = [*SQUARES_CODIM2_RESOLVE_ARGS, "--max-degree", "8"]
 
 
@@ -324,9 +340,9 @@ SQUARES_CODIM2_ARGS = [*SQUARES_CODIM2_RESOLVE_ARGS, "--max-degree", "8"]
     "command, fmt, digest",
     [
         ("check-exactness", "text", "5f5d4ccc55d4aacceb8179187c23235e806ef359f220610a7b6b2d76c8359950"),
-        ("verify", "text", "c83823f0386f15778712578c2f69c5a126ea00fc8f5a52ff9e2c8d35c84dab84"),
+        ("verify", "text", "12ab2f0bf56f24b006e2580e8e1fcecb715596b10e08104b2959afdefa0fbab7"),
         ("check-exactness", "json", "795baaef1d8df29a6073e5d97b57a76a9358c1af7073fcbeb2561296a62eb4b7"),
-        ("verify", "json", "2a9edc7ce09828fddac347ae4b361fd592fff941180725b8bbb91edb9d620e7e"),
+        ("verify", "json", "cb0c6d8f13d74744673856274683ba10b31fb5132098e65f11085a3338947de9"),
     ],
 )
 def test_exactness_output_bytes_unchanged(capsys, command, fmt, digest):
@@ -345,8 +361,15 @@ def test_exactness_output_bytes_unchanged(capsys, command, fmt, digest):
     ],
 )
 def test_codim2_resolve_output_bytes_unchanged(capsys, fmt, digest):
-    """Byte guard on y(u)*S labels and u-block dividers: the codim-2 squares case to F_4."""
-    code, out, _ = run(capsys, "resolve", *SQUARES_CODIM2_RESOLVE_ARGS, "--format", fmt)
+    """Byte guard on y(u)*S labels and u-block dividers: the codim-2 squares case to F_4.
+
+    DOT output comes from export-dot, which draws the Taylor complex and its homotopies.
+    """
+    if fmt == "dot":
+        argv = ["export-dot", *SQUARES_CODIM2_SYSTEM_ARGS]
+    else:
+        argv = ["resolve", *SQUARES_CODIM2_RESOLVE_ARGS, "--format", fmt]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -361,7 +384,9 @@ def test_codim2_resolve_output_bytes_unchanged(capsys, fmt, digest):
 )
 def test_taylor_output_bytes_unchanged(capsys, fmt, digest):
     """Byte guard on the squarefree Taylor complex in the formats the golden text leaves out."""
-    code, out, _ = run(capsys, "taylor", "--vars", "x,y,z", "--ideal", "x*y,x*z,y*z", "--format", fmt)
+    ideal = ["--vars", "x,y,z", "--ideal", "x*y,x*z,y*z"]
+    argv = ["export-dot", *ideal] if fmt == "dot" else ["taylor", *ideal, "--format", fmt]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -437,6 +462,35 @@ def test_lift_file_row_count_mismatch(capsys, tmp_path):
     assert "assignment rows" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "x",
+        None,
+        {"assignments": 5},
+        {"assignments": [5]},
+        {"assignments": [{"term": 5, "gen": 1}]},
+        {"assignments": [{"term": "x*y*z", "gen": True}]},
+        {"assignments": [{"term": "x*y*z"}]},
+        [[lift_doc()]],
+    ],
+)
+def test_malformed_lift_file_exits_two(capsys, tmp_path, doc):
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys,
+        "resolve",
+        "--vars", "x,y,z",
+        "--ideal", "x*y,x*z,y*z",
+        "--ci", "x*y*z",
+        "--lift", f"file:{path}",
+        "--max-step", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_lift_file_missing(capsys, tmp_path):
     code, _, err = run(
         capsys,
@@ -476,6 +530,9 @@ BAD_VALUE_INPUT = {
         ["taylor", "--vars", "x,y", "--ideal", ""],
         ["resolve", "--vars", "x,y", "--char", "6", "--ideal", "x^2", "--ci", "x^3", "--lift", "first", "--max-step", "2"],
         *BAD_VALUE_INPUT,
+        # DOT output has one command, export-dot
+        ["taylor", "--vars", "x,y", "--ideal", "x^2", "--format", "dot"],
+        ["resolve", *THREE_SQUARES_ARGS, "--max-step", "3", "--format", "dot"],
     ],
 )
 def test_input_errors_exit_two(capsys, argv):
@@ -588,6 +645,22 @@ def test_modules_use_every_name_they_import():
         if path.name != "__init__.py"
     }
     assert {name: dead for name, dead in found.items() if dead} == {}
+
+
+def test_benchmark_trace_targets_exist():
+    """Every function perfbench's tracer wraps in the package still exists under that name."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [(owner, attr) for _, owner, attr, _, _ in tracer.TARGETS if owner != "workloads"]
+    assert len(targets) >= 30
+    missing = []
+    for owner, attr in targets:
+        module, _, cls = owner.partition(":")
+        holder = importlib.import_module(module)
+        if not hasattr(getattr(holder, cls, None) if cls else holder, attr):
+            missing.append(f"{owner}.{attr}")
+    assert missing == []
 
 
 def test_python_dash_m_runs_the_cli():

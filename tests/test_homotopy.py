@@ -130,6 +130,14 @@ def test_parse_assignments():
         {"assignments": [{"term": "2*x", "gen": 1}]},
         {"assignments": [{"term": "x", "gen": 1}, {"term": "x", "gen": 2}]},
         {"assignments": [{"term": "x", "gen": "one"}]},
+        "x",
+        None,
+        {"assignments": 5},
+        {"assignments": [5]},
+        {"assignments": [{"term": 5, "gen": 1}]},
+        {"assignments": [{"term": "x", "gen": True}]},
+        {"assignments": [{"term": "x"}]},
+        {},
     ]:
         with pytest.raises(ValueError):
             parse_assignments(R, bad)
