@@ -43,7 +43,14 @@ def _cells(mat, render):
     return cells
 
 
+def u_dividers(labels):
+    """Positions where the divided-power index u changes; Taylor labels have none."""
+    us = [getattr(b, "u", None) for b in labels]
+    return {i for i in range(1, len(us)) if us[i] != us[i - 1]}
+
+
 def matrix_text(mat, name):
+    col_dividers, row_dividers = u_dividers(mat.cols), u_dividers(mat.rows)
     cols = [str(c) for c in mat.cols]
     rows = [str(r) for r in mat.rows]
     cells = _cells(mat, str)
@@ -56,7 +63,7 @@ def matrix_text(mat, name):
     def fmt(values):
         parts = []
         for j, v in enumerate(values):
-            if j in mat.col_dividers:
+            if j in col_dividers:
                 parts.append("|")
             parts.append(v.rjust(widths[j]))
         return "  ".join(parts)
@@ -66,7 +73,7 @@ def matrix_text(mat, name):
     body = [f"  {rows[i].rjust(row_width)} [ {fmt(cells[i])} ]" for i in range(len(rows))]
     rule = "  " + "-" * (len(body[0]) - 2) if body else ""
     for i, line in enumerate(body):
-        if i in mat.row_dividers:
+        if i in row_dividers:
             lines.append(rule)
         lines.append(line)
     return "\n".join(lines)
@@ -272,16 +279,17 @@ def label_tex(label):
 
 
 def matrix_tex(mat, name):
+    col_dividers, row_dividers = u_dividers(mat.cols), u_dividers(mat.rows)
     colspec = []
     for j in range(len(mat.cols)):
-        if j in mat.col_dividers:
+        if j in col_dividers:
             colspec.append("|")
         colspec.append("r")
     lines = [rf"% {name}", r"\[", f"{name} = ", r"\begin{array}{c|" + "".join(colspec) + "}"]
     header = " & ".join([""] + [label_tex(c) for c in mat.cols])
     lines.append(header + r" \\ \hline")
     for i, cells in enumerate(_cells(mat, poly_tex)):
-        if i in mat.row_dividers:
+        if i in row_dividers:
             lines.append(r"\hline")
         lines.append(" & ".join([label_tex(mat.rows[i])] + cells) + r" \\")
     lines.append(r"\end{array}")
@@ -357,7 +365,7 @@ def build_ci(args, ideal):
 
 
 def build_lift(args, ci):
-    spec = args.lift
+    spec = "first" if args.lift is None else args.lift
     if spec in ("first", "average"):
         return lift_matrix(ci, spec)
     if spec.startswith("file:"):
@@ -470,6 +478,8 @@ def cmd_export_dot(args):
     if args.ci:
         system = _build_system(args)
         emit(args, dot_text(system.complex, system))
+    elif args.lift is not None:
+        raise ValueError("--lift needs --ci: there is no sequence to lift without it")
     else:
         emit(args, dot_text(taylor_complex(build_ideal(args, build_ring(args)))))
     return EXIT_OK
@@ -559,7 +569,7 @@ def build_parser():
     sp = sub.add_parser("export-dot", help="divisibility graph with homotopy edges")
     _add_ring_arguments(sp)
     sp.add_argument("--ci", default=None, help="optional sequence: adds homotopy edges")
-    sp.add_argument("--lift", default="first")
+    sp.add_argument("--lift", default=None, help="first (default) | average | file:PATH; needs --ci")
     sp.add_argument("--out", help="write output to this file instead of stdout")
     sp.set_defaults(func=cmd_export_dot)
 

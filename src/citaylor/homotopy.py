@@ -76,6 +76,8 @@ class LiftMatrix:
 
 
 def check_lift(ci, rows):
+    """sum_t f[i,t] * m_t = a_i, and each nonzero f[i,t] is homogeneous of
+    degree deg a_i - deg m_t, so that every sigma entry is graded."""
     gens = ci.ideal.generator_polys()
     for i, (row, a) in enumerate(zip(rows, ci.sequence), start=1):
         total = ci.ring.zero
@@ -83,6 +85,12 @@ def check_lift(ci, rows):
             total = total + f * m
         if total != a:
             raise ValueError(f"row {i} is not a lift: sum f*m = {total}, expected {a}")
+        for t, (f, m) in enumerate(zip(row, ci.ideal.generators), start=1):
+            degree = ci.degrees[i - 1] - sum(m)
+            if f and (not f.is_homogeneous() or f.total_degree() != degree):
+                raise ValueError(
+                    f"lift entry f[{i},{t}] = {f} is not homogeneous of degree {degree}"
+                )
 
 
 def compute_lift(a, ideal, strategy="first", assignments=None):

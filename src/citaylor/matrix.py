@@ -2,8 +2,8 @@
 
 Labels are arbitrary hashable objects exposing a ``twist`` attribute (internal
 degree of the corresponding free summand).  Entries live in a PolyRing; zero
-entries are never stored.  Divider positions record block boundaries for
-rendering and carry no algebraic meaning.
+entries are never stored.  The matrix holds no rendering metadata: block
+boundaries in printed output come from the labels themselves.
 
 ``compose`` lowers each operand's coefficients to ``int``s once per call
 (each distinct entry object once): over GF(p) the representatives, over QQ
@@ -53,15 +53,13 @@ def _lowering(matrix):
 
 
 class LabeledGradedMatrix:
-    __slots__ = ("ring", "rows", "cols", "entries", "row_dividers", "col_dividers")
+    __slots__ = ("ring", "rows", "cols", "entries")
 
-    def __init__(self, ring, rows, cols, entries, row_dividers=(), col_dividers=()):
+    def __init__(self, ring, rows, cols, entries):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "cols", tuple(cols))
         object.__setattr__(self, "entries", {k: p for k, p in entries.items() if p})
-        object.__setattr__(self, "row_dividers", tuple(row_dividers))
-        object.__setattr__(self, "col_dividers", tuple(col_dividers))
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledGradedMatrix is immutable")

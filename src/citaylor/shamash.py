@@ -13,6 +13,10 @@ one cell: tau keeps u and shrinks S, while sigma_j lowers u_j and grows S.
 Composing two consecutive differentials gives sum_j a_j * shift_j on the
 nose, where shift_j lowers u_j; over the quotient ring the a_j vanish, so
 the assembled maps square to zero there.
+
+For a length-one sequence the tail is 2-periodic from step r on (Eisenbud's
+matrix factorizations), so the periodicity report follows from r and the
+window alone, with no built matrices compared.
 """
 from __future__ import annotations
 
@@ -30,11 +34,10 @@ class NoStableTail(RuntimeError):
 
 @dataclass(frozen=True)
 class ShamashBasisElement:
-    """Pair (u, S) with cached homological degree and twist."""
+    """Pair (u, S) with its cached twist; its step is |S| + 2|u|."""
 
     u: tuple[int, ...]
     label: SubsetLabel
-    hdeg: int
     twist: int
 
     def compact(self):
@@ -74,14 +77,8 @@ def shamash_basis(system, n):
         for label in system.complex.basis(k):
             for exps in _dp_exponents(q, c):
                 twist = label.degree + sum(u * d for u, d in zip(exps, degrees))
-                out.append(ShamashBasisElement(exps, label, n, twist))
+                out.append(ShamashBasisElement(exps, label, twist))
     return out
-
-
-def _u_dividers(basis):
-    return tuple(
-        i for i in range(1, len(basis)) if basis[i].u != basis[i - 1].u
-    )
 
 
 def shamash_differential(system, n, rows, cols):
@@ -110,9 +107,7 @@ def shamash_differential(system, n, rows, cols):
                 row, col = sigma.rows[ri].indices, sigma.cols[j].indices
                 for lowered, u in shifts:
                     entries[(row_index[(lowered, row)], col_index[(u, col)])] = p
-    return LabeledGradedMatrix(
-        system.ring, rows, cols, entries, _u_dividers(rows), _u_dividers(cols)
-    )
+    return LabeledGradedMatrix(system.ring, rows, cols, entries)
 
 
 @dataclass(frozen=True)
@@ -181,38 +176,21 @@ def _minimality(system):
     return MinimalityReport(not units and not constants, tuple(units), tuple(constants))
 
 
-def _shifted(element, degree):
-    """(u, S) -> (u + e_1, S) for a length-one sequence of that degree."""
-    return ShamashBasisElement(
-        (element.u[0] + 1,), element.label, element.hdeg + 2, element.twist + degree
-    )
+def _periodicity(system, max_step):
+    """For a length-one sequence, phi_{n+2} = phi_n under (u, S) -> (u + 1, S) from n = r on.
 
-
-def _shift_matches(differentials, degree, n):
-    a, b = differentials[n - 1], differentials[n + 1]
-    if len(a.rows) != len(b.rows) or len(a.cols) != len(b.cols):
-        return False
-    if any(_shifted(x, degree) != y for x, y in zip(a.rows, b.rows)):
-        return False
-    if any(_shifted(x, degree) != y for x, y in zip(a.cols, b.cols)):
-        return False
-    return a.entries == b.entries
-
-
-def _periodicity(system, differentials, max_step):
-    """Smallest n0 with phi_{n+2} = phi_n under (u,S) -> (u+1,S) through the window."""
+    Below r, F_{n+1} has C(r, n+1) more summands than F_{n-1}, so no shift
+    matches.  From r on, every subset size of the right parity is present in
+    both F_n and F_{n+2}, the shift maps each basis onto the next in order,
+    and phi places every tau and sigma entry by S alone.  The tail shows in
+    the window once phi_{r+2} is computed.
+    """
     if system.ci.codim != 1:
         return PeriodicityInfo("not-applicable")
-    degree = system.ci.degrees[0]
-    stable_from = None
-    for n in range(max_step - 2, 0, -1):
-        if _shift_matches(differentials, degree, n):
-            stable_from = n
-        else:
-            break
-    if stable_from is None:
+    r = system.ideal.ngens
+    if max_step < r + 2:
         return PeriodicityInfo("none")
-    return PeriodicityInfo("periodic", stable_from)
+    return PeriodicityInfo("periodic", r)
 
 
 def shamash_resolution(system, max_step):
@@ -230,7 +208,7 @@ def shamash_resolution(system, max_step):
         bases,
         diffs,
         _minimality(system),
-        _periodicity(system, diffs, max_step),
+        _periodicity(system, max_step),
     )
 
 

@@ -125,6 +125,15 @@ def test_round_trip_rejects_tampered_data(capsys):
         resolution_from_json(doc2)
 
 
+def test_round_trip_rejects_an_ungraded_lift_row(capsys):
+    """(z + y^2, x - x^2, 0) still sums to the sequence element, but is not graded."""
+    code, out, _ = run(capsys, "resolve", *THREE_SQUARES_ARGS, "--max-step", "3", "--format", "json")
+    doc = json.loads(out)
+    doc["lift"][0] = ["z + y^2", "x - x^2", "0"]
+    with pytest.raises(ValueError, match=r"^lift entry f\[1,1\] = y\^2 \+ z is not homogeneous of degree 1$"):
+        resolution_from_json(doc)
+
+
 def test_round_trip_parses_each_text_once(capsys, monkeypatch):
     from citaylor import PolyRing
 
@@ -517,6 +526,18 @@ BAD_VALUE_INPUT = {
     ("verify", *THREE_SQUARES_ARGS, "--max-step", "-1"): NEGATIVE_MAX_STEP,
     ("check-exactness", *THREE_SQUARES_ARGS, "--max-step", "-1"): NEGATIVE_MAX_STEP,
 }
+# values that parse but cannot be used; listed last so earlier parameter ids keep their argv
+UNUSABLE_INPUT = {
+    # export-dot reads --lift only with --ci
+    **{
+        ("export-dot", "--vars", "x,y", "--ideal", "x^2,y^2", "--lift", lift): "--lift needs --ci"
+        for lift in ("bogus", "file:/nonexistent.json")
+    },
+    ("check-exactness", *THREE_SQUARES_ARGS, "--max-step", "1"): "--max-step must be at least 2",
+    ("resolve", "--vars", "x,y,z", "--ideal", "x^2,y^2,z^2", "--ci", ",", "--max-step", "2"): (
+        "--ci needs at least one element"
+    ),
+}
 
 
 @pytest.mark.parametrize(
@@ -533,6 +554,7 @@ BAD_VALUE_INPUT = {
         # DOT output has one command, export-dot
         ["taylor", "--vars", "x,y", "--ideal", "x^2", "--format", "dot"],
         ["resolve", *THREE_SQUARES_ARGS, "--max-step", "3", "--format", "dot"],
+        *UNUSABLE_INPUT,
     ],
 )
 def test_input_errors_exit_two(capsys, argv):
@@ -541,7 +563,7 @@ def test_input_errors_exit_two(capsys, argv):
     # argparse rejects an option's value after the usage line, naming the command
     message = err.splitlines()[-1]
     assert message.startswith(("error:", f"citaylor {argv[0]}: error:"))
-    bad_value = BAD_VALUE_INPUT.get(tuple(argv))
+    bad_value = {**BAD_VALUE_INPUT, **UNUSABLE_INPUT}.get(tuple(argv))
     if bad_value is not None:
         assert bad_value in message
 

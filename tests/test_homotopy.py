@@ -156,6 +156,21 @@ def test_lift_rows_are_checked():
     assert str(lift.entry(1, 2)) == "1"
 
 
+def test_ungraded_lift_rows_are_rejected():
+    """(z + y^2, x - x^2, 0) sums to a = x^2*z + x*y^2, but its entries are not graded."""
+    R = ring("x,y,z")
+    ci = complete_intersection(monomial_ideal(R, ["x^2", "y^2", "z^2"]), ["x^2*z + x*y^2"])
+    ungraded = [R.parse("z + y^2"), R.parse("x - x^2"), R.zero]
+    with pytest.raises(ValueError, match=r"^lift entry f\[1,1\] = y\^2 \+ z is not homogeneous of degree 1$"):
+        lift_matrix_from_rows(ci, [ungraded])
+    # homogeneous, but a syzygy of y^2 and z^2 puts degree-2 entries where degree 1 belongs
+    ci2 = complete_intersection(ci.ideal, ["x^2*z"])
+    with pytest.raises(ValueError, match=r"^lift entry f\[1,2\] = z\^2 is not homogeneous of degree 1$"):
+        lift_matrix_from_rows(ci2, [[R.parse("z"), R.parse("z^2"), R.parse("-y^2")]])
+    graded = (R.parse("z"), R.parse("x"), R.zero)
+    assert lift_matrix_from_rows(ci, [graded]).rows == (graded,)
+
+
 # ---- averaging ---------------------------------------------------------------
 
 

@@ -249,9 +249,7 @@ def test_exactness_detects_a_broken_map():
     from citaylor import LabeledGradedMatrix
     from dataclasses import replace
 
-    broken = LabeledGradedMatrix(
-        phi2.ring, phi2.rows, phi2.cols, entries, phi2.row_dividers, phi2.col_dividers
-    )
+    broken = LabeledGradedMatrix(phi2.ring, phi2.rows, phi2.cols, entries)
     corrupted = replace(res, differentials=(res.differentials[0], broken, res.differentials[2]))
     report = check_exactness(GradedExactness(corrupted), 1, 8)
     assert not report.passed

@@ -8,6 +8,7 @@ from citaylor import (
     GF,
     QQ,
     NoStableTail,
+    PolyRing,
     homotopy_system,
     matrix_factorization,
     monomial_ideal,
@@ -17,6 +18,7 @@ from citaylor import (
     shamash_basis,
     shamash_resolution,
 )
+from citaylor.cli import u_dividers
 from citaylor.shamash import _shift_positions
 
 from conftest import (
@@ -68,7 +70,6 @@ def test_homological_degree_and_twist_formulas(codim2):
     degrees = codim2.system.ci.degrees
     for n in range(6):
         for b in codim2.basis(n):
-            assert b.hdeg == n
             assert b.label.size + 2 * sum(b.u) == n
             assert b.twist == b.label.twist + sum(
                 u * d for u, d in zip(b.u, degrees)
@@ -123,11 +124,14 @@ def test_three_squares_ranks(three_squares):
 
 def test_three_squares_block_dividers(three_squares):
     # dividers sit where the divided-power weight changes
-    assert three_squares.differential(2).col_dividers == (1,)
-    assert three_squares.differential(3).row_dividers == (1,)
-    assert three_squares.differential(3).col_dividers == (3,)
-    assert three_squares.differential(4).row_dividers == (3,)
-    assert three_squares.differential(4).col_dividers == (1,)
+    assert u_dividers(three_squares.differential(2).cols) == {1}
+    assert u_dividers(three_squares.differential(3).rows) == {1}
+    assert u_dividers(three_squares.differential(3).cols) == {3}
+    assert u_dividers(three_squares.differential(4).rows) == {3}
+    assert u_dividers(three_squares.differential(4).cols) == {1}
+    # Taylor labels carry no u, so tau gets no dividers
+    tau = three_squares.system.complex.differential(2)
+    assert u_dividers(tau.rows) == set() == u_dividers(tau.cols)
 
 
 # ---- golden differentials: the c = 1 monomial sequence variants -------------
@@ -264,6 +268,63 @@ def test_periodicity_statuses(three_squares, poly_c1, codim2):
     assert poly_c1.periodicity.start == 2
     assert codim2.periodicity.status == "not-applicable"
     assert build_poly_c1(max_step=2).periodicity.status == "none"
+
+
+def shift_oracle(res):
+    """(status, start) by scanning the window: the smallest n0 such that phi_{n+2}
+    equals phi_n under (u, S) -> (u + 1, S) for every n0 <= n <= N - 2, comparing
+    labels, twists and entries."""
+    degree = res.system.ci.degrees[0]
+
+    def shifted(labels):
+        return [((b.u[0] + 1,), b.label, b.twist + degree) for b in labels]
+
+    def plain(labels):
+        return [(b.u, b.label, b.twist) for b in labels]
+
+    def matches(n):
+        a, b = res.differential(n), res.differential(n + 2)
+        return (
+            shifted(a.rows) == plain(b.rows)
+            and shifted(a.cols) == plain(b.cols)
+            and a.entries == b.entries
+        )
+
+    start = None
+    for n in range(res.max_step - 2, 0, -1):
+        if not matches(n):
+            break
+        start = n
+    return ("none", None) if start is None else ("periodic", start)
+
+
+def c1_instance(rng, r, field):
+    """A seeded length-one sequence in a random ideal with exactly r generators."""
+    nvars = rng.randint(2, 4)
+    gens = set()
+    while len(gens) < r:
+        exps = [0] * nvars
+        for _ in range(rng.randint(1, 3)):
+            exps[rng.randrange(nvars)] += 1
+        gens.add(tuple(exps))
+    R = PolyRing(("x", "y", "z", "w")[:nvars], field)
+    ideal = monomial_ideal(R, sorted(gens))
+    return complete_intersection(ideal, random_sequence(rng, ideal, 1))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("strategy", ["first", "average"])
+def test_periodicity_matches_the_shift_oracle(field, strategy):
+    rng = random.Random(20261018)
+    for r in range(1, 7):
+        for _ in range(2):
+            system = homotopy_system(c1_instance(rng, r, field), strategy=strategy)
+            for max_step in range(r + 5):
+                res = shamash_resolution(system, max_step)
+                info = res.periodicity
+                assert (info.status, info.start) == shift_oracle(res), (r, max_step)
+                expected = "periodic" if max_step >= r + 2 else "none"
+                assert info.status == expected
 
 
 def diagonal_grid(poly, size):
@@ -528,9 +589,9 @@ def test_resolution_matches_standalone_builders(codim):
             phi = res.differential(n)
             assert (phi.rows, phi.cols) == (rows, cols)
             assert phi.entries == reference_differential(system, rows, cols)
-            for labels, dividers in ((rows, phi.row_dividers), (cols, phi.col_dividers)):
+            for labels in (phi.rows, phi.cols):
                 changes = [i for i in range(1, len(labels)) if labels[i].u != labels[i - 1].u]
-                assert list(dividers) == changes
+                assert sorted(u_dividers(labels)) == changes
 
 
 def test_accessors_reject_steps_outside_the_window(three_squares):

@@ -119,6 +119,36 @@ def test_differentials_are_homogeneous():
         assert cx.differential(k).homogeneity_violations() == []
 
 
+def test_verify_taylor_reports_a_corrupted_complex():
+    """A negated tau_2 entry breaks tau.tau = 0; an inhomogeneous tau_3 entry is named."""
+    from dataclasses import replace
+
+    from citaylor import LabeledGradedMatrix
+
+    cx = build_squarefree_taylor()
+    tau1, tau2, tau3 = cx.differentials
+    negated = dict(tau2.entries)
+    negated[(0, 0)] = -negated[(0, 0)]
+    ungraded = dict(tau3.entries)
+    ungraded[(0, 0)] = tau3.ring.parse("x^2 + y")
+    broken = replace(
+        cx,
+        differentials=(
+            tau1,
+            LabeledGradedMatrix(tau2.ring, tau2.rows, tau2.cols, negated),
+            LabeledGradedMatrix(tau3.ring, tau3.rows, tau3.cols, ungraded),
+        ),
+    )
+    report = verify_taylor(broken)
+    assert not report.passed
+    assert report.details == [
+        "FAIL: tau_1.tau_2 nonzero at ({}, 12): -2*x*y*z",
+        "FAIL: tau_2.tau_3 nonzero at (1, 123): -x^2*z - y*z - z",
+        "FAIL: tau_3 entry (12, 123) = x^2 + y is not homogeneous",
+    ]
+    assert report.failure == "tau_1.tau_2 nonzero at ({}, 12): -2*x*y*z"
+
+
 def test_verify_random_ideals():
     rng = random.Random(20260816)
     for _ in range(10):
