@@ -371,7 +371,10 @@ def build_lift(args, ci):
     if spec.startswith("file:"):
         path = spec[len("file:") :]
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"lift file {path} is not valid JSON: {exc}") from None
         docs = doc if isinstance(doc, list) else [doc]
         if len(docs) != ci.codim:
             raise ValueError(

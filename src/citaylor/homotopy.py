@@ -316,13 +316,13 @@ def verify_homotopy_system(system):
     for i in range(1, c + 1):
         a = system.ci.sequence[i - 1]
         for k in range(0, r + 1):
-            products = []
+            pairs = []
             if k < r:
-                products.append(system.sigma_zero(k + 1).compose(system.sigma_e(i, k)))
+                pairs.append((system.sigma_zero(k + 1), system.sigma_e(i, k)))
             if k >= 1:
-                products.append(system.sigma_e(i, k - 1).compose(system.sigma_zero(k)))
+                pairs.append((system.sigma_e(i, k - 1), system.sigma_zero(k)))
             diagonal = (((d, d), a) for d in range(len(system.complex.basis(k))))
-            residual = defect(products, diagonal)
+            residual = defect(pairs, diagonal)
             if residual.is_zero():
                 report.note(f"(b) tau.sigma_{i} + sigma_{i}.tau = a_{i} on T_{k}")
             else:
@@ -334,10 +334,10 @@ def verify_homotopy_system(system):
     for i in range(1, c + 1):
         for j in range(i, c + 1):
             for k in range(0, r - 1):
-                products = [system.sigma_e(i, k + 1).compose(system.sigma_e(j, k))]
+                pairs = [(system.sigma_e(i, k + 1), system.sigma_e(j, k))]
                 if i != j:
-                    products.append(system.sigma_e(j, k + 1).compose(system.sigma_e(i, k)))
-                residual = defect(products)
+                    pairs.append((system.sigma_e(j, k + 1), system.sigma_e(i, k)))
+                residual = defect(pairs)
                 if residual.is_zero():
                     report.note(f"(c) sigma_{i}, sigma_{j} anticommute on T_{k}")
                 else:

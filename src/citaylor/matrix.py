@@ -5,51 +5,36 @@ degree of the corresponding free summand).  Entries live in a PolyRing; zero
 entries are never stored.  The matrix holds no rendering metadata: block
 boundaries in printed output come from the labels themselves.
 
-``compose`` lowers each operand's coefficients to ``int``s once per call
-(each distinct entry object once): over GF(p) the representatives, over QQ
-the numerators scaled to the operand's common denominator D.  Each output
-entry accumulates plain integer products in one ``{exponents: int}`` dict,
-and each nonzero output coefficient is built once, as ``ModP(n, p)``,
-``Fraction(n)`` or ``Fraction(n, D1 * D2)``.
+``defect`` is the one kernel behind every product of matrices: ``compose``
+is ``defect`` of one pair, and every identity check sums its products and
+subtracts the expected polynomial at each listed cell in one call, so a
+check passes exactly when the result is zero.  It works on integers only:
 
-``defect`` is the one shape every identity check takes: it sums product
-matrices with the same labels and subtracts the expected polynomial at each
-listed cell, in place, so a check passes exactly when the result is zero.
+- Exponent tuples are packed into one ``int``, exponent i in bits
+  ``[i * w, (i + 1) * w)``, so multiplying two monomials is one addition.
+  The field width ``w`` is the bit length of ``top_left + top_right`` (or of
+  the largest correction exponent, if that is larger), where each top is the
+  largest exponent among that side's entries.  No exponent of a product
+  reaches ``2**w``, so no sum carries into the next field.  This needs every
+  exponent to be a nonnegative ``int``: ``PolyRing.term``,
+  ``PolyRing.polynomial`` and the parser reject anything else, and
+  products and sums of such polynomials keep it.
+- Coefficients become ``int``s: over GF(p) the representatives, over QQ the
+  numerators scaled to one common denominator for every product and every
+  correction.  Each distinct entry object is lowered once per call and side.
+- One ``{key: int}`` dict accumulates every product and every correction
+  of the call: a key is a term's packed exponents plus its cell's index
+  ``row * ncols + col`` shifted above the exponent fields.  A
+  ``Polynomial``, ``Fraction`` or ``ModP`` is built only for a key whose
+  sum is nonzero, so a passing check builds none.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add, attrgetter
+from operator import attrgetter, lshift
 
 from .poly import ModP, Polynomial
-
-
-def _lowering(matrix):
-    """(lower, D): lower(p) lists p's terms as (exponents, n) with coefficient n / D.
-
-    Over GF(p), D = 1 and n is the representative; over QQ, D is the lcm of
-    the matrix's denominators and n the numerator scaled to D.  Each distinct
-    entry object is lowered once per call.
-    """
-    if matrix.ring.field.characteristic:
-        den = 1
-        to_int = attrgetter("value")
-    else:
-        den = lcm(*{c.denominator for p in matrix.entries.values() for c in p.terms.values()})
-
-        def to_int(c):
-            return c.numerator * (den // c.denominator)
-
-    memo = {}
-
-    def lower(p):
-        terms = memo.get(id(p))
-        if terms is None:
-            terms = memo[id(p)] = [(e, to_int(c)) for e, c in p.terms.items()]
-        return terms
-
-    return lower, den
 
 
 class LabeledGradedMatrix:
@@ -87,39 +72,7 @@ class LabeledGradedMatrix:
 
     def compose(self, other):
         """Matrix of self∘other; requires self.cols == other.rows and one ring."""
-        if self.cols != other.rows:
-            raise ValueError("inner labels do not match")
-        if self.ring != other.ring:
-            raise ValueError("matrices from different rings")
-        lower_left, d1 = _lowering(self)
-        lower_right, d2 = _lowering(other)
-        by_col = {}
-        for (i, j), p in self.entries.items():
-            by_col.setdefault(j, []).append((i, lower_left(p)))
-        acc = {}
-        for (j, k), q in other.entries.items():
-            right_terms = lower_right(q)
-            for i, left_terms in by_col.get(j, ()):
-                terms = acc.get((i, k))
-                if terms is None:
-                    terms = acc[(i, k)] = {}
-                for e1, c1 in left_terms:
-                    for e2, c2 in right_terms:
-                        e = tuple(map(add, e1, e2))
-                        terms[e] = terms.get(e, 0) + c1 * c2
-        ring = self.ring
-        p, den = ring.field.characteristic, d1 * d2
-        entries = {}
-        for ik, terms in acc.items():
-            if p:
-                cell = {e: ModP(n, p) for e, n in terms.items() if n % p}
-            elif den == 1:
-                cell = {e: Fraction(n) for e, n in terms.items() if n}
-            else:
-                cell = {e: Fraction(n, den) for e, n in terms.items() if n}
-            if cell:
-                entries[ik] = Polynomial(ring, cell)
-        return LabeledGradedMatrix(ring, self.rows, other.cols, entries)
+        return defect([(self, other)])
 
     def first_failure(self):
         """(row label, col label, entry) of the first nonzero entry in column order."""
@@ -138,21 +91,103 @@ class LabeledGradedMatrix:
         return bad
 
 
-def defect(products, corrections=()):
-    """Entrywise sum of the products, minus poly at (row, col) for each ((row, col), poly).
+def _distinct(matrices):
+    """id -> entry for each distinct entry object of the matrices."""
+    return {id(p): p for m in matrices for p in m.entries.values()}
 
-    The products must share row and column labels; the result carries them
-    and drops zero entries.
+
+def _top(polys):
+    """Largest exponent among the polynomials' terms, 0 if there is none."""
+    return max((max(map(max, p.terms), default=0) for p in polys.values()), default=0)
+
+
+def _denominator(polys):
+    return lcm(*(c.denominator for p in polys.values() for c in p.terms.values()))
+
+
+def _lowered(polys, shifts, to_int):
+    """id -> [(packed exponents, to_int(coefficient))] for each polynomial."""
+    return {
+        key: [(sum(map(lshift, e, shifts)), to_int(c)) for e, c in p.terms.items()]
+        for key, p in polys.items()
+    }
+
+
+def _scaled_to(den):
+    """c -> the numerator of Fraction c written over den (c.denominator divides den)."""
+    return lambda c: c.numerator * (den // c.denominator)
+
+
+def defect(pairs, corrections=()):
+    """Sum of left∘right over the (left, right) pairs, minus poly at (row, col)
+    for each ((row, col), poly) in corrections.
+
+    Every pair needs left.cols == right.rows, the same left rows and right
+    columns, and one ring; the result carries those labels and drops zero
+    entries.
     """
-    first, *rest = products
-    entries = dict(first.entries)
-    for other in rest:
-        if other.rows != first.rows or other.cols != first.cols:
+    pairs = list(pairs)
+    corrections = list(corrections)
+    first_left, first_right = pairs[0]
+    ring, rows, cols = first_left.ring, first_left.rows, first_right.cols
+    for left, right in pairs:
+        if left.ring != ring or right.ring != ring:
+            raise ValueError("matrices from different rings")
+        if left.cols != right.rows:
+            raise ValueError("inner labels do not match")
+        if left.rows != rows or right.cols != cols:
             raise ValueError("labels do not match")
-        for k, p in other.entries.items():
-            q = entries.get(k)
-            entries[k] = p if q is None else q + p
-    for k, p in corrections:
-        q = entries.get(k)
-        entries[k] = -p if q is None else q - p
-    return LabeledGradedMatrix(first.ring, first.rows, first.cols, entries)
+    lefts = _distinct(left for left, _ in pairs)
+    rights = _distinct(right for _, right in pairs)
+    fixes = {id(poly): poly for _, poly in corrections}
+    if any(poly.ring != ring for poly in fixes.values()):
+        raise ValueError("correction from a different ring")
+
+    width = max(_top(lefts) + _top(rights), _top(fixes)).bit_length()
+    shifts = [width * i for i in range(ring.nvars)]
+    cell_shift = width * ring.nvars
+    p = ring.field.characteristic
+    if p:
+        to_left = to_right = to_fix = attrgetter("value")
+    else:
+        # a product's coefficient is over (den // den_right) * den_right = den
+        den_right = _denominator(rights)
+        den = lcm(_denominator(lefts) * den_right, _denominator(fixes))
+        to_left, to_right, to_fix = map(_scaled_to, (den // den_right, den_right, den))
+    lower_left = _lowered(lefts, shifts, to_left)
+    lower_right = _lowered(rights, shifts, to_right)
+    lower_fix = _lowered(fixes, shifts, to_fix)
+
+    ncols = len(cols)
+    acc = {}
+    get = acc.get
+    for left, right in pairs:
+        by_col = {}
+        for (i, j), poly in left.entries.items():
+            by_col.setdefault(j, []).append((i * ncols << cell_shift, lower_left[id(poly)]))
+        for (j, k), poly in right.entries.items():
+            right_terms = lower_right[id(poly)]
+            col_key = k << cell_shift
+            for row_key, left_terms in by_col.get(j, ()):
+                cell_key = row_key + col_key
+                for e1, c1 in left_terms:
+                    e1 += cell_key
+                    for e2, c2 in right_terms:
+                        e = e1 + e2
+                        acc[e] = get(e, 0) + c1 * c2
+    for (i, k), poly in corrections:
+        cell_key = (i * ncols + k) << cell_shift
+        for e, n in lower_fix[id(poly)]:
+            e += cell_key
+            acc[e] = get(e, 0) - n
+
+    if p:
+        residual = ((key, ModP(n, p)) for key, n in acc.items() if n % p)
+    else:
+        residual = ((key, Fraction(n, den)) for key, n in acc.items() if n)
+    mask = (1 << width) - 1
+    cells = {}
+    for key, c in residual:
+        cells.setdefault(key >> cell_shift, {})[tuple(key >> s & mask for s in shifts)] = c
+    entries = {divmod(cell, ncols): Polynomial(ring, terms) for cell, terms in cells.items()}
+    return LabeledGradedMatrix(ring, rows, cols, entries)

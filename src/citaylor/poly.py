@@ -353,19 +353,27 @@ class PolyRing:
         return Polynomial(self, {e: self.field.one})
 
     def monomial(self, exponents):
-        """The exponent tuple of a monomial of this ring, checked."""
+        """The exponent tuple of a monomial of this ring, checked.
+
+        Raises ValueError naming the tuple unless it holds one nonnegative
+        int per variable, which the matrix kernel's packed exponents need.
+        """
         exponents = tuple(exponents)
         if len(exponents) != self.nvars:
-            raise ValueError(f"expected {self.nvars} exponents, got {len(exponents)}")
+            raise ValueError(
+                f"exponent tuple {exponents}: expected {self.nvars} exponents, got {len(exponents)}"
+            )
+        if any(type(e) is not int for e in exponents):
+            raise ValueError(f"exponent tuple {exponents}: exponents must be ints")
         if any(e < 0 for e in exponents):
-            raise ValueError(f"negative exponent in {exponents}")
+            raise ValueError(f"exponent tuple {exponents}: negative exponent")
         return exponents
 
     def term(self, exponents, coeff=1):
-        return Polynomial(self, {tuple(exponents): self.field.coerce(coeff)})
+        return Polynomial(self, {self.monomial(exponents): self.field.coerce(coeff)})
 
     def polynomial(self, mapping):
-        return Polynomial(self, {tuple(e): self.field.coerce(c) for e, c in mapping.items()})
+        return Polynomial(self, {self.monomial(e): self.field.coerce(c) for e, c in mapping.items()})
 
     # ---- parsing -------------------------------------------------------
 

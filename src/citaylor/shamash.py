@@ -222,13 +222,13 @@ def _shift_positions(resolution, n, j):
 
 def _phi_defect(resolution, n):
     """phi_n . phi_{n+1} with a_j subtracted at each shift_j position."""
-    product = resolution.differential(n).compose(resolution.differential(n + 1))
+    pair = (resolution.differential(n), resolution.differential(n + 1))
     shifts = (
         (pos, a)
         for j, a in enumerate(resolution.system.ci.sequence, start=1)
         for pos in _shift_positions(resolution, n, j)
     )
-    return defect([product], shifts)
+    return defect([pair], shifts)
 
 
 def phi_squared_check(resolution):

@@ -500,6 +500,28 @@ def test_malformed_lift_file_exits_two(capsys, tmp_path, doc):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [("", "Expecting value: line 1 column 1 (char 0)"), ("{", "Expecting property name")],
+    ids=["empty", "truncated"],
+)
+def test_lift_file_that_is_not_json_exits_two(capsys, tmp_path, text, problem):
+    path = tmp_path / "lift.json"
+    path.write_text(text)
+    code, out, err = run(
+        capsys,
+        "resolve",
+        "--vars", "x,y,z",
+        "--ideal", "x*y,x*z,y*z",
+        "--ci", "x*y*z",
+        "--lift", f"file:{path}",
+        "--max-step", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: lift file {path} is not valid JSON: {problem}")
+    assert len(err.splitlines()) == 1
+
+
 def test_lift_file_missing(capsys, tmp_path):
     code, _, err = run(
         capsys,

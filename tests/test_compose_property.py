@@ -1,4 +1,10 @@
-"""Property: LabeledGradedMatrix.compose agrees with Polynomial.__mul__ / __add__."""
+"""Property: LabeledGradedMatrix.compose agrees with Polynomial.__mul__ / __add__.
+
+Exponents run up to about 2**40, and each operand may take its exponents
+from 2**k - 1 down, so both tops sit at a power of two less one and every
+product exponent fills its packed field: a field one bit too narrow carries
+into the next variable.
+"""
 from fractions import Fraction
 
 import pytest
@@ -13,7 +19,10 @@ from citaylor.poly import ModP  # noqa: E402
 from conftest import ring  # noqa: E402
 from test_matrix import reference_compose  # noqa: E402
 
-RINGS = {"QQ": ring("x,y", QQ), "GF7": ring("x,y", GF(7)), "GF32003": ring("x,y", GF(32003))}
+FIELDS = {"QQ": QQ, "GF7": GF(7), "GF32003": GF(32003)}
+RINGS = {
+    (name, names): ring(names, field) for name, field in FIELDS.items() for names in ("x", "x,y")
+}
 
 
 def coefficients(field_name, denominators):
@@ -23,16 +32,25 @@ def coefficients(field_name, denominators):
 
 
 @st.composite
-def matrices(draw, R, nrows, ncols, coeffs):
+def exponent_range(draw):
+    """Exponents of one operand: small ones, or any up to 2**40, or near a top 2**k - 1."""
+    kind = draw(st.sampled_from(["small", "wide", "top"]))
+    if kind == "small":
+        return st.integers(0, 2)
+    if kind == "wide":
+        return st.integers(0, 2**40)
+    top = 2 ** draw(st.integers(1, 40)) - 1
+    return st.sampled_from([0, 1, top - 1, top])
+
+
+@st.composite
+def matrices(draw, R, nrows, ncols, coeffs, exponents):
     entries = {}
     for i in range(nrows):
         for j in range(ncols):
             if draw(st.booleans()):
-                terms = draw(
-                    st.dictionaries(
-                        st.tuples(st.integers(0, 2), st.integers(0, 2)), coeffs, max_size=3
-                    )
-                )
+                monomials = st.tuples(*[exponents] * R.nvars)
+                terms = draw(st.dictionaries(monomials, coeffs, max_size=3))
                 entries[(i, j)] = R.polynomial(terms)
     return LabeledGradedMatrix(R, range(nrows), range(ncols), entries)
 
@@ -46,22 +64,23 @@ def stacked(R, top, bottom, nrows, ncols):
 
 @st.composite
 def operands(draw):
-    """A composable pair over QQ, GF(7) or GF(32003).
+    """A composable pair over QQ, GF(7) or GF(32003), in one or two variables.
 
     Over QQ each operand is integral or draws its denominators from its own
     set, so the two common denominators differ.  Half the pairs are
     [L | L] and [B; C - B], whose product L.C loses the L.B terms.
     """
-    name = draw(st.sampled_from(sorted(RINGS)))
-    R = RINGS[name]
+    name, names = draw(st.sampled_from(sorted(RINGS)))
+    R = RINGS[(name, names)]
     n, m, p = (draw(st.integers(0, 3)) for _ in range(3))
     left_coeffs = coefficients(name, draw(st.sampled_from([(1,), (1, 2, 4, 9)])))
     right_coeffs = coefficients(name, draw(st.sampled_from([(1,), (1, 3, 5, 7)])))
-    left = draw(matrices(R, n, m, left_coeffs))
+    left_exponents, right_exponents = draw(exponent_range()), draw(exponent_range())
+    left = draw(matrices(R, n, m, left_coeffs, left_exponents))
     if not draw(st.booleans()):
-        return left, draw(matrices(R, m, p, right_coeffs))
-    B = draw(matrices(R, m, p, right_coeffs))
-    C = draw(matrices(R, m, p, right_coeffs))
+        return left, draw(matrices(R, m, p, right_coeffs, right_exponents))
+    B = draw(matrices(R, m, p, right_coeffs, right_exponents))
+    C = draw(matrices(R, m, p, right_coeffs, right_exponents))
     doubled = {(i, m + j): q for (i, j), q in left.entries.items()}
     doubled.update(left.entries)
     cells = sorted(C.entries.keys() | B.entries.keys())

@@ -1,4 +1,4 @@
-"""LabeledGradedMatrix.compose against a reference built from Polynomial arithmetic."""
+"""compose and defect against a reference built from Polynomial arithmetic."""
 import random
 from fractions import Fraction
 
@@ -17,6 +17,17 @@ def reference_compose(left, right):
         for (jj, k), q in right.entries.items():
             if j == jj:
                 acc[(i, k)] = acc.get((i, k), left.ring.zero) + p * q
+    return {key: p for key, p in acc.items() if p}
+
+
+def reference_defect(pairs, corrections=()):
+    """Entries of sum(left∘right) minus each correction, by Polynomial arithmetic."""
+    acc = {}
+    for left, right in pairs:
+        for key, p in reference_compose(left, right).items():
+            acc[key] = acc.get(key, left.ring.zero) + p
+    for key, p in corrections:
+        acc[key] = acc.get(key, p.ring.zero) - p
     return {key: p for key, p in acc.items() if p}
 
 
@@ -84,6 +95,71 @@ def test_compose_matches_polynomial_reference(field, coeffs):
     assert saw_cancel, "no random product cancelled; the zero-entry case went untested"
 
 
+# Over QQ each pair draws its denominators from its own set, so the pairs'
+# common denominators differ, and the corrections bring one more.
+QQ_PAIR_COEFFS = [
+    [1, -1, Fraction(1, 2), Fraction(-3, 4)],
+    [2, Fraction(1, 3), Fraction(-5, 9)],
+    [Fraction(7, 5), Fraction(-1, 7), 3],
+]
+QQ_CORRECTION_COEFFS = [Fraction(1, 11), Fraction(-2, 3), Fraction(5, 4), 1]
+
+
+@pytest.mark.parametrize(
+    "field, pair_coeffs, correction_coeffs",
+    [
+        (QQ, QQ_PAIR_COEFFS, QQ_CORRECTION_COEFFS),
+        (GF(7), [[1, -1, 3, 6, 7]] * 3, [1, 2, -3, 5, 14]),
+        (GF(32003), [GF_COEFFS] * 3, [1, 32002, 777, -5]),
+    ],
+    ids=["QQ", "GF7", "GF32003"],
+)
+def test_defect_matches_polynomial_reference(field, pair_coeffs, correction_coeffs):
+    rng = random.Random(20261018)
+    R = ring("x,y", field)
+    for _ in range(40):
+        n, p = rng.randint(1, 4), rng.randint(1, 4)
+        density = rng.choice([0.3, 0.7, 1.0])
+        pairs = []
+        for coeffs in pair_coeffs[: rng.randint(1, 3)]:
+            m = rng.randint(0, 4)
+            left = random_matrix(rng, R, n, m, density, coeffs)
+            pairs.append((left, random_matrix(rng, R, m, p, density, coeffs)))
+        corrections = [
+            ((rng.randrange(n), rng.randrange(p)), random_poly(rng, R, correction_coeffs))
+            for _ in range(rng.randint(0, 4))
+        ]
+        d = defect(pairs, corrections)
+        assert (d.rows, d.cols) == (pairs[0][0].rows, pairs[0][1].cols)
+        assert d.entries == reference_defect(pairs, corrections)
+        assert all(d.entries.values())
+
+
+@pytest.mark.parametrize(
+    "field, coeffs", [(QQ, QQ_COEFFS), (GF(7), [1, 3, 5]), (GF(32003), GF_COEFFS)],
+    ids=["QQ", "GF7", "GF32003"],
+)
+def test_defect_cancels_to_zero(field, coeffs):
+    """Products minus their own sum, and a pair against its negation, leave nothing."""
+    rng = random.Random(7)
+    R = ring("x,y", field)
+    left = random_matrix(rng, R, 3, 4, 1.0, coeffs)
+    right = random_matrix(rng, R, 4, 2, 1.0, coeffs)
+    negated = LabeledGradedMatrix(R, right.rows, right.cols, {k: -q for k, q in right.entries.items()})
+    product = reference_compose(left, right)
+    assert product
+    assert defect([(left, right)], product.items()).is_zero()
+    assert defect([(left, right), (left, negated)]).is_zero()
+    # split each expected entry into two corrections; dropping one leaves it
+    halves = [(key, q.scale(2)) for key, q in product.items()] + [
+        (key, -q) for key, q in product.items()
+    ]
+    assert defect([(left, right)], halves).is_zero()
+    key = next(iter(product))
+    missing = [c for c in halves if c[0] != key or c[1] != -product[key]]
+    assert defect([(left, right)], missing).entries == {key: -product[key]}
+
+
 def test_compose_drops_entries_that_cancel(ring_xyz):
     R = ring_xyz
     x, y, z = (R.variable(v) for v in "xyz")
@@ -116,6 +192,9 @@ def test_compose_rejects_mismatched_labels_and_rings():
         LabeledGradedMatrix(R, "a", "u", {}).compose(LabeledGradedMatrix(S, "u", "s", {}))
     with pytest.raises(ValueError):
         a.compose(LabeledGradedMatrix(R, "v", "s", {}))
+    right = LabeledGradedMatrix(R, "u", "s", {(0, 0): R.variable("y")})
+    with pytest.raises(ValueError, match="correction from a different ring"):
+        defect([(a, right)], [((0, 0), S.variable("x"))])
 
 
 def test_defect_sums_products_and_subtracts_corrections():
@@ -123,10 +202,12 @@ def test_defect_sums_products_and_subtracts_corrections():
     x, y = R.variable("x"), R.variable("y")
     a = LabeledGradedMatrix(R, "ab", "uv", {(0, 0): x, (0, 1): y, (1, 1): x})
     b = LabeledGradedMatrix(R, "ab", "uv", {(0, 0): y, (1, 0): x})
-    d = defect([a, b], [((0, 0), x + y), ((1, 1), x), ((1, 1), y)])
+    identity = LabeledGradedMatrix(R, "uv", "uv", {(0, 0): R.one, (1, 1): R.one})
+    d = defect([(a, identity), (b, identity)], [((0, 0), x + y), ((1, 1), x), ((1, 1), y)])
     assert (d.rows, d.cols) == (a.rows, a.cols)
     # (0, 0) cancels and is dropped; two corrections at (1, 1) both subtract
     assert d.entries == {(0, 1): y, (1, 0): x, (1, 1): -y}
-    assert defect([a]) == a
+    assert defect([(a, identity)]) == a
+    other = LabeledGradedMatrix(R, "ab", "uw", {})
     with pytest.raises(ValueError, match="labels do not match"):
-        defect([a, LabeledGradedMatrix(R, "ab", "uw", {})])
+        defect([(a, identity), (other, LabeledGradedMatrix(R, "uw", "uw", {}))])

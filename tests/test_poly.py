@@ -136,6 +136,29 @@ def test_ring_validation():
         PolyRing(("x",), QQ, "mystery-order")
 
 
+# exponent tuple in the ring x,y -> the message naming what is wrong with it
+BAD_EXPONENTS = {
+    (-1, 0): "exponent tuple (-1, 0): negative exponent",
+    (1,): "exponent tuple (1,): expected 2 exponents, got 1",
+    (0, 0, 5): "exponent tuple (0, 0, 5): expected 2 exponents, got 3",
+    (1.0, 0): "exponent tuple (1.0, 0): exponents must be ints",
+    ("1", 0): "exponent tuple ('1', 0): exponents must be ints",
+}
+
+
+@pytest.mark.parametrize("exponents", list(BAD_EXPONENTS), ids=str)
+def test_malformed_exponent_tuples_rejected(exponents):
+    R = ring("x,y")
+    message = BAD_EXPONENTS[exponents]
+    with pytest.raises(ValueError) as term_error:
+        R.term(exponents, 2)
+    with pytest.raises(ValueError) as polynomial_error:
+        R.polynomial({(0, 1): 1, exponents: 1})
+    assert str(term_error.value) == str(polynomial_error.value) == message
+    assert str(R.term((1, 0), 2)) == "2*x"
+    assert str(R.polynomial({(0, 1): 1, (0, 0): -1})) == "y - 1"
+
+
 # ---- arithmetic properties ------------------------------------------------
 
 
