@@ -334,10 +334,12 @@ def verify_homotopy_system(system):
     for i in range(1, c + 1):
         for j in range(i, c + 1):
             for k in range(0, r - 1):
-                pairs = [(system.sigma_e(i, k + 1), system.sigma_e(j, k))]
-                if i != j:
-                    pairs.append((system.sigma_e(j, k + 1), system.sigma_e(i, k)))
-                residual = defect(pairs)
+                left, right = system.sigma_e(i, k + 1), system.sigma_e(j, k)
+                if i == j:  # sigma_i^2 = 0 is a single composition
+                    residual = left.compose(right)
+                else:
+                    pairs = [(left, right), (system.sigma_e(j, k + 1), system.sigma_e(i, k))]
+                    residual = defect(pairs)
                 if residual.is_zero():
                     report.note(f"(c) sigma_{i}, sigma_{j} anticommute on T_{k}")
                 else:

@@ -123,8 +123,8 @@ def defect(pairs, corrections=()):
     for each ((row, col), poly) in corrections.
 
     Every pair needs left.cols == right.rows, the same left rows and right
-    columns, and one ring; the result carries those labels and drops zero
-    entries.
+    columns, and one ring; every correction needs a cell inside the result.
+    The result carries those labels and drops zero entries.
     """
     pairs = list(pairs)
     corrections = list(corrections)
@@ -175,7 +175,10 @@ def defect(pairs, corrections=()):
                     for e2, c2 in right_terms:
                         e = e1 + e2
                         acc[e] = get(e, 0) + c1 * c2
+    nrows = len(rows)
     for (i, k), poly in corrections:
+        if not (0 <= i < nrows and 0 <= k < ncols):
+            raise ValueError(f"correction at ({i}, {k}) outside a {nrows}x{ncols} matrix")
         cell_key = (i * ncols + k) << cell_shift
         for e, n in lower_fix[id(poly)]:
             e += cell_key

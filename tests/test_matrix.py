@@ -211,3 +211,14 @@ def test_defect_sums_products_and_subtracts_corrections():
     other = LabeledGradedMatrix(R, "ab", "uw", {})
     with pytest.raises(ValueError, match="labels do not match"):
         defect([(a, identity), (other, LabeledGradedMatrix(R, "uw", "uw", {}))])
+
+
+@pytest.mark.parametrize("cell", [(0, 2), (2, 0), (-1, 0), (0, -1)])
+def test_defect_rejects_a_correction_outside_the_matrix(cell):
+    R = ring("x,y")
+    x = R.variable("x")
+    # (0, 2) would otherwise land on cell (1, 0) and cancel its entry
+    a = LabeledGradedMatrix(R, "ab", "uv", {(1, 0): x})
+    identity = LabeledGradedMatrix(R, "uv", "uv", {(0, 0): R.one, (1, 1): R.one})
+    with pytest.raises(ValueError, match=rf"correction at \({cell[0]}, {cell[1]}\) outside a 2x2"):
+        defect([(a, identity)], [(cell, x)])
