@@ -19,6 +19,7 @@ from .homotopy import (
     parse_assignments,
     verify_homotopy_system,
 )
+from .jsondoc import dump as _dump, report_json, resolution_json, taylor_json
 from .poly import QQ, ParseError, PolyRing, PrimeField, render_terms
 from .quotient import BadPrime, CapExceeded, GradedExactness, check_exactness
 from .shamash import phi_squared_check, rank_formula, shamash_resolution
@@ -35,47 +36,48 @@ EDGE_COLORS = ("red", "orange", "purple", "brown", "cyan4", "magenta")
 # ---- text rendering ------------------------------------------------------
 
 
-def _cells(mat, render):
-    """Rendered entries, row-major; absent entries read "0" without a Polynomial."""
-    cells = [["0"] * len(mat.cols) for _ in mat.rows]
-    for (i, j), p in mat.entries.items():
-        cells[i][j] = render(p)
-    return cells
-
-
 def u_dividers(labels):
     """Positions where the divided-power index u changes; Taylor labels have none."""
     us = [getattr(b, "u", None) for b in labels]
     return {i for i in range(1, len(us)) if us[i] != us[i - 1]}
 
 
-def matrix_text(mat, name):
-    col_dividers, row_dividers = u_dividers(mat.cols), u_dividers(mat.rows)
-    cols = [str(c) for c in mat.cols]
-    rows = [str(r) for r in mat.rows]
-    cells = _cells(mat, str)
-    widths = [
-        max([len(cols[j])] + [len(cells[i][j]) for i in range(len(mat.rows))])
-        for j in range(len(mat.cols))
-    ]
-    row_width = max((len(r) for r in rows), default=0)
+def _axes(cx, render):
+    """(label texts, u-block dividers) of each basis, so each label renders once per document.
 
-    def fmt(values):
-        parts = []
-        for j, v in enumerate(values):
-            if j in col_dividers:
-                parts.append("|")
-            parts.append(v.rjust(widths[j]))
-        return "  ".join(parts)
+    The columns of differential k are the rows of differential k + 1.
+    """
+    return [([render(b) for b in basis], u_dividers(basis)) for basis in cx.bases]
 
-    lines = [f"{name}:"]
-    lines.append(" " * (row_width + 5) + fmt(cols))
-    body = [f"  {rows[i].rjust(row_width)} [ {fmt(cells[i])} ]" for i in range(len(rows))]
-    rule = "  " + "-" * (len(body[0]) - 2) if body else ""
-    for i, line in enumerate(body):
+
+def matrix_text(mat, name, rows, cols):
+    """Right-aligned columns, each as wide as its label or its widest entry.
+
+    rows and cols are the (label texts, dividers) pairs of ``_axes``.  No label
+    is shorter than the "0" of an absent entry, so the labels start the widths.
+    """
+    (row_texts, row_dividers), (col_texts, col_dividers) = rows, cols
+    zeros = ["0"] * len(col_texts)
+    grid = [[label, *zeros] for label in row_texts]
+    widths = [len(c) for c in col_texts]
+    for (i, j), p in mat.entries.items():
+        text = grid[i][j + 1] = str(p)
+        if len(text) > widths[j]:
+            widths[j] = len(text)
+    fields = []
+    for j, width in enumerate(widths):
+        if j in col_dividers:
+            fields.append("|")
+        fields.append(f"{{:>{width}}}")
+    template = "  ".join(fields)
+    row_width = max(map(len, row_texts), default=0)
+    line = f"  {{:>{row_width}}} [ {template} ]"
+    lines = [f"{name}:", " " * (row_width + 5) + template.format(*col_texts)]
+    for i, values in enumerate(grid):
+        text = line.format(*values)
         if i in row_dividers:
-            lines.append(rule)
-        lines.append(line)
+            lines.append("  " + "-" * (len(text) - 2))
+        lines.append(text)
     return "\n".join(lines)
 
 
@@ -116,8 +118,9 @@ def periodicity_text(info):
 def sections_text(cx, module, name):
     """Each module, then each differential, of anything with bases and differentials."""
     lines = [f"{module}_{k} = {module_text(basis)}" for k, basis in enumerate(cx.bases)]
+    axes = _axes(cx, str)
     for k, mat in enumerate(cx.differentials, start=1):
-        lines += ["", matrix_text(mat, f"{name}_{k}")]
+        lines += ["", matrix_text(mat, f"{name}_{k}", axes[k - 1], axes[k])]
     return lines
 
 
@@ -154,56 +157,6 @@ def resolution_text(res):
 # ---- json ----------------------------------------------------------------
 
 
-def ring_json(ring):
-    return {"vars": list(ring.variables), "char": ring.field.characteristic}
-
-
-def sections_json(cx, element_json):
-    """The modules, each element as element_json gives it, then the differentials."""
-    return {
-        "modules": [[element_json(b) for b in basis] for basis in cx.bases],
-        "differentials": [
-            {
-                "from": k,
-                "to": k - 1,
-                "entries": [
-                    {"row": i, "col": j, "poly": str(mat.entries[(i, j)])}
-                    for i, j in sorted(mat.entries)
-                ],
-            }
-            for k, mat in enumerate(cx.differentials, start=1)
-        ],
-    }
-
-
-def report_json(report):
-    return {"passed": report.passed, "details": report.details, "failure": report.failure}
-
-
-def resolution_json(res, extra_reports=None):
-    system = res.system
-    ci = system.ci
-    reports = {
-        "minimality": {
-            "minimal": res.minimality.minimal,
-            "witnesses": res.minimality.describe() if not res.minimality.minimal else [],
-        },
-        "periodicity": {"status": res.periodicity.status, "start": res.periodicity.start},
-    }
-    if extra_reports:
-        reports.update(extra_reports)
-    return {
-        "ring": ring_json(system.ring),
-        "ideal": [system.ring.format_monomial(m) for m in ci.ideal.generators],
-        "ci": [str(a) for a in ci.sequence],
-        "lift": [[str(p) for p in row] for row in system.lift.rows],
-        **sections_json(
-            res, lambda b: {"u": list(b.u), "S": list(b.label.indices), "twist": b.twist}
-        ),
-        "reports": reports,
-    }
-
-
 def resolution_from_json(doc):
     """Rebuild the resolution and cross-check it against the stored data."""
     char = doc["ring"]["char"]
@@ -227,23 +180,18 @@ def resolution_from_json(doc):
         computed = [(b.u, b.label.indices, b.twist) for b in res.basis(n)]
         if stored != computed:
             raise ValueError(f"stored basis at step {n} does not match the data")
+    if [d["from"] for d in doc["differentials"]] != list(range(1, res.max_step + 1)):
+        raise ValueError("stored differentials do not run from 1 to the last module")
     for dmat in doc["differentials"]:
-        mat = res.differential(dmat["from"])
-        stored = {(e["row"], e["col"]): parse(e["poly"]) for e in dmat["entries"]}
-        if stored != mat.entries:
+        entries = res.differential(dmat["from"]).entries
+        stored = {(e["row"], e["col"]): e["poly"] for e in dmat["entries"]}
+        # a text equal to the canonical one needs no parse; any other must parse to the entry
+        if stored.keys() != entries.keys() or any(
+            text != str(entries[cell]) and parse(text) != entries[cell]
+            for cell, text in stored.items()
+        ):
             raise ValueError(f"stored differential {dmat['from']} does not match the data")
     return res
-
-
-def taylor_json(cx):
-    ideal = cx.ideal
-    return {
-        "ring": ring_json(ideal.ring),
-        "ideal": [ideal.ring.format_monomial(m) for m in ideal.generators],
-        "ci": [],
-        **sections_json(cx, lambda b: {"u": [], "S": list(b.indices), "twist": b.degree}),
-        "reports": {},
-    }
 
 
 # ---- latex ---------------------------------------------------------------
@@ -278,20 +226,31 @@ def label_tex(label):
     return text.replace("*", r" \cdot ").replace("y(", "y^{(").replace(")", ")}")
 
 
-def matrix_tex(mat, name):
-    col_dividers, row_dividers = u_dividers(mat.cols), u_dividers(mat.rows)
+def matrix_tex(mat, name, rows, cols, texts):
+    """A LaTeX array; texts maps id(entry) to its TeX, filled as entries appear.
+
+    The document's matrices hold every entry for as long as texts is used, so
+    no id is reused while it is a key.
+    """
+    (row_texts, row_dividers), (col_texts, col_dividers) = rows, cols
+    zeros = ["0"] * len(col_texts)
+    grid = [[label, *zeros] for label in row_texts]
+    for (i, j), p in mat.entries.items():
+        text = texts.get(id(p))
+        if text is None:
+            text = texts[id(p)] = poly_tex(p)
+        grid[i][j + 1] = text
     colspec = []
-    for j in range(len(mat.cols)):
+    for j in range(len(col_texts)):
         if j in col_dividers:
             colspec.append("|")
         colspec.append("r")
     lines = [rf"% {name}", r"\[", f"{name} = ", r"\begin{array}{c|" + "".join(colspec) + "}"]
-    header = " & ".join([""] + [label_tex(c) for c in mat.cols])
-    lines.append(header + r" \\ \hline")
-    for i, cells in enumerate(_cells(mat, poly_tex)):
+    lines.append(" & ".join(["", *col_texts]) + r" \\ \hline")
+    for i, values in enumerate(grid):
         if i in row_dividers:
             lines.append(r"\hline")
-        lines.append(" & ".join([label_tex(mat.rows[i])] + cells) + r" \\")
+        lines.append(" & ".join(values) + r" \\")
     lines.append(r"\end{array}")
     lines.append(r"\]")
     return "\n".join(lines)
@@ -300,8 +259,10 @@ def matrix_tex(mat, name):
 def sections_tex(cx, module, name):
     """Each module as a comment, then each differential as an array."""
     parts = [f"% {module}_{k} = {module_text(basis)}" for k, basis in enumerate(cx.bases)]
+    axes = _axes(cx, label_tex)
+    texts = {}
     for k, mat in enumerate(cx.differentials, start=1):
-        parts.append(matrix_tex(mat, f"{name}_{{{k}}}"))
+        parts.append(matrix_tex(mat, f"{name}_{{{k}}}", axes[k - 1], axes[k], texts))
     return parts
 
 
@@ -391,10 +352,6 @@ def emit(args, text):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _dump(doc):
-    return json.dumps(doc, indent=2) + "\n"
 
 
 # ---- commands ------------------------------------------------------------

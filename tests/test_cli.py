@@ -135,26 +135,77 @@ def test_round_trip_rejects_an_ungraded_lift_row(capsys):
 
 
 def test_round_trip_parses_each_text_once(capsys, monkeypatch):
+    """Canonical entry texts are compared, never parsed; any other text is parsed once."""
     from citaylor import PolyRing
 
     code, out, _ = run(capsys, "resolve", *THREE_SQUARES_ARGS, "--max-step", "4", "--format", "json")
     doc = json.loads(out)
     entries = [e for d in doc["differentials"] for e in d["entries"]]
-    texts = {s for row in doc["lift"] for s in row} | {e["poly"] for e in entries}
+    lift_texts = {s for row in doc["lift"] for s in row}
     calls = []
     parse = PolyRing.parse
     monkeypatch.setattr(PolyRing, "parse", lambda ring, src: calls.append(src) or parse(ring, src))
     resolution_from_json(doc)
-    assert len(calls) == len(doc["ideal"]) + len(doc["ci"]) + len(texts) < len(entries)
+    head = [*doc["ideal"], *doc["ci"]]
+    assert calls[: len(head)] == head
+    assert sorted(calls[len(head) :]) == sorted(lift_texts)
 
-    # an equal entry in a non-canonical form still loads
+    # an equal entry in a non-canonical form still loads, and is the one entry text parsed
     squares = [e for e in entries if e["poly"] == "x^2"]
-    assert len(squares) > 1
-    squares[0]["poly"] = "2*x^2 - x^2"
+    assert len(squares) > 2
+    squares[0]["poly"] = squares[1]["poly"] = "2*x^2 - x^2"
+    calls.clear()
     resolution_from_json(doc)
+    assert calls.count("2*x^2 - x^2") == 1
+    assert len(calls) == len(doc["ideal"]) + len(doc["ci"]) + len(lift_texts) + 1
     # a wrong entry whose text another entry already uses still fails
-    squares[1]["poly"] = "y^2"
+    squares[2]["poly"] = "y^2"
     with pytest.raises(ValueError, match="does not match"):
+        resolution_from_json(doc)
+
+
+def _resolution_doc(capsys):
+    code, out, _ = run(capsys, "resolve", *THREE_SQUARES_ARGS, "--max-step", "3", "--format", "json")
+    assert code == 0
+    return json.loads(out)
+
+
+def _drop_entry(doc):
+    del doc["differentials"][1]["entries"][0]
+
+
+def _add_entry_at_an_empty_cell(doc):
+    entries = doc["differentials"][1]["entries"]
+    filled = {(e["row"], e["col"]) for e in entries}
+    row, col = next(
+        (i, j) for i in range(len(doc["modules"][1])) for j in range(len(doc["modules"][2]))
+        if (i, j) not in filled
+    )
+    entries.append({"row": row, "col": col, "poly": "x^2"})
+
+
+def _garble_entry(doc):
+    doc["differentials"][1]["entries"][0]["poly"] = "x^^2"
+
+
+def _drop_differential(doc):
+    del doc["differentials"][-1]
+
+
+@pytest.mark.parametrize(
+    "tamper, error",
+    [
+        (_drop_entry, "does not match"),
+        (_add_entry_at_an_empty_cell, "does not match"),
+        (_garble_entry, "expected int"),
+        (_drop_differential, "do not run from 1"),
+    ],
+)
+def test_round_trip_rejects_entries_that_differ_from_the_data(capsys, tamper, error):
+    doc = _resolution_doc(capsys)
+    resolution_from_json(doc)
+    tamper(doc)
+    with pytest.raises(ValueError, match=error):
         resolution_from_json(doc)
 
 
@@ -379,6 +430,33 @@ def test_codim2_resolve_output_bytes_unchanged(capsys, fmt, digest):
     else:
         argv = ["resolve", *SQUARES_CODIM2_RESOLVE_ARGS, "--format", fmt]
     code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+AVERAGE_LIFT_ARGS = [
+    "--vars", "x,y,z",
+    "--ideal", "x^2,y^2,z^2,x*y",
+    "--ci", "x^2*y^2+x*y*z^2,y^2*z^2",
+    "--lift", "average",
+    "--max-step", "4",
+]
+
+
+@pytest.mark.parametrize(
+    "char, fmt, digest",
+    [
+        ("0", "json", "cbd28514c27cbdd5b79fd7dfee342822079f391ff8b170380bd84313087fed81"),
+        ("0", "text", "d6374d020f3cc4a7b3ab1b18d0f1f0275254c303c20c92261bdc1a7fbdd43195"),
+        ("0", "tex", "8a6d489b3f3b964dc14be324ee2f3e9bdc6ae824dea30ebce365c5f72c7a66a0"),
+        ("7", "json", "c5064e6b3649f032b9a7e3116ded5492089f202e24be29596de3527aebd91e25"),
+        ("7", "text", "92a012cffcfbb7dc2f92743d91ca7b83f68c99f8ac28af7c42add0a934b6ba17"),
+        ("7", "tex", "54f090870333e800526dd1bf04e3c93ea944574a15239c4668e6eb5eecd12888"),
+    ],
+)
+def test_average_lift_output_bytes_unchanged(capsys, char, fmt, digest):
+    """Byte guard on averaged lifts: fractional entries over QQ and their images over GF(7)."""
+    code, out, _ = run(capsys, "resolve", *AVERAGE_LIFT_ARGS, "--char", char, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -614,6 +692,9 @@ def test_betti_json(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"r": 3, "c": 1, "bounds": [1, 3, 4, 4, 4]}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "108ba38a504fe590b3954dedc426d00a28e34424c2eebea8e1746ca147812a95"
+    )
 
 
 # ---- misc plumbing ------------------------------------------------------------------
