@@ -19,7 +19,7 @@ from .homotopy import (
     parse_assignments,
     verify_homotopy_system,
 )
-from .jsondoc import dump as _dump, report_json, resolution_json, taylor_json
+from .jsondoc import dump as _dump, own_reports_json, report_json, resolution_json, taylor_json
 from .poly import QQ, ParseError, PolyRing, PrimeField, render_terms
 from .quotient import BadPrime, CapExceeded, GradedExactness, check_exactness
 from .shamash import phi_squared_check, rank_formula, shamash_resolution
@@ -183,6 +183,8 @@ def resolution_from_json(doc):
     if [d["from"] for d in doc["differentials"]] != list(range(1, res.max_step + 1)):
         raise ValueError("stored differentials do not run from 1 to the last module")
     for dmat in doc["differentials"]:
+        if dmat["to"] != dmat["from"] - 1:
+            raise ValueError(f"stored differential {dmat['from']} maps to step {dmat['to']}")
         entries = res.differential(dmat["from"]).entries
         stored = {(e["row"], e["col"]): e["poly"] for e in dmat["entries"]}
         # a text equal to the canonical one needs no parse; any other must parse to the entry
@@ -191,6 +193,10 @@ def resolution_from_json(doc):
             for cell, text in stored.items()
         ):
             raise ValueError(f"stored differential {dmat['from']} does not match the data")
+    # verify --format json stores more reports; only the resolution's own are rebuilt
+    for name, report in own_reports_json(res).items():
+        if doc["reports"][name] != report:
+            raise ValueError(f"stored {name} report does not match the data")
     return res
 
 

@@ -34,16 +34,21 @@ def report_json(report):
     return {"passed": report.passed, "details": report.details, "failure": report.failure}
 
 
-def resolution_json(res, extra_reports=None):
-    system = res.system
-    ci = system.ci
-    reports = {
+def own_reports_json(res):
+    """The reports a resolution carries with it: minimality and periodicity."""
+    return {
         "minimality": {
             "minimal": res.minimality.minimal,
             "witnesses": res.minimality.describe() if not res.minimality.minimal else [],
         },
         "periodicity": {"status": res.periodicity.status, "start": res.periodicity.start},
     }
+
+
+def resolution_json(res, extra_reports=None):
+    system = res.system
+    ci = system.ci
+    reports = own_reports_json(res)
     if extra_reports:
         reports.update(extra_reports)
     return {

@@ -44,7 +44,7 @@ class LabeledGradedMatrix:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "cols", tuple(cols))
-        object.__setattr__(self, "entries", {k: p for k, p in entries.items() if p})
+        object.__setattr__(self, "entries", {k: p for k, p in entries.items() if p.terms})
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledGradedMatrix is immutable")
@@ -82,13 +82,23 @@ class LabeledGradedMatrix:
         return self.rows[i], self.cols[j], self.entries[(i, j)]
 
     def homogeneity_violations(self):
-        """Entries that are inhomogeneous or of degree != col.twist - row.twist."""
+        """(row label, col label, entry) of each entry that is inhomogeneous or of
+        degree != col.twist - row.twist, in (row, col) order.
+
+        Matrices share a few entry objects across many cells, so each distinct
+        entry's degree (None if inhomogeneous) is found once.
+        """
+        rows, cols = self.rows, self.cols
+        degrees = {}
         bad = []
-        for (i, j), p in sorted(self.entries.items()):
-            expected = self.cols[j].twist - self.rows[i].twist
-            if not p.is_homogeneous() or p.total_degree() != expected:
-                bad.append((self.rows[i], self.cols[j], p))
-        return bad
+        for (i, j), p in self.entries.items():
+            degree = degrees.get(id(p), False)
+            if degree is False:
+                degree = degrees[id(p)] = p.total_degree() if p.is_homogeneous() else None
+            if degree != cols[j].twist - rows[i].twist:
+                bad.append((i, j))
+        bad.sort()
+        return [(rows[i], cols[j], self.entries[(i, j)]) for i, j in bad]
 
 
 def _distinct(matrices):

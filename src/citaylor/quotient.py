@@ -158,10 +158,6 @@ class GradedPieceBasis:
     degree: int
     monomials: tuple[tuple[int, ...], ...]
 
-    @property
-    def dimension(self):
-        return len(self.monomials)
-
 
 def graded_piece_basis(gb, degree):
     """Standard monomials of the given degree (not divisible by any leading term)."""

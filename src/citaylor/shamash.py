@@ -10,6 +10,15 @@ each entry of tau_k once for every u of weight (n - k) / 2, and each entry of
 sigma_j on T_k once for every such u with u_j >= 1.  No two of them land in
 one cell: tau keeps u and shrinks S, while sigma_j lowers u_j and grows S.
 
+The basis order is a block layout, and every position is read from it.  F_n
+is a run of blocks, one per |S| = k of the parity of n, k ascending; block k
+holds each S of T_k in order, and for each S every u of weight (n - k) / 2
+in lex order.  Assembly places tau_k entry (i, j) at
+(row offset + i * #u + x, col offset + j * #u + x) for the x-th u, and a
+sigma_j entry through the index of u - e_j in the lowered block; the
+positions of the phi.phi shifts come from the same offsets.  No cell is
+found by looking up a (u, S) pair.
+
 Composing two consecutive differentials gives sum_j a_j * shift_j on the
 nose, where shift_j lowers u_j; over the quotient ring the a_j vanish, so
 the assembled maps square to zero there.
@@ -21,7 +30,9 @@ window alone, with no built matrices compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .matrix import LabeledGradedMatrix, defect
 from .report import Report
@@ -65,48 +76,83 @@ def _dp_exponents(total, length):
             yield (first, *rest)
 
 
+@lru_cache(maxsize=256)
+def _weights(q, c):
+    """Every u of weight q over c sequence elements, lex ascending."""
+    return tuple(_dp_exponents(q, c))
+
+
+def _layout(system, n):
+    """The blocks of F_n in basis order, {k: (offset, us)}, and rank F_n.
+
+    Block k holds the pairs (u, S) with |S| = k and u of weight (n - k) / 2,
+    S-major: (u, S) sits at offset + (index of S in T_k) * len(us) + (index of u).
+    """
+    blocks = {}
+    offset = 0
+    if n >= 0:
+        c = system.ci.codim
+        for k in range(n % 2, min(n, system.ideal.ngens) + 1, 2):
+            us = _weights((n - k) // 2, c)
+            blocks[k] = (offset, us)
+            offset += len(system.complex.basis(k)) * len(us)
+    return blocks, offset
+
+
 def shamash_basis(system, n):
     """Basis of step n: |S| ascending, then S lexicographic, then u lexicographic."""
-    if n < 0:
-        return []
-    c = system.ci.codim
     degrees = system.ci.degrees
     out = []
-    for k in range(n % 2, min(n, system.ideal.ngens) + 1, 2):
-        q = (n - k) // 2
+    for k, (_, us) in _layout(system, n)[0].items():
+        shifted = [(u, sum(map(mul, u, degrees))) for u in us]
         for label in system.complex.basis(k):
-            for exps in _dp_exponents(q, c):
-                twist = label.degree + sum(u * d for u, d in zip(exps, degrees))
-                out.append(ShamashBasisElement(exps, label, twist))
+            degree = label.degree
+            for u, d in shifted:
+                out.append(ShamashBasisElement(u, label, degree + d))
     return out
+
+
+def _lowered_positions(us, lowered_us, i):
+    """(index of u - e_i in lowered_us, index of u in us) for each u with u_i >= 1."""
+    at = {u: x for x, u in enumerate(lowered_us)}
+    return [(at[_lowered(u, i)], x) for x, u in enumerate(us) if u[i - 1] >= 1]
 
 
 def shamash_differential(system, n, rows, cols):
     """The assembled map F_n -> F_{n-1}, n >= 1, with rows = shamash_basis(system, n - 1)
-    and cols = shamash_basis(system, n); each tau and sigma entry is placed by
-    assignment, once per u, into a cell nothing else writes.
+    and cols = shamash_basis(system, n).
+
+    Each tau and sigma entry is placed by assignment, once per u, into a cell
+    nothing else writes; every cell is found from the block offsets.
     """
-    row_index = {(b.u, b.label.indices): i for i, b in enumerate(rows)}
-    col_index = {(b.u, b.label.indices): j for j, b in enumerate(cols)}
-    c = system.ci.codim
+    row_blocks, nrows = _layout(system, n - 1)
+    col_blocks, ncols = _layout(system, n)
+    if (len(rows), len(cols)) != (nrows, ncols):
+        raise ValueError(
+            f"phi_{n} needs {nrows} rows and {ncols} columns, got {len(rows)} and {len(cols)}"
+        )
     entries = {}
-    for k in range(n % 2, min(n, system.ideal.ngens) + 1, 2):
-        us = list(_dp_exponents((n - k) // 2, c))
+    for k, (col_off, us) in col_blocks.items():
+        m = len(us)
         if k >= 1:
-            tau = system.sigma_zero(k)
-            for (i, j), p in tau.entries.items():
-                row, col = tau.rows[i].indices, tau.cols[j].indices
-                for u in us:
-                    entries[(row_index[(u, row)], col_index[(u, col)])] = p
+            row_off = row_blocks[k - 1][0]
+            for (i, j), p in system.sigma_zero(k).entries.items():
+                row, col = row_off + i * m, col_off + j * m
+                for x in range(m):
+                    entries[(row + x, col + x)] = p
         if k == n:
             continue
-        for i in range(1, c + 1):
-            shifts = [(_lowered(u, i), u) for u in us if u[i - 1] >= 1]
+        for i in range(1, system.ci.codim + 1):
             sigma = system.sigma_e(i, k)
+            if not sigma.entries:  # T_{k+1} = 0 at k = r: no lowered block
+                continue
+            row_off, lowered_us = row_blocks[k + 1]
+            lm = len(lowered_us)
+            shifts = _lowered_positions(us, lowered_us, i)
             for (ri, j), p in sigma.entries.items():
-                row, col = sigma.rows[ri].indices, sigma.cols[j].indices
-                for lowered, u in shifts:
-                    entries[(row_index[(lowered, row)], col_index[(u, col)])] = p
+                row, col = row_off + ri * lm, col_off + j * m
+                for lx, x in shifts:
+                    entries[(row + lx, col + x)] = p
     return LabeledGradedMatrix(system.ring, rows, cols, entries)
 
 
@@ -159,14 +205,21 @@ class ShamashResolution:
 
 
 def _minimality(system):
-    """Minimal iff no Taylor entry is a unit and no lift entry has a constant term."""
+    """Minimal iff no Taylor entry is a unit and no lift entry has a constant term.
+
+    The tau_k share a few entry objects across many cells, so each distinct
+    entry is tested once; cells are sorted only when a unit exists.
+    """
     units = []
     r = system.ideal.ngens
     for k in range(1, r + 1):
         tau = system.sigma_zero(k)
-        for (i, j), p in sorted(tau.entries.items()):
-            if p.total_degree() == 0:
-                units.append((k, tau.rows[i], tau.cols[j], p))
+        distinct = {id(p): p for p in tau.entries.values()}
+        unit_ids = {key for key, p in distinct.items() if p.total_degree() == 0}
+        if unit_ids:
+            for (i, j), p in sorted(tau.entries.items()):
+                if id(p) in unit_ids:
+                    units.append((k, tau.rows[i], tau.cols[j], p))
     constants = []
     for i, row in enumerate(system.lift.rows, start=1):
         for t, f in enumerate(row, start=1):
@@ -213,11 +266,21 @@ def shamash_resolution(system, max_step):
 
 
 def _shift_positions(resolution, n, j):
-    """(row, col) of each (u - e_j, S) <- (u, S) with u_j >= 1, from F_{n+1} to F_{n-1}."""
-    row_index = {(b.u, b.label.indices): i for i, b in enumerate(resolution.basis(n - 1))}
-    for jj, b in enumerate(resolution.basis(n + 1)):
-        if b.u[j - 1] >= 1:
-            yield row_index[(_lowered(b.u, j), b.label.indices)], jj
+    """(row, col) of each (u - e_j, S) <- (u, S) with u_j >= 1, from F_{n+1} to F_{n-1},
+    in column order.
+    """
+    system = resolution.system
+    row_blocks = _layout(system, n - 1)[0]
+    for k, (col_off, us) in _layout(system, n + 1)[0].items():
+        if k == n + 1:  # u = 0 only, and F_{n-1} has no block n + 1
+            continue
+        row_off, lowered_us = row_blocks[k]
+        m, lm = len(us), len(lowered_us)
+        shifts = _lowered_positions(us, lowered_us, j)
+        for s in range(len(system.complex.basis(k))):
+            row, col = row_off + s * lm, col_off + s * m
+            for lx, x in shifts:
+                yield row + lx, col + x
 
 
 def _phi_defect(resolution, n):

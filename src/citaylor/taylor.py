@@ -127,16 +127,16 @@ def _differential(ring, k, rows, cols, shared):
     """
     signs = (ring.field.coerce(1), ring.field.coerce(-1))
     row_index = {lab.indices: i for i, lab in enumerate(rows)}
+    row_lcms = [lab.lcm for lab in rows]
     entries = {}
     for j, col in enumerate(cols):
-        s = col.indices
+        s, lcm = col.indices, col.lcm
         for pos in range(1, k + 1):
             i = row_index[s[: pos - 1] + s[pos:]]
-            quot = tuple(map(sub, col.lcm, rows[i].lcm))
-            odd = (k - pos) % 2
-            poly = shared.get((quot, odd))
+            key = (tuple(map(sub, lcm, row_lcms[i])), (k - pos) % 2)
+            poly = shared.get(key)
             if poly is None:
-                poly = shared[(quot, odd)] = Polynomial(ring, {quot: signs[odd]})
+                poly = shared[key] = Polynomial(ring, {key[0]: signs[key[1]]})
             entries[(i, j)] = poly
     return LabeledGradedMatrix(ring, rows, cols, entries)
 

@@ -192,6 +192,25 @@ def _drop_differential(doc):
     del doc["differentials"][-1]
 
 
+def _retarget_differential(doc):
+    doc["differentials"][0]["to"] = 7
+
+
+def _flip_minimality(doc):
+    report = doc["reports"]["minimality"]
+    report["minimal"] = not report["minimal"]
+
+
+def _add_a_minimality_witness(doc):
+    doc["reports"]["minimality"]["witnesses"].append("tau_1 entry ({} <- 1) = 1 is a unit")
+
+
+def _claim_a_periodic_tail(doc):
+    # three squares: r = 3 and max_step = 3 < r + 2, so no tail shows in the window
+    assert doc["reports"]["periodicity"] == {"status": "none", "start": None}
+    doc["reports"]["periodicity"] = {"status": "periodic", "start": 3}
+
+
 @pytest.mark.parametrize(
     "tamper, error",
     [
@@ -199,6 +218,10 @@ def _drop_differential(doc):
         (_add_entry_at_an_empty_cell, "does not match"),
         (_garble_entry, "expected int"),
         (_drop_differential, "do not run from 1"),
+        (_retarget_differential, "^stored differential 1 maps to step 7$"),
+        (_flip_minimality, "^stored minimality report does not match"),
+        (_add_a_minimality_witness, "^stored minimality report does not match"),
+        (_claim_a_periodic_tail, "^stored periodicity report does not match"),
     ],
 )
 def test_round_trip_rejects_entries_that_differ_from_the_data(capsys, tamper, error):
@@ -207,6 +230,16 @@ def test_round_trip_rejects_entries_that_differ_from_the_data(capsys, tamper, er
     tamper(doc)
     with pytest.raises(ValueError, match=error):
         resolution_from_json(doc)
+
+
+def test_round_trip_loads_a_verify_document(capsys):
+    """verify --format json stores its reports next to minimality and periodicity."""
+    code, out, _ = run(capsys, "verify", *THREE_SQUARES_ARGS, "--max-step", "3", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["reports"]) > 2
+    res = resolution_from_json(doc)
+    assert [len(m) for m in doc["modules"]] == [res.rank(n) for n in range(4)]
 
 
 def test_taylor_json(capsys):

@@ -16,6 +16,7 @@ from citaylor import (
     phi_squared_check,
     rank_formula,
     shamash_basis,
+    shamash_differential,
     shamash_resolution,
 )
 from citaylor.cli import u_dividers
@@ -246,6 +247,35 @@ def test_monomial_variants_are_nonminimal():
         assert set(units) <= {"1", "-1"} and units
         assert all(k == 3 for (k, _, _, _) in report.unit_taylor_entries)
         assert any("is a unit" in line for line in report.describe())
+
+
+def test_minimality_reports_a_shared_unit_at_every_cell():
+    """One unit object at two cells of tau_1 is tested once and named at both, by (row, col)."""
+    from types import SimpleNamespace
+
+    from citaylor import LabeledGradedMatrix, taylor_complex
+    from citaylor.shamash import _minimality
+
+    R = ring("x,y")
+    cx = taylor_complex(monomial_ideal(R, ["x^2", "y"]))
+    tau1, tau2 = cx.differentials
+    one = R.parse("1")
+    shared = LabeledGradedMatrix(R, tau1.rows, tau1.cols, {(0, 1): one, (0, 0): one})
+    system = SimpleNamespace(
+        ideal=cx.ideal, sigma_zero={1: shared, 2: tau2}.get, lift=SimpleNamespace(rows=())
+    )
+    report = _minimality(system)
+    assert not report.minimal
+    assert report.unit_taylor_entries == (
+        (1, tau1.rows[0], tau1.cols[0], one),
+        (1, tau1.rows[0], tau1.cols[1], one),
+    )
+    assert report.describe() == [
+        "tau_1 entry ({} <- 1) = 1 is a unit",
+        "tau_1 entry ({} <- 2) = 1 is a unit",
+    ]
+    system.sigma_zero = {1: tau1, 2: tau2}.get
+    assert _minimality(system).minimal
 
 
 def test_constant_lift_entry_flagged():
@@ -573,25 +603,67 @@ def reference_differential(system, rows, cols):
     return {pos: p for pos, p in entries.items() if not p.is_zero()}
 
 
+def reference_shift_positions(res, n, j):
+    """The (u - e_j, S) <- (u, S) cells from F_{n+1} to F_{n-1}, by searching the bases."""
+    rows = res.basis(n - 1)
+    out = []
+    for col, b in enumerate(res.basis(n + 1)):
+        if b.u[j - 1] >= 1:
+            u = b.u[: j - 1] + (b.u[j - 1] - 1,) + b.u[j:]
+            (row,) = [i for i, a in enumerate(rows) if (a.u, a.label) == (u, b.label)]
+            out.append((row, col))
+    return out
+
+
+# (max generators, window): the window of the original cases, windows shorter
+# than r (sigma never reaches T_r), and N >= r + 2 (sigma on T_r, whose
+# target T_{r+1} is zero, so block r of F_n has no lowered block in F_{n-1})
+WINDOWS = [(4, lambda r: 5), (6, lambda r: 3), (3, lambda r: r + 2)]
+
+
 @pytest.mark.parametrize("codim", [1, 2, 3])
 def test_resolution_matches_standalone_builders(codim):
     rng = random.Random(20261017 + codim)
-    for trial in range(4):
-        field = GF(32003) if trial % 2 else QQ
-        ideal = random_ideal(rng, max_vars=3, max_gens=4, field=field)
-        ci = complete_intersection(ideal, random_sequence(rng, ideal, codim))
-        system = homotopy_system(ci, strategy="average" if trial >= 2 else "first")
-        res = shamash_resolution(system, 5)
-        for n in range(6):
-            assert list(res.basis(n)) == shamash_basis(system, n)
-        for n in range(1, 6):
-            rows, cols = res.basis(n - 1), res.basis(n)
-            phi = res.differential(n)
-            assert (phi.rows, phi.cols) == (rows, cols)
-            assert phi.entries == reference_differential(system, rows, cols)
-            for labels in (phi.rows, phi.cols):
-                changes = [i for i in range(1, len(labels)) if labels[i].u != labels[i - 1].u]
-                assert sorted(u_dividers(labels)) == changes
+    short = tall = 0
+    for max_gens, window in WINDOWS:
+        if codim < 3 and max_gens == 3:
+            continue
+        for trial in range(4):
+            field = GF(32003) if trial % 2 else QQ
+            ideal = random_ideal(rng, max_vars=3, max_gens=max_gens, field=field)
+            ci = complete_intersection(ideal, random_sequence(rng, ideal, codim))
+            system = homotopy_system(ci, strategy="average" if trial >= 2 else "first")
+            top = window(ideal.ngens)
+            short += top < ideal.ngens
+            tall += top >= ideal.ngens + 2
+            res = shamash_resolution(system, top)
+            for n in range(top + 1):
+                assert list(res.basis(n)) == shamash_basis(system, n)
+            for n in range(1, top + 1):
+                rows, cols = res.basis(n - 1), res.basis(n)
+                phi = res.differential(n)
+                assert (phi.rows, phi.cols) == (rows, cols)
+                assert phi.entries == reference_differential(system, rows, cols)
+                for labels in (phi.rows, phi.cols):
+                    changes = [i for i in range(1, len(labels)) if labels[i].u != labels[i - 1].u]
+                    assert sorted(u_dividers(labels)) == changes
+            for n in range(1, top):
+                for j in range(1, codim + 1):
+                    assert list(_shift_positions(res, n, j)) == reference_shift_positions(res, n, j)
+            assert phi_squared_check(res).passed
+    assert short > 0
+    assert tall >= (4 if codim == 3 else 1)
+
+
+def test_differential_rejects_bases_of_the_wrong_size(three_squares):
+    system = three_squares.system
+    rows, cols = three_squares.basis(2), three_squares.basis(3)
+    assert shamash_differential(system, 3, rows, cols) == three_squares.differential(3)
+    for bad_rows, bad_cols in ((rows[:-1], cols), (rows, cols[1:]), (rows + rows, cols)):
+        with pytest.raises(ValueError, match=r"^phi_3 needs 4 rows and 4 columns, got \d+ and \d+$"):
+            shamash_differential(system, 3, bad_rows, bad_cols)
+    with pytest.raises(ValueError, match=r"^phi_3 needs 4 rows"):
+        shamash_differential(system, 3, three_squares.basis(1), cols)
 
 
 def test_accessors_reject_steps_outside_the_window(three_squares):

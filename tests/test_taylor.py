@@ -149,6 +149,37 @@ def test_verify_taylor_reports_a_corrupted_complex():
     assert report.failure == "tau_1.tau_2 nonzero at ({}, 12): -2*x*y*z"
 
 
+def test_homogeneity_checks_a_shared_entry_at_each_cell():
+    """One entry object at cells of different expected degree: only the wrong cells
+    are named, in (row, col) order, with the witness verify_taylor prints."""
+    from dataclasses import replace
+
+    from citaylor import LabeledGradedMatrix
+
+    R = ring("x,y")
+    cx = taylor_complex(monomial_ideal(R, ["x^2", "y"]))
+    tau1, tau2 = cx.differentials
+    square = tau1.entries[(0, 0)]
+    assert str(square) == "x^2"
+    assert [b.twist for b in tau1.rows] == [0] and [b.twist for b in tau1.cols] == [2, 1]
+    shared = LabeledGradedMatrix(R, tau1.rows, tau1.cols, {(0, 1): square, (0, 0): square})
+    assert shared.homogeneity_violations() == [(tau1.rows[0], tau1.cols[1], square)]
+    report = verify_taylor(replace(cx, differentials=(shared, tau2)))
+    assert [line for line in report.details if "homogeneous" in line] == [
+        "FAIL: tau_1 entry ({}, 2) = x^2 is not homogeneous"
+    ]
+
+    # rows and cols T_1 (twists 2, 1): expected degrees 0, -1 / 1, 0
+    y, mixed = R.parse("y"), R.parse("x^2 + y")
+    cells = {(1, 1): mixed, (1, 0): y, (0, 1): mixed, (0, 0): y}
+    m = LabeledGradedMatrix(R, tau1.cols, tau1.cols, cells)
+    assert [(r.indices, c.indices, p) for r, c, p in m.homogeneity_violations()] == [
+        ((1,), (1,), y),
+        ((1,), (2,), mixed),
+        ((2,), (2,), mixed),
+    ]
+
+
 def test_verify_random_ideals():
     rng = random.Random(20260816)
     for _ in range(10):
