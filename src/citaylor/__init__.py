@@ -12,8 +12,8 @@ from .poly import (
 from .matrix import LabeledGradedMatrix
 from .report import Report
 from .taylor import (
+    BasisElement,
     MonomialIdeal,
-    SubsetLabel,
     TaylorComplex,
     monomial_ideal,
     taylor_complex,
@@ -35,7 +35,6 @@ from .homotopy import (
 )
 from .shamash import (
     NoStableTail,
-    ShamashBasisElement,
     ShamashResolution,
     matrix_factorization,
     phi_squared_check,

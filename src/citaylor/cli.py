@@ -37,9 +37,8 @@ EDGE_COLORS = ("red", "orange", "purple", "brown", "cyan4", "magenta")
 
 
 def u_dividers(labels):
-    """Positions where the divided-power index u changes; Taylor labels have none."""
-    us = [getattr(b, "u", None) for b in labels]
-    return {i for i in range(1, len(us)) if us[i] != us[i - 1]}
+    """Positions where the divided-power index u changes; Taylor elements all have u = ()."""
+    return {i for i in range(1, len(labels)) if labels[i].u != labels[i - 1].u}
 
 
 def _axes(cx, render):
@@ -177,7 +176,7 @@ def resolution_from_json(doc):
     res = shamash_resolution(system, len(doc["modules"]) - 1)
     for n, module in enumerate(doc["modules"]):
         stored = [(tuple(e["u"]), tuple(e["S"]), e["twist"]) for e in module]
-        computed = [(b.u, b.label.indices, b.twist) for b in res.basis(n)]
+        computed = [(b.u, b.indices, b.twist) for b in res.basis(n)]
         if stored != computed:
             raise ValueError(f"stored basis at step {n} does not match the data")
     if [d["from"] for d in doc["differentials"]] != list(range(1, res.max_step + 1)):
@@ -204,9 +203,11 @@ def resolution_from_json(doc):
 
 
 def _name_tex(name):
+    """Trailing digits become a subscript: x1 and x_1 both render as x_{1}."""
     head = name.rstrip("0123456789")
-    if head != name and head:
-        return f"{head}_{{{name[len(head):]}}}"
+    base = head.rstrip("_")
+    if head != name and base:
+        return f"{base}_{{{name[len(head):]}}}"
     return name
 
 

@@ -322,14 +322,11 @@ def verify_homotopy_system(system):
             if k >= 1:
                 pairs.append((system.sigma_e(i, k - 1), system.sigma_zero(k)))
             diagonal = (((d, d), a) for d in range(len(system.complex.basis(k))))
-            residual = defect(pairs, diagonal)
-            if residual.is_zero():
-                report.note(f"(b) tau.sigma_{i} + sigma_{i}.tau = a_{i} on T_{k}")
-            else:
-                row, col, entry = residual.first_failure()
-                report.fail(
-                    f"(b) fails for a_{i} on T_{k} at ({row}, {col}): defect {entry}"
-                )
+            report.check(
+                defect(pairs, diagonal),
+                f"(b) tau.sigma_{i} + sigma_{i}.tau = a_{i} on T_{k}",
+                f"(b) fails for a_{i} on T_{k} at ({{row}}, {{col}}): defect {{entry}}",
+            )
 
     for i in range(1, c + 1):
         for j in range(i, c + 1):
@@ -340,11 +337,9 @@ def verify_homotopy_system(system):
                 else:
                     pairs = [(left, right), (system.sigma_e(j, k + 1), system.sigma_e(i, k))]
                     residual = defect(pairs)
-                if residual.is_zero():
-                    report.note(f"(c) sigma_{i}, sigma_{j} anticommute on T_{k}")
-                else:
-                    row, col, entry = residual.first_failure()
-                    report.fail(
-                        f"(c) fails for sigma_{i}, sigma_{j} on T_{k} at ({row}, {col}): {entry}"
-                    )
+                report.check(
+                    residual,
+                    f"(c) sigma_{i}, sigma_{j} anticommute on T_{k}",
+                    f"(c) fails for sigma_{i}, sigma_{j} on T_{k} at ({{row}}, {{col}}): {{entry}}",
+                )
     return report

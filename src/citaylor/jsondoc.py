@@ -12,10 +12,13 @@ def ring_json(ring):
     return {"vars": list(ring.variables), "char": ring.field.characteristic}
 
 
-def sections_json(cx, element_json):
-    """The modules, each element as element_json gives it, then the differentials."""
+def sections_json(cx):
+    """The modules, each element as its u, S and twist, then the differentials."""
     return {
-        "modules": [[element_json(b) for b in basis] for basis in cx.bases],
+        "modules": [
+            [{"u": list(b.u), "S": list(b.indices), "twist": b.twist} for b in basis]
+            for basis in cx.bases
+        ],
         "differentials": [
             {
                 "from": k,
@@ -56,9 +59,7 @@ def resolution_json(res, extra_reports=None):
         "ideal": [system.ring.format_monomial(m) for m in ci.ideal.generators],
         "ci": [str(a) for a in ci.sequence],
         "lift": [[str(p) for p in row] for row in system.lift.rows],
-        **sections_json(
-            res, lambda b: {"u": list(b.u), "S": list(b.label.indices), "twist": b.twist}
-        ),
+        **sections_json(res),
         "reports": reports,
     }
 
@@ -69,7 +70,7 @@ def taylor_json(cx):
         "ring": ring_json(ideal.ring),
         "ideal": [ideal.ring.format_monomial(m) for m in ideal.generators],
         "ci": [],
-        **sections_json(cx, lambda b: {"u": [], "S": list(b.indices), "twist": b.degree}),
+        **sections_json(cx),
         "reports": {},
     }
 

@@ -166,6 +166,16 @@ def GF(p):
     return PrimeField(p)
 
 
+def exponents_of_degree(nvars, degree):
+    """Every nvars-tuple of nonnegative ints summing to degree, lex descending."""
+    if nvars == 1:
+        yield (degree,)
+        return
+    for first in range(degree, -1, -1):
+        for rest in exponents_of_degree(nvars - 1, degree - first):
+            yield (first, *rest)
+
+
 def monomial_key(order):
     """Sort key realizing a monomial order: bigger key = bigger monomial."""
     if order == "grlex":

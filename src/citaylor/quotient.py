@@ -12,8 +12,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import add
 
-from .poly import Polynomial, PolyRing, PrimeField, is_prime, monomial_key
+from .poly import Polynomial, PolyRing, PrimeField, exponents_of_degree, is_prime, monomial_key
 from .report import Report
+
+GREVLEX = monomial_key("grevlex")  # the order of every Groebner basis here
 
 
 class CapExceeded(RuntimeError):
@@ -26,23 +28,20 @@ class BadPrime(ValueError):
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """Reduced basis under grevlex, ascending by leading term, with those leading exponents."""
+
     ring: PolyRing
-    order: str
     polys: tuple[Polynomial, ...]
-
-    @cached_property
-    def leading_exponents(self):
-        key = monomial_key(self.order)
-        return tuple(p.leading(key)[0] for p in self.polys)
+    leading_exponents: tuple[tuple[int, ...], ...]
 
 
-def _reduce_full(terms, leads, polys, key):
+def _reduce_full(terms, leads, polys):
     """Remainder of the full division algorithm by polys, whose leading exponents are leads."""
     divisors = [(le, g.terms[le], g.terms) for le, g in zip(leads, polys)]
     work = dict(terms)
     remainder = {}
     while work:
-        e = max(work, key=key)
+        e = max(work, key=GREVLEX)
         c = work.pop(e)
         for le, lc, gterms in divisors:
             if all(a >= b for a, b in zip(e, le)):
@@ -64,8 +63,8 @@ def _reduce_full(terms, leads, polys, key):
     return remainder
 
 
-def buchberger(generators, order="grevlex", max_pairs=10000, max_degree=40):
-    """Reduced Groebner basis with normal pair selection (lowest lcm degree first).
+def buchberger(generators, max_pairs=10000, max_degree=40):
+    """Reduced grevlex Groebner basis with normal pair selection (lowest lcm degree first).
 
     Deterministic given the caps; raises CapExceeded when a cap is hit.
     """
@@ -73,14 +72,13 @@ def buchberger(generators, order="grevlex", max_pairs=10000, max_degree=40):
     if not gens:
         raise ValueError("need at least one nonzero generator")
     ring = gens[0].ring
-    key = monomial_key(order)
     one = ring.field.one
 
     # monic members and, next to them, their leading exponents
     basis, leads = [], []
 
     def append(g):
-        le, lc = g.leading(key)
+        le, lc = g.leading(GREVLEX)
         basis.append(g if lc == one else g * (one / lc))
         leads.append(le)
 
@@ -92,7 +90,7 @@ def buchberger(generators, order="grevlex", max_pairs=10000, max_degree=40):
     def pair_key(idx):
         i, j = idx
         lcm = tuple(map(max, leads[i], leads[j]))
-        return (sum(lcm), key(lcm), i, j)
+        return (sum(lcm), GREVLEX(lcm), i, j)
 
     while pairs:
         i, j = min(pairs, key=pair_key)
@@ -113,7 +111,7 @@ def buchberger(generators, order="grevlex", max_pairs=10000, max_degree=40):
         spoly = fi.mul_term(tuple(a - b for a, b in zip(lcm, li))) - fj.mul_term(
             tuple(a - b for a, b in zip(lcm, lj))
         )
-        rem = _reduce_full(spoly.terms, leads, basis, key)
+        rem = _reduce_full(spoly.terms, leads, basis)
         if rem:
             append(Polynomial(ring, rem))
             new = len(basis) - 1
@@ -122,7 +120,7 @@ def buchberger(generators, order="grevlex", max_pairs=10000, max_degree=40):
     # minimalize: keep ascending by leading term, drop anything an earlier
     # member's leading term divides (a proper divisor is always smaller)
     keep = []
-    for i in sorted(range(len(basis)), key=lambda t: key(leads[t])):
+    for i in sorted(range(len(basis)), key=lambda t: GREVLEX(leads[t])):
         if not any(all(a >= b for a, b in zip(leads[i], leads[j])) for j in keep):
             keep.append(i)
 
@@ -130,27 +128,14 @@ def buchberger(generators, order="grevlex", max_pairs=10000, max_degree=40):
     reduced = []
     for i in keep:
         others = [t for t in keep if t != i]
-        rem = _reduce_full(
-            basis[i].terms, [leads[t] for t in others], [basis[t] for t in others], key
-        )
+        rem = _reduce_full(basis[i].terms, [leads[t] for t in others], [basis[t] for t in others])
         reduced.append(Polynomial(ring, rem))
-    return GroebnerBasis(ring, order, tuple(reduced))
+    return GroebnerBasis(ring, tuple(reduced), tuple(leads[i] for i in keep))
 
 
 def normal_form(poly, gb):
     """The unique remainder of poly modulo the reduced basis."""
-    key = monomial_key(gb.order)
-    rem = _reduce_full(poly.terms, gb.leading_exponents, gb.polys, key)
-    return Polynomial(gb.ring, rem)
-
-
-def _exponents_of_degree(nvars, degree):
-    if nvars == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in _exponents_of_degree(nvars - 1, degree - first):
-            yield (first, *rest)
+    return Polynomial(gb.ring, _reduce_full(poly.terms, gb.leading_exponents, gb.polys))
 
 
 @dataclass(frozen=True)
@@ -165,7 +150,7 @@ def graded_piece_basis(gb, degree):
         return GradedPieceBasis(degree, ())
     leads = gb.leading_exponents
     out = []
-    for e in _exponents_of_degree(gb.ring.nvars, degree):
+    for e in exponents_of_degree(gb.ring.nvars, degree):
         if not any(all(a >= b for a, b in zip(e, le)) for le in leads):
             out.append(e)
     return GradedPieceBasis(degree, tuple(out))
@@ -230,7 +215,7 @@ class GradedExactness:
     @cached_property
     def gb(self):
         sequence = [self._over_field(a) for a in self.resolution.system.ci.sequence]
-        return buchberger(sequence, "grevlex")
+        return buchberger(sequence)
 
     def _entries_by_column(self, k):
         if k not in self._columns:

@@ -20,6 +20,16 @@ class Report:
         if self.failure is None:
             self.failure = line
 
+    def check(self, residual, ok, failure):
+        """Note ok if the residual matrix is zero, else fail with failure, a
+        str.format template whose fields row, col and entry name its first
+        nonzero cell in column order."""
+        if residual.is_zero():
+            self.note(ok)
+        else:
+            row, col, entry = residual.first_failure()
+            self.fail(failure.format(row=row, col=col, entry=entry))
+
     def summary(self):
         verdict = "PASS" if self.passed else "FAIL"
         return "\n".join([f"[{verdict}] {self.title}", *(f"  {d}" for d in self.details)])

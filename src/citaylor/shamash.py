@@ -2,7 +2,7 @@
 
 Homological degree n is spanned by pairs (u, S): a divided-power multi-index
 u over the sequence (an exponent tuple, y^(u) = y_1^(u_1) ... y_c^(u_c)) and
-a subset label S, with |S| + 2|u| = n.  The summand (u, S) sits in internal
+a subset S, with |S| + 2|u| = n (a ``BasisElement``).  The summand sits in internal
 degree deg lcm(S) + sum_j u_j * deg a_j.  The differential applies the
 Taylor differential to S (keeping u) and, for every j with u_j >= 1, the
 homotopy sigma_j (lowering u_j by one); no extra signs.  So phi_n holds
@@ -35,30 +35,13 @@ from math import comb
 from operator import mul
 
 from .matrix import LabeledGradedMatrix, defect
+from .poly import exponents_of_degree
 from .report import Report
-from .taylor import SubsetLabel
+from .taylor import BasisElement
 
 
 class NoStableTail(RuntimeError):
     """No shift-stable tail was found in the computed window."""
-
-
-@dataclass(frozen=True)
-class ShamashBasisElement:
-    """Pair (u, S) with its cached twist; its step is |S| + 2|u|."""
-
-    u: tuple[int, ...]
-    label: SubsetLabel
-    twist: int
-
-    def compact(self):
-        s = self.label.compact()
-        if len(self.u) == 1 or not any(self.u):
-            return s
-        return f"y({','.join(map(str, self.u))})*{s}"
-
-    def __str__(self):
-        return self.compact()
 
 
 def _lowered(u, j):
@@ -66,20 +49,10 @@ def _lowered(u, j):
     return u[: j - 1] + (u[j - 1] - 1,) + u[j:]
 
 
-def _dp_exponents(total, length):
-    """All length-tuples of nonnegative ints summing to total, lex ascending."""
-    if length == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _dp_exponents(total - first, length - 1):
-            yield (first, *rest)
-
-
 @lru_cache(maxsize=256)
 def _weights(q, c):
     """Every u of weight q over c sequence elements, lex ascending."""
-    return tuple(_dp_exponents(q, c))
+    return tuple(exponents_of_degree(c, q))[::-1]
 
 
 def _layout(system, n):
@@ -105,10 +78,9 @@ def shamash_basis(system, n):
     out = []
     for k, (_, us) in _layout(system, n)[0].items():
         shifted = [(u, sum(map(mul, u, degrees))) for u in us]
-        for label in system.complex.basis(k):
-            degree = label.degree
+        for e_s in system.complex.basis(k):
             for u, d in shifted:
-                out.append(ShamashBasisElement(u, label, degree + d))
+                out.append(BasisElement(u, e_s.indices, e_s.lcm, e_s.twist + d))
     return out
 
 
@@ -298,12 +270,11 @@ def phi_squared_check(resolution):
     """phi_n . phi_{n+1} = sum_j a_j * shift_j, exactly, for every window step."""
     report = Report("phi.phi identity")
     for n in range(1, resolution.max_step):
-        residual = _phi_defect(resolution, n)
-        if residual.is_zero():
-            report.note(f"phi_{n}.phi_{n + 1} = sum a_j shift_j")
-        else:
-            row, col, entry = residual.first_failure()
-            report.fail(f"phi_{n}.phi_{n + 1} defect at ({row}, {col}): {entry}")
+        report.check(
+            _phi_defect(resolution, n),
+            f"phi_{n}.phi_{n + 1} = sum a_j shift_j",
+            f"phi_{n}.phi_{n + 1} defect at ({{row}}, {{col}}): {{entry}}",
+        )
     if resolution.max_step < 2:
         report.note("window too short for composites, vacuous")
     return report

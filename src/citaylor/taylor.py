@@ -14,37 +14,36 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from operator import sub
+from typing import NamedTuple
 
 from .matrix import LabeledGradedMatrix
 from .poly import Polynomial
 from .report import Report
 
 
-@dataclass(frozen=True)
-class SubsetLabel:
-    """Subset of generator indices (1-based, strictly increasing) with its lcm."""
+class BasisElement(NamedTuple):
+    """The summand y^(u) * e_S of a free module, in internal degree twist.
 
+    u is the divided-power index over the sequence, () in the Taylor complex;
+    indices is S (1-based, strictly increasing) and lcm its lcm exponents.
+    """
+
+    u: tuple[int, ...]
     indices: tuple[int, ...]
     lcm: tuple[int, ...]
-    degree: int
-
-    @property
-    def twist(self):
-        return self.degree
-
-    @property
-    def size(self):
-        return len(self.indices)
-
-    def compact(self):
-        if not self.indices:
-            return "{}"
-        if self.indices[-1] < 10:
-            return "".join(str(i) for i in self.indices)
-        return "{" + ",".join(str(i) for i in self.indices) + "}"
+    twist: int
 
     def __str__(self):
-        return self.compact()
+        s = self.indices
+        if not s:
+            text = "{}"
+        elif s[-1] < 10:
+            text = "".join(map(str, s))
+        else:
+            text = "{" + ",".join(map(str, s)) + "}"
+        if len(self.u) == 1 or not any(self.u):
+            return text
+        return f"y({','.join(map(str, self.u))})*{text}"
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class MonomialIdeal:
         lcm = (0,) * self.ring.nvars
         for i in indices:
             lcm = tuple(map(max, lcm, self.generators[i - 1]))
-        return SubsetLabel(indices, lcm, sum(lcm))
+        return BasisElement((), indices, lcm, sum(lcm))
 
     def generator_polys(self):
         return [self.ring.term(m) for m in self.generators]
@@ -99,13 +98,13 @@ def monomial_ideal(ring, generators):
 
 
 def _bases(ideal):
-    """Subset labels of sizes 0..r, each size in lexicographic order.
+    """Basis elements (u = ()) of sizes 0..r, each size in lexicographic order.
 
     Size k extends every size-(k-1) label by each larger index, so
     lcm(S) = max(lcm(S minus its last index), m_last) entrywise.
     """
     gens = ideal.generators
-    level = (SubsetLabel((), (0,) * ideal.ring.nvars, 0),)
+    level = (BasisElement((), (), (0,) * ideal.ring.nvars, 0),)
     out = [level]
     for _ in gens:
         nxt = []
@@ -113,7 +112,7 @@ def _bases(ideal):
             start = lab.indices[-1] if lab.indices else 0
             for t in range(start + 1, len(gens) + 1):
                 lcm = tuple(map(max, lab.lcm, gens[t - 1]))
-                nxt.append(SubsetLabel(lab.indices + (t,), lcm, sum(lcm)))
+                nxt.append(BasisElement((), lab.indices + (t,), lcm, sum(lcm)))
         level = tuple(nxt)
         out.append(level)
     return tuple(out)
@@ -144,7 +143,7 @@ def _differential(ring, k, rows, cols, shared):
 @dataclass(frozen=True)
 class TaylorComplex:
     ideal: MonomialIdeal
-    bases: tuple[tuple[SubsetLabel, ...], ...]
+    bases: tuple[tuple[BasisElement, ...], ...]
     differentials: tuple[LabeledGradedMatrix, ...]
 
     def basis(self, k):
@@ -177,12 +176,11 @@ def verify_taylor(cx):
     report = Report("taylor complex")
     r = cx.ideal.ngens
     for k in range(1, r):
-        square = cx.differential(k).compose(cx.differential(k + 1))
-        if square.is_zero():
-            report.note(f"tau_{k}.tau_{k + 1} = 0")
-        else:
-            row, col, entry = square.first_failure()
-            report.fail(f"tau_{k}.tau_{k + 1} nonzero at ({row}, {col}): {entry}")
+        report.check(
+            cx.differential(k).compose(cx.differential(k + 1)),
+            f"tau_{k}.tau_{k + 1} = 0",
+            f"tau_{k}.tau_{k + 1} nonzero at ({{row}}, {{col}}): {{entry}}",
+        )
     if r == 1:
         report.note("single generator, d^2 vacuous")
     for k in range(1, r + 1):

@@ -273,6 +273,15 @@ def test_taylor_tex_smoke(capsys):
     assert "\\tau_{2}" in out
 
 
+def test_taylor_tex_subscripts_underscored_names(capsys):
+    code, out, _ = run(
+        capsys, "taylor", "--vars", "x_1,x_2", "--ideal", "x_1^2,x_2", "--format", "tex"
+    )
+    assert code == 0
+    assert r"\emptyset & x_{1}^{2} & x_{2} \\" in out
+    assert "__" not in out
+
+
 def test_poly_tex_follows_the_text_term_walk():
     R = PolyRing(("x", "y", "z1"))
     cases = {

@@ -34,6 +34,7 @@ from conftest import (
     random_instance,
     random_sequence,
     ring,
+    seeded_rng,
 )
 
 
@@ -41,7 +42,7 @@ from conftest import (
 
 
 def test_three_squares_basis_order_and_twists(three_squares):
-    assert [(b.u, b.label.compact(), b.twist) for b in three_squares.basis(2)] == [
+    assert [(b.u, str(b), b.twist) for b in three_squares.basis(2)] == [
         ((1,), "{}", 3),
         ((0,), "12", 4),
         ((0,), "13", 4),
@@ -52,8 +53,8 @@ def test_three_squares_basis_order_and_twists(three_squares):
 
 
 def test_codim2_basis_groups_by_subset_then_u(codim2):
-    front = [(b.u, b.label.compact()) for b in codim2.basis(2)[:4]]
-    assert front == [((0, 1), "{}"), ((1, 0), "{}"), ((0, 0), "12"), ((0, 0), "13")]
+    front = [(b.u, b.indices) for b in codim2.basis(2)[:4]]
+    assert front == [((0, 1), ()), ((1, 0), ()), ((0, 0), (1, 2)), ((0, 0), (1, 3))]
     assert [b.twist for b in codim2.basis(2)] == [3, 3] + [4] * 6
     # weight-2 divided powers come out lexicographically
     assert [b.u for b in codim2.basis(4)[:3]] == [(0, 2), (1, 1), (2, 0)]
@@ -71,10 +72,23 @@ def test_homological_degree_and_twist_formulas(codim2):
     degrees = codim2.system.ci.degrees
     for n in range(6):
         for b in codim2.basis(n):
-            assert b.label.size + 2 * sum(b.u) == n
-            assert b.twist == b.label.twist + sum(
+            assert len(b.indices) + 2 * sum(b.u) == n
+            assert b.twist == sum(b.lcm) + sum(
                 u * d for u, d in zip(b.u, degrees)
             )
+
+
+def test_u_zero_part_of_each_step_is_the_taylor_basis():
+    rng = seeded_rng()
+    for _ in range(12):
+        _, ci = random_instance(rng, max_vars=3, max_gens=4, max_codim=3)
+        system = homotopy_system(ci, strategy="first")
+        res = shamash_resolution(system, 6)
+        for k in range(7):
+            u_zero = [b for b in res.basis(k) if not any(b.u)]
+            assert [(b.indices, b.lcm, b.twist) for b in u_zero] == [
+                (t.indices, t.lcm, t.twist) for t in system.complex.basis(k)
+            ]
 
 
 def test_compact_element_names(codim2, three_squares):
@@ -130,7 +144,7 @@ def test_three_squares_block_dividers(three_squares):
     assert u_dividers(three_squares.differential(3).cols) == {3}
     assert u_dividers(three_squares.differential(4).rows) == {3}
     assert u_dividers(three_squares.differential(4).cols) == {1}
-    # Taylor labels carry no u, so tau gets no dividers
+    # Taylor elements all have u = (), so tau gets no dividers
     tau = three_squares.system.complex.differential(2)
     assert u_dividers(tau.rows) == set() == u_dividers(tau.cols)
 
@@ -307,16 +321,13 @@ def shift_oracle(res):
     degree = res.system.ci.degrees[0]
 
     def shifted(labels):
-        return [((b.u[0] + 1,), b.label, b.twist + degree) for b in labels]
-
-    def plain(labels):
-        return [(b.u, b.label, b.twist) for b in labels]
+        return tuple(b._replace(u=(b.u[0] + 1,), twist=b.twist + degree) for b in labels)
 
     def matches(n):
         a, b = res.differential(n), res.differential(n + 2)
         return (
-            shifted(a.rows) == plain(b.rows)
-            and shifted(a.cols) == plain(b.cols)
+            shifted(a.rows) == b.rows
+            and shifted(a.cols) == b.cols
             and a.entries == b.entries
         )
 
@@ -506,7 +517,7 @@ def shift_reference_failure(res, n):
             if col.u[j] < 1:
                 continue
             u = col.u[:j] + (col.u[j] - 1,) + col.u[j + 1:]
-            (ii,) = [i for i, row in enumerate(rows) if (row.u, row.label) == (u, col.label)]
+            (ii,) = [i for i, row in enumerate(rows) if (row.u, row.indices) == (u, col.indices)]
             entries[(ii, jj)] = entries.get((ii, jj), res.system.ring.zero) - a
     nonzero = sorted((jj, ii) for (ii, jj), p in entries.items() if p)
     if not nonzero:
@@ -573,7 +584,7 @@ def reference_differential(system, rows, cols):
     the Taylor differential on S keeping u, and sigma_i on S lowering u_i,
     with whatever lands in one cell summed."""
     ring, ideal = system.ring, system.ideal
-    row_index = {(b.u, b.label.indices): i for i, b in enumerate(rows)}
+    row_index = {(b.u, b.indices): i for i, b in enumerate(rows)}
     entries = {}
 
     def add(u, label, j, poly):
@@ -581,10 +592,10 @@ def reference_differential(system, rows, cols):
         entries[pos] = entries[pos] + poly if pos in entries else poly
 
     for j, b in enumerate(cols):
-        S, k = b.label.indices, b.label.size
+        S, k = b.indices, len(b.indices)
         for pos, s in enumerate(S, start=1):
             face = ideal.subset(t for t in S if t != s)
-            quot = tuple(x - y for x, y in zip(b.label.lcm, face.lcm))
+            quot = tuple(x - y for x, y in zip(b.lcm, face.lcm))
             add(b.u, face, j, ring.term(quot, (-1) ** (k - pos)))
         for i in range(1, system.ci.codim + 1):
             if b.u[i - 1] == 0:
@@ -595,7 +606,7 @@ def reference_differential(system, rows, cols):
                     continue
                 union = ideal.subset(sorted(S + (t,)))
                 quot = tuple(
-                    g + x - y for g, x, y in zip(ideal.generator(t), b.label.lcm, union.lcm)
+                    g + x - y for g, x, y in zip(ideal.generator(t), b.lcm, union.lcm)
                 )
                 pos = union.indices.index(t) + 1
                 term = ring.term(quot, -1 if (k - pos - 1) % 2 else 1)
@@ -610,7 +621,7 @@ def reference_shift_positions(res, n, j):
     for col, b in enumerate(res.basis(n + 1)):
         if b.u[j - 1] >= 1:
             u = b.u[: j - 1] + (b.u[j - 1] - 1,) + b.u[j:]
-            (row,) = [i for i, a in enumerate(rows) if (a.u, a.label) == (u, b.label)]
+            (row,) = [i for i, a in enumerate(rows) if (a.u, a.indices) == (u, b.indices)]
             out.append((row, col))
     return out
 

@@ -28,7 +28,7 @@ def test_labels_sorted_and_one_based(ring_xyz):
     I = monomial_ideal(ring_xyz, ["x*y", "x*z", "y*z"])
     labels = taylor_complex(I).basis(2)
     assert [lab.indices for lab in labels] == [(1, 2), (1, 3), (2, 3)]
-    assert [lab.compact() for lab in labels] == ["12", "13", "23"]
+    assert [str(lab) for lab in labels] == ["12", "13", "23"]
     assert I.generator(1) == (1, 1, 0)
 
 
@@ -40,12 +40,25 @@ def test_label_twist_is_lcm_degree(ring_xyz):
     assert I.subset((1, 2, 3)).twist == 3
 
 
+def test_basis_element_is_immutable_and_hashes_by_value(ring_xyz):
+    I = monomial_ideal(ring_xyz, ["x*y", "x*z", "y*z"])
+    element = I.subset((1, 2))
+    assert element == taylor_complex(I).basis(2)[0]
+    assert hash(element) == hash(I.subset([1, 2]))
+    assert len({element, I.subset((1, 2)), I.subset((1, 3))}) == 2
+    with pytest.raises(AttributeError):
+        element.twist = 0
+    with pytest.raises(TypeError):
+        element[0] = (1,)
+    assert element.twist == 3
+
+
 def test_compact_label_widens_past_nine():
     R = ring(",".join(f"v{i}" for i in range(11)))
     gens = [tuple(1 if j == i else 0 for j in range(11)) for i in range(11)]
     I = monomial_ideal(R, gens)
-    assert I.subset((1, 11)).compact() == "{1,11}"
-    assert I.subset(()).compact() == "{}"
+    assert str(I.subset((1, 11))) == "{1,11}"
+    assert str(I.subset(())) == "{}"
 
 
 # ---- golden differentials --------------------------------------------------
