@@ -3,6 +3,10 @@
 Subcommands: taylor, resolve, verify, betti, export-dot, check-exactness.
 Exit codes: 0 success, 1 a verification reported failure, 2 bad input,
 3 a computation cap was exceeded.
+
+Every writer is a generator of text pieces: a line, or at most one matrix
+row or one matrix.  ``emit`` writes them as they come, so no document is
+ever held whole as one string.
 """
 from __future__ import annotations
 
@@ -10,6 +14,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import comb
+from operator import mul
 
 from .homotopy import (
     HomotopySystem,
@@ -19,7 +25,7 @@ from .homotopy import (
     parse_assignments,
     verify_homotopy_system,
 )
-from .jsondoc import dump as _dump, own_reports_json, report_json, resolution_json, taylor_json
+from .jsondoc import dump, iterdump, own_reports_json, report_json, resolution_json, taylor_json
 from .poly import QQ, ParseError, PolyRing, PrimeField, render_terms
 from .quotient import BadPrime, CapExceeded, GradedExactness, check_exactness
 from .shamash import phi_squared_check, rank_formula, shamash_resolution
@@ -31,6 +37,13 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 EDGE_COLORS = ("red", "orange", "purple", "brown", "cyan4", "magenta")
+
+# Text and TeX print every cell of every matrix.  Above this many cells,
+# sum_n rank F_{n-1} * rank F_n, the request is refused before anything is built.
+MAX_DENSE_CELLS = 10**8
+
+# A document's JSON text as one string, for library callers.
+_dump = dump
 
 
 # ---- text rendering ------------------------------------------------------
@@ -49,20 +62,37 @@ def _axes(cx, render):
     return [([render(b) for b in basis], u_dividers(basis)) for basis in cx.bases]
 
 
+def _entry_texts(mat, render):
+    """row -> [(column, text)] of the row's entries."""
+    by_row = {}
+    for (i, j), p in mat.entries.items():
+        by_row.setdefault(i, []).append((j, render(p)))
+    return by_row
+
+
+def _dense_rows(row_texts, by_row, ncols):
+    """Each row as its label and ncols cells, "0" where it has no entry, built one at a time."""
+    zeros = ["0"] * ncols
+    for i, label in enumerate(row_texts):
+        values = [label, *zeros]
+        for j, text in by_row.get(i, ()):
+            values[j + 1] = text
+        yield values
+
+
 def matrix_text(mat, name, rows, cols):
-    """Right-aligned columns, each as wide as its label or its widest entry.
+    """Right-aligned columns, each as wide as its label or its widest entry; one line per row.
 
     rows and cols are the (label texts, dividers) pairs of ``_axes``.  No label
     is shorter than the "0" of an absent entry, so the labels start the widths.
     """
     (row_texts, row_dividers), (col_texts, col_dividers) = rows, cols
-    zeros = ["0"] * len(col_texts)
-    grid = [[label, *zeros] for label in row_texts]
+    by_row = _entry_texts(mat, str)
     widths = [len(c) for c in col_texts]
-    for (i, j), p in mat.entries.items():
-        text = grid[i][j + 1] = str(p)
-        if len(text) > widths[j]:
-            widths[j] = len(text)
+    for cells in by_row.values():
+        for j, text in cells:
+            if len(text) > widths[j]:
+                widths[j] = len(text)
     fields = []
     for j, width in enumerate(widths):
         if j in col_dividers:
@@ -70,14 +100,14 @@ def matrix_text(mat, name, rows, cols):
         fields.append(f"{{:>{width}}}")
     template = "  ".join(fields)
     row_width = max(map(len, row_texts), default=0)
-    line = f"  {{:>{row_width}}} [ {template} ]"
-    lines = [f"{name}:", " " * (row_width + 5) + template.format(*col_texts)]
-    for i, values in enumerate(grid):
+    line = f"  {{:>{row_width}}} [ {template} ]\n"
+    yield f"{name}:\n"
+    yield " " * (row_width + 5) + template.format(*col_texts) + "\n"
+    for i, values in enumerate(_dense_rows(row_texts, by_row, len(col_texts))):
         text = line.format(*values)
         if i in row_dividers:
-            lines.append("  " + "-" * (len(text) - 2))
-        lines.append(text)
-    return "\n".join(lines)
+            yield "  " + "-" * (len(text) - 3) + "\n"
+        yield text
 
 
 def module_text(basis):
@@ -116,41 +146,44 @@ def periodicity_text(info):
 
 def sections_text(cx, module, name):
     """Each module, then each differential, of anything with bases and differentials."""
-    lines = [f"{module}_{k} = {module_text(basis)}" for k, basis in enumerate(cx.bases)]
+    for k, basis in enumerate(cx.bases):
+        yield f"{module}_{k} = {module_text(basis)}\n"
     axes = _axes(cx, str)
     for k, mat in enumerate(cx.differentials, start=1):
-        lines += ["", matrix_text(mat, f"{name}_{k}", axes[k - 1], axes[k])]
-    return lines
+        yield "\n"
+        yield from matrix_text(mat, f"{name}_{k}", axes[k - 1], axes[k])
 
 
 def taylor_text(cx):
     ideal = cx.ideal
-    lines = [
-        f"taylor complex of <{', '.join(ideal.ring.format_monomial(m) for m in ideal.generators)}>"
-        f" over {ring_text(ideal.ring)}",
-        "",
-        *sections_text(cx, "T", "tau"),
-    ]
-    return "\n".join(lines) + "\n"
+    gens = ", ".join(ideal.ring.format_monomial(m) for m in ideal.generators)
+    yield f"taylor complex of <{gens}> over {ring_text(ideal.ring)}\n"
+    yield "\n"
+    yield from sections_text(cx, "T", "tau")
 
 
-def resolution_text(res):
+def resolution_lines(res):
     system = res.system
     ci = system.ci
     ring = system.ring
     gens = ", ".join(ring.format_monomial(m) for m in ci.ideal.generators)
-    lines = [
-        f"resolution over {ring_text(ring)} / ({', '.join(str(a) for a in ci.sequence)})",
-        f"ideal: {gens}",
-        f"sequence degrees: {', '.join(str(d) for d in ci.degrees)}",
-        "lift rows (columns follow the generators):",
-    ]
+    yield f"resolution over {ring_text(ring)} / ({', '.join(str(a) for a in ci.sequence)})\n"
+    yield f"ideal: {gens}\n"
+    yield f"sequence degrees: {', '.join(str(d) for d in ci.degrees)}\n"
+    yield "lift rows (columns follow the generators):\n"
     for i, row in enumerate(system.lift.rows, start=1):
-        lines.append(f"  f[{i}] = [{', '.join(str(p) for p in row)}]")
-    lines += ["", *sections_text(res, "F", "phi"), ""]
-    lines.extend(minimality_text(res.minimality))
-    lines.append(periodicity_text(res.periodicity))
-    return "\n".join(lines) + "\n"
+        yield f"  f[{i}] = [{', '.join(str(p) for p in row)}]\n"
+    yield "\n"
+    yield from sections_text(res, "F", "phi")
+    yield "\n"
+    for line in minimality_text(res.minimality):
+        yield line + "\n"
+    yield periodicity_text(res.periodicity) + "\n"
+
+
+def resolution_text(res):
+    """The text of ``resolution_lines(res)`` as one string, for library callers."""
+    return "".join(resolution_lines(res))
 
 
 # ---- json ----------------------------------------------------------------
@@ -203,12 +236,15 @@ def resolution_from_json(doc):
 
 
 def _name_tex(name):
-    """Trailing digits become a subscript: x1 and x_1 both render as x_{1}."""
+    r"""Trailing digits become a subscript: x1 and x_1 both render as x_{1}.
+
+    Every other underscore is escaped, so a_b1 renders as a\_b_{1} and x_ as x\_.
+    """
     head = name.rstrip("0123456789")
-    base = head.rstrip("_")
+    base = head[:-1] if head.endswith("_") else head
     if head != name and base:
-        return f"{base}_{{{name[len(head):]}}}"
-    return name
+        return base.replace("_", r"\_") + f"_{{{name[len(head):]}}}"
+    return name.replace("_", r"\_")
 
 
 def _coeff_tex(mag):
@@ -234,52 +270,56 @@ def label_tex(label):
 
 
 def matrix_tex(mat, name, rows, cols, texts):
-    """A LaTeX array; texts maps id(entry) to its TeX, filled as entries appear.
+    """A LaTeX array, one line per row; texts maps id(entry) to its TeX, filled as entries appear.
 
     The document's matrices hold every entry for as long as texts is used, so
     no id is reused while it is a key.
     """
     (row_texts, row_dividers), (col_texts, col_dividers) = rows, cols
-    zeros = ["0"] * len(col_texts)
-    grid = [[label, *zeros] for label in row_texts]
-    for (i, j), p in mat.entries.items():
+
+    def render(p):
         text = texts.get(id(p))
         if text is None:
             text = texts[id(p)] = poly_tex(p)
-        grid[i][j + 1] = text
+        return text
+
+    by_row = _entry_texts(mat, render)
     colspec = []
     for j in range(len(col_texts)):
         if j in col_dividers:
             colspec.append("|")
         colspec.append("r")
-    lines = [rf"% {name}", r"\[", f"{name} = ", r"\begin{array}{c|" + "".join(colspec) + "}"]
-    lines.append(" & ".join(["", *col_texts]) + r" \\ \hline")
-    for i, values in enumerate(grid):
+    yield f"% {name}\n"
+    yield "\\[\n"
+    yield f"{name} = \n"
+    yield r"\begin{array}{c|" + "".join(colspec) + "}\n"
+    yield " & ".join(["", *col_texts]) + r" \\ \hline" + "\n"
+    for i, values in enumerate(_dense_rows(row_texts, by_row, len(col_texts))):
         if i in row_dividers:
-            lines.append(r"\hline")
-        lines.append(" & ".join(values) + r" \\")
-    lines.append(r"\end{array}")
-    lines.append(r"\]")
-    return "\n".join(lines)
+            yield "\\hline\n"
+        yield " & ".join(values) + r" \\" + "\n"
+    yield "\\end{array}\n"
+    yield "\\]\n"
 
 
 def sections_tex(cx, module, name):
     """Each module as a comment, then each differential as an array."""
-    parts = [f"% {module}_{k} = {module_text(basis)}" for k, basis in enumerate(cx.bases)]
+    for k, basis in enumerate(cx.bases):
+        yield f"% {module}_{k} = {module_text(basis)}\n"
     axes = _axes(cx, label_tex)
     texts = {}
     for k, mat in enumerate(cx.differentials, start=1):
-        parts.append(matrix_tex(mat, f"{name}_{{{k}}}", axes[k - 1], axes[k], texts))
-    return parts
+        yield from matrix_tex(mat, f"{name}_{{{k}}}", axes[k - 1], axes[k], texts)
 
 
 def resolution_tex(res):
     mods = " \\to ".join(f"F_{{{n}}}" for n in range(res.max_step, -1, -1))
-    return "\n".join([f"% {mods}", *sections_tex(res, "F", r"\varphi")]) + "\n"
+    yield f"% {mods}\n"
+    yield from sections_tex(res, "F", r"\varphi")
 
 
 def taylor_tex(cx):
-    return "\n".join(sections_tex(cx, "T", r"\tau")) + "\n"
+    return sections_tex(cx, "T", r"\tau")
 
 
 # ---- dot -----------------------------------------------------------------
@@ -287,10 +327,11 @@ def taylor_tex(cx):
 
 def dot_text(cx, system=None):
     """Divisibility graph of the Taylor complex, plus sigma edges when system is given."""
-    lines = ["digraph resolution {", "  rankdir=LR;"]
+    yield "digraph resolution {\n"
+    yield "  rankdir=LR;\n"
     for parity in (0, 1):
         names = "; ".join(f'"{b}"' for basis in cx.bases[parity::2] for b in basis)
-        lines.append(f"  {{ rank=same; {names}; }}")
+        yield f"  {{ rank=same; {names}; }}\n"
     maps = [("blue", tau) for tau in cx.differentials]
     if system is not None:
         for i in range(1, system.ci.codim + 1):
@@ -298,9 +339,8 @@ def dot_text(cx, system=None):
             maps += [(color, system.sigma_e(i, k)) for k in range(cx.ideal.ngens)]
     for color, mat in maps:
         for (i, j), p in sorted(mat.entries.items(), key=lambda kv: kv[0][::-1]):
-            lines.append(f'  "{mat.cols[j]}" -> "{mat.rows[i]}" [color={color}, label="{p}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f'  "{mat.cols[j]}" -> "{mat.rows[i]}" [color={color}, label="{p}"];\n'
+    yield "}\n"
 
 
 # ---- argument plumbing ---------------------------------------------------
@@ -353,12 +393,27 @@ def build_lift(args, ci):
     raise ValueError(f"--lift must be first, average, or file:PATH (got {spec!r})")
 
 
-def emit(args, text):
+def _check_dense_cells(ranks):
+    """Refuse dense output of maps between modules of these ranks when it has too many cells."""
+    cells = sum(map(mul, ranks, ranks[1:]))
+    if cells > MAX_DENSE_CELLS:
+        raise CapExceeded(
+            f"dense output would have {cells} matrix cells, above the cap of {MAX_DENSE_CELLS}"
+            " (--format json writes only the nonzero entries)"
+        )
+
+
+def emit(args, pieces):
+    """Write the text pieces as they come, to --out or to stdout.
+
+    The file is opened here, once the object to print is built, so input that
+    fails to build leaves no file behind.
+    """
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # ---- commands ------------------------------------------------------------
@@ -367,7 +422,7 @@ def emit(args, text):
 def _write(args, obj, text, tex, to_json):
     """Emit obj through the writer that args.format names."""
     if args.format == "json":
-        emit(args, _dump(to_json(obj)))
+        emit(args, iterdump(to_json(obj)))
     elif args.format == "tex":
         emit(args, tex(obj))
     else:
@@ -376,23 +431,32 @@ def _write(args, obj, text, tex, to_json):
 
 
 def cmd_taylor(args):
-    cx = taylor_complex(build_ideal(args, build_ring(args)))
+    ideal = build_ideal(args, build_ring(args))
+    if args.format != "json":
+        _check_dense_cells([comb(ideal.ngens, k) for k in range(ideal.ngens + 1)])
+    cx = taylor_complex(ideal)
     return _write(args, cx, taylor_text, taylor_tex, taylor_json)
 
 
-def _build_system(args):
-    ideal = build_ideal(args, build_ring(args))
-    ci = build_ci(args, ideal)
+def _build_ci(args):
+    return build_ci(args, build_ideal(args, build_ring(args)))
+
+
+def _build_system(args, ci):
     return HomotopySystem(ci, build_lift(args, ci))
 
 
 def _build_resolution(args):
-    return shamash_resolution(_build_system(args), args.max_step)
+    return shamash_resolution(_build_system(args, _build_ci(args)), args.max_step)
 
 
 def cmd_resolve(args):
-    res = _build_resolution(args)
-    return _write(args, res, resolution_text, resolution_tex, resolution_json)
+    ci = _build_ci(args)
+    if args.format != "json":
+        r, c = ci.ideal.ngens, ci.codim
+        _check_dense_cells([rank_formula(r, c, n) for n in range(args.max_step + 1)])
+    res = shamash_resolution(_build_system(args, ci), args.max_step)
+    return _write(args, res, resolution_lines, resolution_tex, resolution_json)
 
 
 def _exactness_reports(res, args):
@@ -405,11 +469,11 @@ def _emit_reports(args, res, reports):
     passed = all(r.passed for r in reports)
     if args.format == "json":
         doc = resolution_json(res, {r.title: report_json(r) for r in reports})
-        emit(args, _dump(doc))
+        emit(args, iterdump(doc))
     else:
-        out = [r.summary() for r in reports]
-        out.append("overall: " + ("PASS" if passed else "FAIL"))
-        emit(args, "\n".join(out) + "\n")
+        out = [r.summary() + "\n" for r in reports]
+        out.append("overall: " + ("PASS" if passed else "FAIL") + "\n")
+        emit(args, out)
     return EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -429,21 +493,21 @@ def cmd_verify(args):
 def cmd_betti(args):
     bounds = [rank_formula(args.gens, args.codim, n) for n in range(args.max_step + 1)]
     if args.format == "json":
-        emit(args, _dump({"r": args.gens, "c": args.codim, "bounds": bounds}))
+        emit(args, iterdump({"r": args.gens, "c": args.codim, "bounds": bounds}))
     else:
         lines = [
-            f"betti number bounds: r={args.gens} generators, sequence length c={args.codim}",
-            "  n  bound",
+            f"betti number bounds: r={args.gens} generators, sequence length c={args.codim}\n",
+            "  n  bound\n",
         ]
         for n, b in enumerate(bounds):
-            lines.append(f"{n:>3}  {b}")
-        emit(args, "\n".join(lines) + "\n")
+            lines.append(f"{n:>3}  {b}\n")
+        emit(args, lines)
     return EXIT_OK
 
 
 def cmd_export_dot(args):
     if args.ci:
-        system = _build_system(args)
+        system = _build_system(args, _build_ci(args))
         emit(args, dot_text(system.complex, system))
     elif args.lift is not None:
         raise ValueError("--lift needs --ci: there is no sequence to lift without it")

@@ -1,7 +1,8 @@
 """JSON documents of complexes and resolutions, and the writer that prints them.
 
-The documents are plain dicts and lists; ``dump`` writes any of them exactly
-as ``json.dumps(doc, indent=2)`` would, plus a final newline.
+The documents are plain dicts and lists; ``iterdump`` writes any of them exactly
+as ``json.dumps(doc, indent=2)`` would, plus a final newline, one member or
+list item at a time, and ``dump`` is the same text as one string.
 """
 from __future__ import annotations
 
@@ -78,8 +79,12 @@ def taylor_json(cx):
 _ENTRY_KEYS = ("row", "col", "poly")
 
 
-def dump(doc):
-    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, without json's Python encoder.
+def iterdump(doc):
+    """The text of ``json.dumps(doc, indent=2) + "\\n"`` in pieces, without json's Python encoder.
+
+    The document and the containers it holds are written member by member;
+    each value nested two deep is one piece, so in "modules" and
+    "differentials" each module and each matrix is one piece.
 
     json.dumps encodes in pure Python whenever indent is set.  Here strings
     go through the C ``encode_basestring_ascii`` and ints through
@@ -88,10 +93,34 @@ def dump(doc):
     may be str, int, bool, None, lists and dicts with str keys, which is all
     a document holds.
     """
-    out = []
-    _encode(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    yield from _pieces(doc, "\n", 2)
+    yield "\n"
+
+
+def dump(doc):
+    """The text of ``iterdump(doc)`` as one string."""
+    return "".join(iterdump(doc))
+
+
+def _pieces(value, nl, depth):
+    """Pieces of value's JSON; containers less than depth deep are split into members."""
+    if not (depth and value and isinstance(value, (list, dict))):
+        out = []
+        _encode(value, nl, out)
+        yield "".join(out)
+        return
+    inner = nl + "  "
+    if isinstance(value, dict):
+        members = ((encode_basestring_ascii(key) + ": ", item) for key, item in value.items())
+        sep, close = "{" + inner, nl + "}"
+    else:
+        members = (("", item) for item in value)
+        sep, close = "[" + inner, nl + "]"
+    for key, item in members:
+        yield sep + key
+        sep = "," + inner
+        yield from _pieces(item, inner, depth - 1)
+    yield close
 
 
 def _encode(value, nl, out):

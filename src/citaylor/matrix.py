@@ -44,7 +44,10 @@ class LabeledGradedMatrix:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "cols", tuple(cols))
-        object.__setattr__(self, "entries", {k: p for k, p in entries.items() if p.terms})
+        entries = dict(entries)  # the caller's dict stays the caller's
+        if not all(map(attrgetter("terms"), entries.values())):
+            entries = {k: p for k, p in entries.items() if p.terms}
+        object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledGradedMatrix is immutable")

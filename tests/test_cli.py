@@ -2,9 +2,11 @@
 import ast
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -13,7 +15,16 @@ from pathlib import Path
 import pytest
 
 import citaylor
-from citaylor import Report
+from citaylor import (
+    Report,
+    cli,
+    complete_intersection,
+    homotopy_system,
+    lift_matrix,
+    monomial_ideal,
+    shamash_resolution,
+    taylor_complex,
+)
 from citaylor.cli import main, poly_tex, resolution_from_json
 from citaylor.poly import PolyRing
 
@@ -280,6 +291,13 @@ def test_taylor_tex_subscripts_underscored_names(capsys):
     assert code == 0
     assert r"\emptyset & x_{1}^{2} & x_{2} \\" in out
     assert "__" not in out
+    # only the underscore before trailing digits starts a subscript; every other one is escaped
+    code, out, _ = run(
+        capsys, "taylor", "--vars", "a_b1,a_b_c,x_,_x", "--ideal", "a_b1,a_b_c^2,x_*_x",
+        "--format", "tex",
+    )
+    assert code == 0
+    assert r"\emptyset & a\_b_{1} & a\_b\_c^{2} & x\_\_x \\" in out
 
 
 def test_poly_tex_follows_the_text_term_walk():
@@ -750,6 +768,180 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["lift"] == [["z", "x", "0"]]
+
+
+# ---- streamed output and the dense-output cap ---------------------------------------
+
+TAYLOR_ARGS = ["--vars", "x,y,z", "--ideal", "x*y,x*z,y*z"]
+
+
+def _taylor():
+    return taylor_complex(monomial_ideal(PolyRing(("x", "y", "z")), ["x*y", "x*z", "y*z"]))
+
+
+def _three_squares(max_step):
+    ideal = monomial_ideal(PolyRing(("x", "y", "z")), ["x^2", "y^2", "z^2"])
+    ci = complete_intersection(ideal, ["x^2*z+x*y^2"])
+    return shamash_resolution(homotopy_system(ci, lift_matrix(ci, "first")), max_step)
+
+
+def _three_squares_dot():
+    system = _three_squares(0).system
+    return "".join(cli.dot_text(system.complex, system))
+
+
+RESOLVE_4 = ["resolve", *THREE_SQUARES_ARGS, "--max-step", "4"]
+REPORTS_3 = [*THREE_SQUARES_ARGS, "--max-step", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        pytest.param(["taylor", *TAYLOR_ARGS], lambda: "".join(cli.taylor_text(_taylor())), id="taylor-text"),
+        pytest.param(
+            ["taylor", *TAYLOR_ARGS, "--format", "tex"],
+            lambda: "".join(cli.taylor_tex(_taylor())),
+            id="taylor-tex",
+        ),
+        pytest.param(
+            ["taylor", *TAYLOR_ARGS, "--format", "json"],
+            lambda: cli._dump(cli.taylor_json(_taylor())),
+            id="taylor-json",
+        ),
+        pytest.param(RESOLVE_4, lambda: cli.resolution_text(_three_squares(4)), id="resolve-text"),
+        pytest.param(
+            [*RESOLVE_4, "--format", "tex"],
+            lambda: "".join(cli.resolution_tex(_three_squares(4))),
+            id="resolve-tex",
+        ),
+        pytest.param(
+            [*RESOLVE_4, "--format", "json"],
+            lambda: cli._dump(cli.resolution_json(_three_squares(4))),
+            id="resolve-json",
+        ),
+        pytest.param(
+            ["export-dot", *THREE_SQUARES_ARGS],
+            _three_squares_dot,
+            id="export-dot",
+        ),
+        pytest.param(["verify", *REPORTS_3, "--max-degree", "5"], None, id="verify-text"),
+        pytest.param(["verify", *REPORTS_3, "--format", "json"], None, id="verify-json"),
+        pytest.param(["check-exactness", *REPORTS_3, "--max-degree", "5"], None, id="exactness-text"),
+        pytest.param(["check-exactness", *REPORTS_3, "--format", "json"], None, id="exactness-json"),
+        pytest.param(["betti", "--gens", "4", "--codim", "2"], None, id="betti-text"),
+        pytest.param(["betti", "--gens", "4", "--codim", "2", "--format", "json"], None, id="betti-json"),
+    ],
+)
+def test_stdout_and_out_file_carry_the_string_writers_bytes(capsys, tmp_path, argv, expected):
+    """Every command and format writes the same bytes to stdout and to --out.
+
+    Where a writer has a string form, those bytes are that string.
+    """
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(target))[:2] == (0, "")
+    assert target.read_bytes() == out.encode()
+    if expected is not None:
+        assert out == expected()
+
+
+class WriteSizes(io.StringIO):
+    """A stdout that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def _matrix_texts(fmt, out):
+    """The text of each differential in a resolve document of the given format."""
+    if fmt == "text":
+        return [block + "\n" for block in out.split("\n\n") if block.startswith("phi_")]
+    if fmt == "tex":
+        return re.findall(r"% \\varphi_\{\d+\}\n.*?\\\]\n", out, re.S)
+    # each differential sits two levels deep in the document
+    return [
+        json.dumps(d, indent=2).replace("\n", "\n    ") for d in json.loads(out)["differentials"]
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "tex", "json"])
+def test_resolve_streams_no_write_larger_than_one_matrix(monkeypatch, fmt):
+    stream = WriteSizes()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["resolve", *SQUARES_CODIM2_RESOLVE_ARGS, "--format", fmt]) == 0
+    out = stream.getvalue()
+    matrices = _matrix_texts(fmt, out)
+    assert len(matrices) == 4
+    assert max(stream.sizes) <= max(map(len, matrices))
+    if fmt != "json":  # text and TeX go out one line at a time
+        assert max(stream.sizes) <= max(map(len, out.splitlines(keepends=True)))
+
+
+def test_bad_input_with_out_leaves_no_file(capsys, tmp_path):
+    target = tmp_path / "out.txt"
+    code, _, err = run(
+        capsys, "resolve", "--vars", "x,y", "--ideal", "x+y", "--ci", "x^2", "--max-step", "2",
+        "--out", str(target),
+    )
+    assert code == 2 and err.startswith("error:")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", ["text", "tex"])
+@pytest.mark.parametrize(
+    "argv, cells",
+    [
+        # ranks 1, 3, 4, 4, 4: 1*3 + 3*4 + 4*4 + 4*4
+        (["resolve", *THREE_SQUARES_ARGS, "--max-step", "4"], 47),
+        # ranks 1, 3, 3, 1: 1*3 + 3*3 + 3*1
+        (["taylor", *TAYLOR_ARGS], 15),
+    ],
+    ids=["resolve", "taylor"],
+)
+def test_dense_output_cap(capsys, monkeypatch, tmp_path, argv, cells, fmt):
+    """Above the cap, text and TeX exit 3 naming both numbers and leave no file; JSON has no cap."""
+    monkeypatch.setattr(cli, "MAX_DENSE_CELLS", cells - 1)
+    target = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--format", fmt, "--out", str(target))
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: dense output would have {cells} matrix cells, above the cap of {cells - 1}"
+        " (--format json writes only the nonzero entries)\n"
+    )
+    assert not target.exists()
+    assert run(capsys, *argv, "--format", "json")[0] == 0
+    monkeypatch.setattr(cli, "MAX_DENSE_CELLS", cells)
+    assert run(capsys, *argv, "--format", fmt)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "command, names, extra, cells",
+    [
+        ("resolve", "abcdefghijklmn", ["--ci", "a^3+b^3", "--max-step", "14"], 464066712),
+        ("taylor", "abcdefghijklmnop", ["--format", "tex"], 565722720),
+    ],
+    ids=["resolve", "taylor"],
+)
+def test_default_cap_refuses_before_building(capsys, monkeypatch, command, names, extra, cells):
+    """r = 14, N = 14 text and the r = 16 Taylor TeX are refused before any Taylor complex is built."""
+    import citaylor.homotopy as homotopy_mod
+
+    def refuse(ideal):
+        raise AssertionError("the Taylor complex was built")
+
+    monkeypatch.setattr(cli, "taylor_complex", refuse)
+    monkeypatch.setattr(homotopy_mod, "taylor_complex", refuse)
+    ideal = ",".join(f"{v}^2" for v in names)
+    code, _, err = run(capsys, command, "--vars", ",".join(names), "--ideal", ideal, *extra)
+    assert code == 3
+    assert f" {cells} matrix cells" in err and f"cap of {cli.MAX_DENSE_CELLS}" in err
+    assert cli.MAX_DENSE_CELLS == 10**8
 
 
 def test_seed_env_controls_rng(monkeypatch):

@@ -1,4 +1,5 @@
-"""Property: jsondoc.dump writes exactly the bytes of json.dumps(doc, indent=2) plus a newline.
+"""Property: jsondoc.dump, and the pieces of jsondoc.iterdump joined, are exactly the bytes
+of json.dumps(doc, indent=2) plus a newline.
 
 The trees mix entry records ({"row", "col", "poly"} with int, int, str values,
 which the writer formats in one f-string) with records that only look like
@@ -12,7 +13,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from citaylor.jsondoc import dump  # noqa: E402
+from citaylor.jsondoc import dump, iterdump  # noqa: E402
 
 TEXT = st.text(
     st.one_of(
@@ -54,7 +55,9 @@ TREES = st.recursive(
 @settings(max_examples=100, deadline=None)
 @given(TREES)
 def test_dump_equals_json_dumps_indent_2(doc):
-    assert dump(doc) == json.dumps(doc, indent=2) + "\n"
+    expected = json.dumps(doc, indent=2) + "\n"
+    assert dump(doc) == expected
+    assert "".join(iterdump(doc)) == expected
 
 
 @pytest.mark.parametrize("doc", [1.5, {"a": {1, 2}}, [b"bytes"]])
