@@ -2,7 +2,12 @@
 
 Subcommands: taylor, resolve, verify, betti, export-dot, check-exactness.
 Exit codes: 0 success, 1 a verification reported failure, 2 bad input,
-3 a computation cap was exceeded.
+3 a computation cap was exceeded, 141 (128 + SIGPIPE) the reader of stdout
+closed the pipe.
+
+A ring is its variables and its field, all that a JSON document stores, so
+a document loads back to the resolution that wrote it.  Polynomials print
+in grlex (degree, then lex).
 
 Every writer is a generator of text pieces: a line, or at most one matrix
 row or one matrix.  ``emit`` writes them as they come, so no document is
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from math import comb
@@ -35,6 +41,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_PIPE = 141
 
 EDGE_COLORS = ("red", "orange", "purple", "brown", "cyan4", "magenta")
 
@@ -623,7 +630,14 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a pipe closed before the last buffered piece fails here
+        return code
+    except BrokenPipeError:
+        # the reader went away: end quietly, as a producer killed by SIGPIPE does,
+        # with stdout on devnull so the flush at shutdown has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -2,15 +2,14 @@
 
 Coefficients are ``fractions.Fraction`` in characteristic zero and ModP
 elements in characteristic p.  A polynomial is an immutable mapping from
-exponent tuples to nonzero coefficients; nothing here ever rounds.
+exponent tuples to nonzero coefficients; nothing here ever rounds.  Terms
+print descending in grlex: total degree first, then lex.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-
-MONOMIAL_ORDERS = ("grlex", "grevlex", "lex")
 
 
 class ParseError(ValueError):
@@ -176,15 +175,9 @@ def exponents_of_degree(nvars, degree):
             yield (first, *rest)
 
 
-def monomial_key(order):
-    """Sort key realizing a monomial order: bigger key = bigger monomial."""
-    if order == "grlex":
-        return lambda e: (sum(e), e)
-    if order == "grevlex":
-        return lambda e: (sum(e), tuple(-x for x in reversed(e)))
-    if order == "lex":
-        return lambda e: e
-    raise ValueError(f"unknown monomial order {order!r}")
+def grlex(exponents):
+    """Sort key of the print order, total degree then lex: bigger key = bigger monomial."""
+    return (sum(exponents), exponents)
 
 
 class Polynomial:
@@ -288,16 +281,10 @@ class Polynomial:
         zero = (0,) * len(self.ring.variables)
         return self.terms.get(zero, self.ring.field.zero)
 
-    def sorted_exponents(self):
-        key = monomial_key(self.ring.order)
-        return sorted(self.terms, key=key, reverse=True)
-
-    def leading(self, key=None):
-        """(exponents, coeff) of the largest term under key (ring order default)."""
+    def leading(self, key):
+        """(exponents, coeff) of the largest term under the sort key."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        if key is None:
-            key = monomial_key(self.ring.order)
         e = max(self.terms, key=key)
         return e, self.terms[e]
 
@@ -328,11 +315,10 @@ def _tokenize(src):
 
 @dataclass(frozen=True)
 class PolyRing:
-    """Polynomial ring: named variables, coefficient field, monomial order."""
+    """Polynomial ring: named variables and a coefficient field."""
 
     variables: tuple[str, ...]
     field: object = QQ
-    order: str = "grlex"
 
     def __post_init__(self):
         if not self.variables:
@@ -342,8 +328,6 @@ class PolyRing:
         for v in self.variables:
             if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", v):
                 raise ValueError(f"bad variable name {v!r}")
-        if self.order not in MONOMIAL_ORDERS:
-            raise ValueError(f"unknown monomial order {self.order!r}")
 
     @property
     def nvars(self):
@@ -482,14 +466,14 @@ class PolyRing:
         return self.format_exponents(exponents) or "1"
 
     def format_polynomial(self, poly):
-        """Canonical text form: terms descending in the ring order."""
+        """Canonical text form: terms descending in grlex."""
         return render_terms(poly, str, self.format_exponents, "*")
 
 
 def render_terms(poly, coeff_text, mono_text, times):
     """The signed term walk behind every rendering of a polynomial.
 
-    Terms run descending in the ring order.  A negative rational coefficient
+    Terms run descending in grlex.  A negative rational coefficient
     becomes a minus sign; a unit coefficient is dropped before a nonconstant
     monomial, and any other one is joined to it by times.
     """
@@ -497,7 +481,7 @@ def render_terms(poly, coeff_text, mono_text, times):
         return "0"
     one = poly.ring.field.one
     out = []
-    for e in poly.sorted_exponents():
+    for e in sorted(poly.terms, key=grlex, reverse=True):
         c = poly.terms[e]
         negative = isinstance(c, Fraction) and c < 0
         mag = -c if negative else c

@@ -12,10 +12,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import add
 
-from .poly import Polynomial, PolyRing, PrimeField, exponents_of_degree, is_prime, monomial_key
+from .poly import Polynomial, PolyRing, PrimeField, exponents_of_degree, is_prime
 from .report import Report
 
-GREVLEX = monomial_key("grevlex")  # the order of every Groebner basis here
+
+def grevlex(exponents):
+    """Sort key of every Groebner basis here, total degree then reverse lex."""
+    return (sum(exponents), tuple(-x for x in reversed(exponents)))
 
 
 class CapExceeded(RuntimeError):
@@ -41,7 +44,7 @@ def _reduce_full(terms, leads, polys):
     work = dict(terms)
     remainder = {}
     while work:
-        e = max(work, key=GREVLEX)
+        e = max(work, key=grevlex)
         c = work.pop(e)
         for le, lc, gterms in divisors:
             if all(a >= b for a, b in zip(e, le)):
@@ -78,7 +81,7 @@ def buchberger(generators, max_pairs=10000, max_degree=40):
     basis, leads = [], []
 
     def append(g):
-        le, lc = g.leading(GREVLEX)
+        le, lc = g.leading(grevlex)
         basis.append(g if lc == one else g * (one / lc))
         leads.append(le)
 
@@ -90,7 +93,7 @@ def buchberger(generators, max_pairs=10000, max_degree=40):
     def pair_key(idx):
         i, j = idx
         lcm = tuple(map(max, leads[i], leads[j]))
-        return (sum(lcm), GREVLEX(lcm), i, j)
+        return (sum(lcm), grevlex(lcm), i, j)
 
     while pairs:
         i, j = min(pairs, key=pair_key)
@@ -120,7 +123,7 @@ def buchberger(generators, max_pairs=10000, max_degree=40):
     # minimalize: keep ascending by leading term, drop anything an earlier
     # member's leading term divides (a proper divisor is always smaller)
     keep = []
-    for i in sorted(range(len(basis)), key=lambda t: GREVLEX(leads[t])):
+    for i in sorted(range(len(basis)), key=lambda t: grevlex(leads[t])):
         if not any(all(a >= b for a, b in zip(leads[i], leads[j])) for j in keep):
             keep.append(i)
 
@@ -199,7 +202,7 @@ class GradedExactness:
         self.resolution = resolution
         self.p = p
         ring = resolution.system.ring
-        self.ring = PolyRing(ring.variables, PrimeField(p), ring.order)
+        self.ring = PolyRing(ring.variables, PrimeField(p))
         self._columns = {}  # k -> {column j: [(row i, [(exponents, int)])]} of phi_k
         self._normal_forms = {}  # exponents -> [(exponents, int)]
         self._standard = {}  # degree -> exponents of the standard monomials

@@ -7,16 +7,18 @@ from dataclasses import dataclass, field
 @dataclass
 class Report:
     title: str
-    passed: bool = True
     details: list[str] = field(default_factory=list)
     failure: str | None = None
+
+    @property
+    def passed(self):
+        return self.failure is None
 
     def note(self, line):
         self.details.append(f"ok: {line}")
 
     def fail(self, line):
         self.details.append(f"FAIL: {line}")
-        self.passed = False
         if self.failure is None:
             self.failure = line
 

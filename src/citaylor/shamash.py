@@ -154,11 +154,15 @@ class PeriodicityInfo:
 @dataclass(frozen=True)
 class ShamashResolution:
     system: object
-    max_step: int
     bases: tuple
     differentials: tuple
     minimality: MinimalityReport
     periodicity: PeriodicityInfo
+
+    @property
+    def max_step(self):
+        """N, the last step: F_0..F_N are built."""
+        return len(self.bases) - 1
 
     def basis(self, n):
         """F_n, 0 <= n <= max_step."""
@@ -229,7 +233,6 @@ def shamash_resolution(system, max_step):
     )
     return ShamashResolution(
         system,
-        max_step,
         bases,
         diffs,
         _minimality(system),

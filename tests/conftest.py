@@ -42,8 +42,8 @@ def weighted_sum(matrices, weights):
     return LabeledGradedMatrix(first.ring, first.rows, first.cols, entries)
 
 
-def ring(names, field=QQ, order="grevlex"):
-    return PolyRing(tuple(names.split(",")), field, order)
+def ring(names, field=QQ):
+    return PolyRing(tuple(names.split(",")), field)
 
 
 # ---- seeded random instances ------------------------------------------------
