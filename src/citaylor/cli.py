@@ -33,7 +33,7 @@ from .homotopy import (
 )
 from .jsondoc import dump, iterdump, own_reports_json, report_json, resolution_json, taylor_json
 from .poly import QQ, ParseError, PolyRing, PrimeField, render_terms
-from .quotient import BadPrime, CapExceeded, GradedExactness, check_exactness
+from .quotient import DEFAULT_PRIME, BadPrime, CapExceeded, GradedExactness, check_exactness
 from .shamash import phi_squared_check, rank_formula, shamash_resolution
 from .taylor import monomial_ideal, taylor_complex, verify_taylor
 
@@ -198,9 +198,12 @@ def resolution_text(res):
 
 def resolution_from_json(doc):
     """Rebuild the resolution and cross-check it against the stored data."""
-    char = doc["ring"]["char"]
-    field = QQ if char == 0 else PrimeField(char)
-    ring = PolyRing(tuple(doc["ring"]["vars"]), field)
+    names, char = doc["ring"]["vars"], doc["ring"]["char"]
+    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        raise ValueError(f"ring.vars must be a list of variable names, got {json.dumps(names)}")
+    if not isinstance(char, int) or isinstance(char, bool):
+        raise ValueError(f"ring.char must be an integer, got {json.dumps(char)}")
+    ring = PolyRing(tuple(names), QQ if char == 0 else PrimeField(char))
     ideal = monomial_ideal(ring, doc["ideal"])
     ci = complete_intersection(ideal, doc["ci"])
     parsed = {}  # text -> Polynomial: each distinct string is parsed once
@@ -468,7 +471,7 @@ def cmd_resolve(args):
 
 def _exactness_reports(res, args):
     """check_exactness at steps 1..N-1, all sharing one engine over GF(p)."""
-    engine = GradedExactness(res, args.char if args.char else 32003)
+    engine = GradedExactness(res, args.char if args.char else DEFAULT_PRIME)
     return [check_exactness(engine, n, args.max_degree) for n in range(1, res.max_step)]
 
 

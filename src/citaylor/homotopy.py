@@ -6,7 +6,11 @@ exactly.  Row i induces the degree +1 map
 
     sigma_i(e_S) = sum_{t not in S} (-1)^(k - p - 1) * f_it * (m_t lcm(S) / lcm(S+t)) * e_{S+t}
 
-where k = |S| and p is the 1-based position of t inside S + {t}.  Together
+where k = |S| and p is the 1-based position of t inside S + {t}.  This is
+tau_{k+1} transposed: tau_{k+1} has the entry (-1)^(k + 1 - p) * x^q at
+(S, S+t), with x^q = lcm(S+t) / lcm(S), and k + 1 - p has the parity of
+k - p - 1, so sigma_i has f_it * x^(m_t - q) times that same sign at
+(S+t, S).  sigma_e reads each entry off tau; t is sum(S+t) - sum(S).  Together
 with sigma_0 = tau these satisfy the homotopy conditions checked by
 verify_homotopy_system; all higher sigma_u (|u| >= 2) vanish for this family.
 """
@@ -15,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import sub
 
 from .matrix import LabeledGradedMatrix, defect
 from .poly import Polynomial
@@ -106,7 +110,7 @@ def compute_lift(a, ideal, strategy="first", assignments=None):
     ring = ideal.ring
     row = [dict() for _ in range(ideal.ngens)]
 
-    def add(t, exponents, coeff):
+    def credit(t, exponents, coeff):
         acc = row[t - 1]
         prev = acc.get(exponents)
         acc[exponents] = coeff if prev is None else prev + coeff
@@ -121,7 +125,7 @@ def compute_lift(a, ideal, strategy="first", assignments=None):
             raise NotInIdeal(f"term {ring.term(e, c)} lies outside the ideal")
         if strategy == "first":
             t = next(iter(divisors))
-            add(t, divisors[t], c)
+            credit(t, divisors[t], c)
         elif strategy == "average":
             try:
                 share = ring.field.coerce(Fraction(1, len(divisors)))
@@ -131,7 +135,7 @@ def compute_lift(a, ideal, strategy="first", assignments=None):
                     f"characteristic {ring.field.characteristic}"
                 ) from None
             for t, quot in divisors.items():
-                add(t, quot, c * share)
+                credit(t, quot, c * share)
         else:
             if assignments is None:
                 raise ValueError("fixed-assignment strategy needs an assignment map")
@@ -144,7 +148,7 @@ def compute_lift(a, ideal, strategy="first", assignments=None):
                 raise ValueError(
                     f"generator {t} does not divide term {ring.format_exponents(e) or '1'}"
                 )
-            add(t, divisors[t], c)
+            credit(t, divisors[t], c)
     return tuple(Polynomial(ring, terms) for terms in row)
 
 
@@ -264,32 +268,20 @@ class HomotopySystem:
         cached = self._sigma.get((i, k))
         if cached is not None:
             return cached
+        rows, cols = self.complex.basis(k + 1), self.complex.basis(k)
         gens = self.ideal.generators
-        cols = self.complex.basis(k)
-        rows = self.complex.basis(k + 1)
-        row_index = {lab.indices: idx for idx, lab in enumerate(rows)}
-        signs = (self.ring.field.one, -self.ring.field.one)
-        shared = {}  # (t, quotient exponents, sign) -> the one entry they all refer to
         entries = {}
-        for j, col in enumerate(cols):
-            present = set(col.indices)
-            for t in range(1, r + 1):
-                if t in present:
-                    continue
-                f = self.lift.entry(i, t)
-                if f.is_zero():
-                    continue
-                union = tuple(sorted(col.indices + (t,)))
-                target = rows[row_index[union]]
-                # m_t * lcm(S) / lcm(S + t), a monomial since lcm(S + t) divides m_t * lcm(S)
-                quot = tuple(map(sub, map(add, gens[t - 1], col.lcm), target.lcm))
-                pos = union.index(t) + 1
-                odd = (k - pos - 1) % 2
-                key = (t, quot, odd)
-                poly = shared.get(key)
+        shared = {}  # (t, tau entry) -> the one sigma entry they all refer to
+        tau = self.complex.differential(k + 1).entries if k < r else {}
+        for (s, st), p in tau.items():  # sign * x^q at (S, S + t)
+            t = sum(rows[st].indices) - sum(cols[s].indices)
+            f = self.lift.entry(i, t)
+            if f:
+                poly = shared.get((t, id(p)))
                 if poly is None:
-                    poly = shared[key] = f.mul_term(quot, signs[odd])
-                entries[(row_index[union], j)] = poly
+                    (q, sign), = p.terms.items()
+                    poly = shared[(t, id(p))] = f.mul_term(tuple(map(sub, gens[t - 1], q)), sign)
+                entries[(st, s)] = poly
         built = LabeledGradedMatrix(self.ring, rows, cols, entries)
         self._sigma[(i, k)] = built
         return built

@@ -15,6 +15,8 @@ from operator import add
 from .poly import Polynomial, PolyRing, PrimeField, exponents_of_degree, is_prime
 from .report import Report
 
+DEFAULT_PRIME = 32003  # the field of the exactness checks when the input is over QQ
+
 
 def grevlex(exponents):
     """Sort key of every Groebner basis here, total degree then reverse lex."""
@@ -194,7 +196,7 @@ class GradedExactness:
     the (dim, rank) of (phi_{n + 1})_d.  The Groebner basis is built on first use.
     """
 
-    def __init__(self, resolution, p=32003):
+    def __init__(self, resolution, p=DEFAULT_PRIME):
         if not is_prime(p):
             raise BadPrime(f"{p} is not prime")
         if resolution.system.ci.codim < 1:

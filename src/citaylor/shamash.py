@@ -13,11 +13,12 @@ one cell: tau keeps u and shrinks S, while sigma_j lowers u_j and grows S.
 The basis order is a block layout, and every position is read from it.  F_n
 is a run of blocks, one per |S| = k of the parity of n, k ascending; block k
 holds each S of T_k in order, and for each S every u of weight (n - k) / 2
-in lex order.  Assembly places tau_k entry (i, j) at
-(row offset + i * #u + x, col offset + j * #u + x) for the x-th u, and a
-sigma_j entry through the index of u - e_j in the lowered block; the
-positions of the phi.phi shifts come from the same offsets.  No cell is
-found by looking up a (u, S) pair.
+in lex order.  One rule, ``_place``, puts every cell: a map T_k -> T_k'
+with entry (i, s) sends column (u, s) of block k of F_n, at
+col offset + s * #u + (index of u), to row (u', i) of block k' of F_m, with
+u' = u for tau and u' = u - e_j for sigma_j and for the phi.phi shift_j
+(the identity on T_k), which skip each u with u_j = 0.  No cell is found by
+looking up a (u, S) pair.
 
 Composing two consecutive differentials gives sum_j a_j * shift_j on the
 nose, where shift_j lowers u_j; over the quotient ring the a_j vanish, so
@@ -42,11 +43,6 @@ from .taylor import BasisElement
 
 class NoStableTail(RuntimeError):
     """No shift-stable tail was found in the computed window."""
-
-
-def _lowered(u, j):
-    """u - e_j, 1-based; callers check u_j >= 1."""
-    return u[: j - 1] + (u[j - 1] - 1,) + u[j:]
 
 
 @lru_cache(maxsize=256)
@@ -84,10 +80,27 @@ def shamash_basis(system, n):
     return out
 
 
-def _lowered_positions(us, lowered_us, i):
-    """(index of u - e_i in lowered_us, index of u in us) for each u with u_i >= 1."""
-    at = {u: x for x, u in enumerate(lowered_us)}
-    return [(at[_lowered(u, i)], x) for x, u in enumerate(us) if u[i - 1] >= 1]
+def _place(cells, source, target, j):
+    """Put a map T_k -> T_k' into phi: cells are its ((i, s), value) entries,
+    source = (offset, us) is block k of F_n and target block k' of F_m.
+
+    Column (u, s) lands in row (u, i) when j = 0, and in row (u - e_j, i)
+    when j >= 1 and u_j >= 1.  Yields ((row, col), value), each entry's
+    cells in the lex order of u.
+    """
+    (col_off, us), (row_off, target_us) = source, target
+    if j:
+        at = {u: x for x, u in enumerate(target_us)}
+        shifts = [
+            (at[u[: j - 1] + (u[j - 1] - 1,) + u[j:]], x) for x, u in enumerate(us) if u[j - 1]
+        ]
+    else:
+        shifts = [(x, x) for x in range(len(us))]
+    m, lm = len(us), len(target_us)
+    for (i, s), value in cells:
+        row, col = row_off + i * lm, col_off + s * m
+        for lx, x in shifts:
+            yield (row + lx, col + x), value
 
 
 def shamash_differential(system, n, rows, cols):
@@ -104,27 +117,14 @@ def shamash_differential(system, n, rows, cols):
             f"phi_{n} needs {nrows} rows and {ncols} columns, got {len(rows)} and {len(cols)}"
         )
     entries = {}
-    for k, (col_off, us) in col_blocks.items():
-        m = len(us)
-        if k >= 1:
-            row_off = row_blocks[k - 1][0]
-            for (i, j), p in system.sigma_zero(k).entries.items():
-                row, col = row_off + i * m, col_off + j * m
-                for x in range(m):
-                    entries[(row + x, col + x)] = p
-        if k == n:
-            continue
-        for i in range(1, system.ci.codim + 1):
-            sigma = system.sigma_e(i, k)
-            if not sigma.entries:  # T_{k+1} = 0 at k = r: no lowered block
-                continue
-            row_off, lowered_us = row_blocks[k + 1]
-            lm = len(lowered_us)
-            shifts = _lowered_positions(us, lowered_us, i)
-            for (ri, j), p in sigma.entries.items():
-                row, col = row_off + ri * lm, col_off + j * m
-                for lx, x in shifts:
-                    entries[(row + lx, col + x)] = p
+    for k, block in col_blocks.items():
+        if k - 1 in row_blocks:
+            tau = system.sigma_zero(k).entries.items()
+            entries.update(_place(tau, block, row_blocks[k - 1], 0))
+        if k + 1 in row_blocks:  # none at k = n (u = 0 only) or k = r (T_{r+1} = 0)
+            for j in range(1, system.ci.codim + 1):
+                sigma = system.sigma_e(j, k).entries.items()
+                entries.update(_place(sigma, block, row_blocks[k + 1], j))
     return LabeledGradedMatrix(system.ring, rows, cols, entries)
 
 
@@ -246,16 +246,11 @@ def _shift_positions(resolution, n, j):
     """
     system = resolution.system
     row_blocks = _layout(system, n - 1)[0]
-    for k, (col_off, us) in _layout(system, n + 1)[0].items():
-        if k == n + 1:  # u = 0 only, and F_{n-1} has no block n + 1
-            continue
-        row_off, lowered_us = row_blocks[k]
-        m, lm = len(us), len(lowered_us)
-        shifts = _lowered_positions(us, lowered_us, j)
-        for s in range(len(system.complex.basis(k))):
-            row, col = row_off + s * lm, col_off + s * m
-            for lx, x in shifts:
-                yield row + lx, col + x
+    for k, block in _layout(system, n + 1)[0].items():
+        if k in row_blocks:  # F_{n-1} has no block n + 1
+            identity = (((s, s), None) for s in range(len(system.complex.basis(k))))
+            for cell, _ in _place(identity, block, row_blocks[k], j):
+                yield cell
 
 
 def _phi_defect(resolution, n):

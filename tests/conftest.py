@@ -107,6 +107,31 @@ def random_instance(rng, max_vars=4, max_gens=5, max_codim=2, field=QQ):
     return ideal, complete_intersection(ideal, sequence)
 
 
+def reference_sigma(system, i, k):
+    """Entries of sigma_i: T_k -> T_{k+1} from the paper's formula, each S + t
+    found by searching T_{k+1}:
+
+        sigma_i(e_S) = sum_{t not in S} (-1)^(k - p - 1) * f_it * (m_t lcm(S) / lcm(S+t)) * e_{S+t}
+
+    with p the position of t inside S + t.
+    """
+    ring, ideal = system.ring, system.ideal
+    rows = system.complex.basis(k + 1)
+    entries = {}
+    for j, b in enumerate(system.complex.basis(k)):
+        for t in range(1, ideal.ngens + 1):
+            if t in b.indices:
+                continue
+            union = ideal.subset(sorted(b.indices + (t,)))
+            quot = tuple(g + x - y for g, x, y in zip(ideal.generator(t), b.lcm, union.lcm))
+            pos = union.indices.index(t) + 1
+            poly = system.lift.entry(i, t) * ring.term(quot, -1 if (k - pos - 1) % 2 else 1)
+            if poly:
+                (row,) = [r for r, a in enumerate(rows) if a.indices == union.indices]
+                entries[(row, j)] = poly
+    return entries
+
+
 # ---- the worked examples -------------------------------------------------
 
 

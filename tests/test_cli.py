@@ -260,6 +260,28 @@ def test_round_trip_rejects_entries_that_differ_from_the_data(capsys, tamper, er
         resolution_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("vars", "xyz"),
+        ("vars", ["x", "y", 3]),
+        ("char", 0.0),
+        ("char", False),
+        ("char", True),
+        ("char", "0"),
+        ("char", 32003.0),
+    ],
+    ids=repr,
+)
+def test_round_trip_rejects_a_ring_of_the_wrong_type(capsys, key, value):
+    """A string is not a list of names, and a bool or float is not a characteristic."""
+    doc = _resolution_doc(capsys)
+    doc["ring"][key] = value
+    pattern = rf"^ring\.{key} must be .*, got {re.escape(json.dumps(value))}$"
+    with pytest.raises(ValueError, match=pattern):
+        resolution_from_json(doc)
+
+
 def test_round_trip_loads_a_verify_document(capsys):
     """verify --format json stores its reports next to minimality and periodicity."""
     code, out, _ = run(capsys, "verify", *THREE_SQUARES_ARGS, "--max-step", "3", "--format", "json")
@@ -984,7 +1006,9 @@ def test_package_imports_without_site_packages():
 
 
 def unused_imports(source):
-    """(line, name) of each name the module imports and never reads; __future__ is exempt."""
+    """(line, name) of each name the module imports and then never reads, or also
+    binds by ``def``, assignment or argument, which hides the import where the
+    new name is read; __future__ is exempt."""
     tree = ast.parse(source)
     imported = {}
     for node in ast.walk(tree):
@@ -993,14 +1017,27 @@ def unused_imports(source):
         ):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted((line, name) for name, line in imported.items() if name not in read)
+    names = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    read = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+    rebound = {node.id for node in names if isinstance(node.ctx, ast.Store)}
+    rebound |= {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    rebound |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+    return sorted(
+        (line, name) for name, line in imported.items() if name not in read or name in rebound
+    )
 
 
 def test_modules_use_every_name_they_import():
     """``__init__`` re-exports its imports; every other module reads each one it imports."""
     source = "from __future__ import annotations\nimport os, sys\nfrom json import dumps as d\n"
     assert unused_imports(source + "sys.exit()\n") == [(2, "os"), (3, "d")]
+    hidden = "def f(x, d=1):\n    def sys(): pass\n    return d(x) + sys()\n"
+    assert unused_imports(source + "os.sep\n" + hidden) == [(2, "sys"), (3, "d")]
+    assert unused_imports(source + "os, sys = d(1), 2\n") == [(2, "os"), (2, "sys")]
     src = Path(citaylor.__file__).parent
     found = {
         path.name: unused_imports(path.read_text())

@@ -6,6 +6,7 @@ import pytest
 
 from citaylor import (
     GF,
+    QQ,
     HomotopySystem,
     LabeledGradedMatrix,
     LiftMatrix,
@@ -22,7 +23,15 @@ from citaylor import (
 )
 from citaylor.homotopy import check_lift, parse_assignments
 
-from conftest import grid, random_instance, ring, weighted_sum
+from conftest import (
+    grid,
+    random_ideal,
+    random_instance,
+    random_sequence,
+    reference_sigma,
+    ring,
+    weighted_sum,
+)
 
 
 def squarefree_ci(field=None):
@@ -279,6 +288,22 @@ def test_sigma_index_bounds():
         system.sigma_e(1, 4)
     with pytest.raises(ValueError):
         system.sigma_e(0, 0)
+
+
+@pytest.mark.parametrize("codim", [1, 2, 3])
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)
+def test_sigma_matches_the_formula_on_every_taylor_module(field, codim):
+    """sigma_e, read off tau, equals the paper's formula on T_0..T_r, the empty T_r map included."""
+    rng = random.Random(f"sigma {field!r} {codim}")
+    for trial in range(8):
+        ideal = random_ideal(rng, max_vars=3, max_gens=5, field=field)
+        ci = complete_intersection(ideal, random_sequence(rng, ideal, codim))
+        system = homotopy_system(ci, strategy="average" if trial % 2 else "first")
+        r = ideal.ngens
+        for i in range(1, codim + 1):
+            for k in range(r + 1):
+                assert system.sigma_e(i, k).entries == reference_sigma(system, i, k), (i, k)
+            assert system.sigma_e(i, r).entries == {}
 
 
 def test_sigma_entries_homogeneous_of_forced_degree():

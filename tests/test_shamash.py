@@ -33,6 +33,7 @@ from conftest import (
     random_ideal,
     random_instance,
     random_sequence,
+    reference_sigma,
     ring,
     seeded_rng,
 )
@@ -586,6 +587,7 @@ def reference_differential(system, rows, cols):
     ring, ideal = system.ring, system.ideal
     row_index = {(b.u, b.indices): i for i, b in enumerate(rows)}
     entries = {}
+    sigmas = {}  # (i, k) -> reference_sigma(system, i, k)
 
     def add(u, label, j, poly):
         pos = (row_index[(u, label.indices)], j)
@@ -597,20 +599,16 @@ def reference_differential(system, rows, cols):
             face = ideal.subset(t for t in S if t != s)
             quot = tuple(x - y for x, y in zip(b.lcm, face.lcm))
             add(b.u, face, j, ring.term(quot, (-1) ** (k - pos)))
+        here = system.complex.basis(k).index(ideal.subset(S))
         for i in range(1, system.ci.codim + 1):
             if b.u[i - 1] == 0:
                 continue
             lowered = b.u[: i - 1] + (b.u[i - 1] - 1,) + b.u[i:]
-            for t in range(1, ideal.ngens + 1):
-                if t in S:
-                    continue
-                union = ideal.subset(sorted(S + (t,)))
-                quot = tuple(
-                    g + x - y for g, x, y in zip(ideal.generator(t), b.lcm, union.lcm)
-                )
-                pos = union.indices.index(t) + 1
-                term = ring.term(quot, -1 if (k - pos - 1) % 2 else 1)
-                add(lowered, union, j, system.lift.entry(i, t) * term)
+            if (i, k) not in sigmas:
+                sigmas[(i, k)] = reference_sigma(system, i, k)
+            for (row, col), poly in sigmas[(i, k)].items():
+                if col == here:
+                    add(lowered, system.complex.basis(k + 1)[row], j, poly)
     return {pos: p for pos, p in entries.items() if not p.is_zero()}
 
 
