@@ -28,7 +28,6 @@ from .homotopy import (
     complete_intersection,
     lift_matrix,
     lift_matrix_from_rows,
-    parse_assignments,
     verify_homotopy_system,
 )
 from .jsondoc import dump, iterdump, own_reports_json, report_json, resolution_json, taylor_json
@@ -196,16 +195,29 @@ def resolution_text(res):
 # ---- json ----------------------------------------------------------------
 
 
+def _list_of(kind):
+    return lambda value: isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
+def _field(value, field, what, ok=_list_of(str)):
+    """value when ok accepts it, else a ValueError naming the field."""
+    if not ok(value):
+        raise ValueError(f"{field} must be {what}, got {json.dumps(value)}")
+    return value
+
+
 def resolution_from_json(doc):
-    """Rebuild the resolution and cross-check it against the stored data."""
-    names, char = doc["ring"]["vars"], doc["ring"]["char"]
-    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
-        raise ValueError(f"ring.vars must be a list of variable names, got {json.dumps(names)}")
-    if not isinstance(char, int) or isinstance(char, bool):
-        raise ValueError(f"ring.char must be an integer, got {json.dumps(char)}")
+    """Rebuild the resolution and cross-check it, each field against its JSON type first."""
+    ring_doc = _field(doc.get("ring"), "ring", "an object", lambda v: isinstance(v, dict))
+    names = _field(ring_doc.get("vars"), "ring.vars", "a list of variable names")
+    char = _field(ring_doc.get("char"), "ring.char", "an integer", lambda v: type(v) is int)
     ring = PolyRing(tuple(names), QQ if char == 0 else PrimeField(char))
-    ideal = monomial_ideal(ring, doc["ideal"])
-    ci = complete_intersection(ideal, doc["ci"])
+    ideal = monomial_ideal(ring, _field(doc.get("ideal"), "ideal", "a list of monomials"))
+    ci = complete_intersection(ideal, _field(doc.get("ci"), "ci", "a list of polynomials"))
+    lift = _field(doc.get("lift"), "lift", "a list of rows", _list_of(list))
+    modules = _field(doc.get("modules"), "modules", "a list of modules", _list_of(list))
+    dmats = _field(doc.get("differentials"), "differentials", "a list of matrices", _list_of(dict))
+    reports = _field(doc.get("reports"), "reports", "an object", lambda v: isinstance(v, dict))
     parsed = {}  # text -> Polynomial: each distinct string is parsed once
 
     def parse(text):
@@ -214,19 +226,22 @@ def resolution_from_json(doc):
             poly = parsed[text] = ring.parse(text)
         return poly
 
-    rows = [[parse(s) for s in row] for row in doc["lift"]]
-    system = HomotopySystem(ci, lift_matrix_from_rows(ci, rows))
-    res = shamash_resolution(system, len(doc["modules"]) - 1)
-    for n, module in enumerate(doc["modules"]):
-        stored = [(tuple(e["u"]), tuple(e["S"]), e["twist"]) for e in module]
-        computed = [(b.u, b.indices, b.twist) for b in res.basis(n)]
-        if stored != computed:
+    rows = [[parse(s) for s in _field(row, "lift rows", "lists of polynomials")] for row in lift]
+    res = shamash_resolution(HomotopySystem(lift_matrix_from_rows(ci, rows)), len(modules) - 1)
+    for n, module in enumerate(modules):
+        try:  # checked as it is read: basis elements are the bulk of a document
+            stored = [(tuple(e["u"]), tuple(e["S"]), e["twist"]) for e in module]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"modules[{n}] must be a list of basis elements, got {json.dumps(module)}"
+            ) from None
+        if stored != [(b.u, b.indices, b.twist) for b in res.basis(n)]:
             raise ValueError(f"stored basis at step {n} does not match the data")
-    if [d["from"] for d in doc["differentials"]] != list(range(1, res.max_step + 1)):
+    if [d.get("from") for d in dmats] != list(range(1, res.max_step + 1)):
         raise ValueError("stored differentials do not run from 1 to the last module")
-    for dmat in doc["differentials"]:
-        if dmat["to"] != dmat["from"] - 1:
-            raise ValueError(f"stored differential {dmat['from']} maps to step {dmat['to']}")
+    for dmat in dmats:
+        if dmat.get("to") != dmat["from"] - 1:
+            raise ValueError(f"stored differential {dmat['from']} maps to step {dmat.get('to')}")
         entries = res.differential(dmat["from"]).entries
         stored = {(e["row"], e["col"]): e["poly"] for e in dmat["entries"]}
         # a text equal to the canonical one needs no parse; any other must parse to the entry
@@ -237,7 +252,7 @@ def resolution_from_json(doc):
             raise ValueError(f"stored differential {dmat['from']} does not match the data")
     # verify --format json stores more reports; only the resolution's own are rebuilt
     for name, report in own_reports_json(res).items():
-        if doc["reports"][name] != report:
+        if reports.get(name) != report:
             raise ValueError(f"stored {name} report does not match the data")
     return res
 
@@ -382,6 +397,32 @@ def build_ci(args, ideal):
     return complete_intersection(ideal, elements)
 
 
+def parse_assignments(ring, doc):
+    """Decode {"assignments": [{"term": "x^2*z", "gen": 1}, ...]} into a term -> generator map."""
+    items = doc.get("assignments") if isinstance(doc, dict) else None
+    if not isinstance(items, list):
+        raise ValueError(f'expected {{"assignments": [...]}}, got {json.dumps(doc)}')
+    out = {}
+    for item in items:
+        if not isinstance(item, dict) or not isinstance(item.get("term"), str):
+            raise ValueError(f'assignment {json.dumps(item)} needs a "term" string')
+        p = ring.parse(item["term"])
+        if len(p.terms) != 1:
+            raise ValueError(f"term pattern {item['term']!r} is not a single monomial")
+        (e, c), = p.terms.items()
+        if c != ring.field.one:
+            raise ValueError(f"term pattern {item['term']!r} must be a bare monomial")
+        gen = item.get("gen")
+        if not isinstance(gen, int) or isinstance(gen, bool):
+            raise ValueError(
+                f"assignment 'gen' must be a 1-based integer index (got {json.dumps(gen)})"
+            )
+        if e in out:
+            raise ValueError(f"term pattern {item['term']!r} assigned twice")
+        out[e] = gen
+    return out
+
+
 def build_lift(args, ci):
     spec = "first" if args.lift is None else args.lift
     if spec in ("first", "average"):
@@ -394,12 +435,7 @@ def build_lift(args, ci):
             except json.JSONDecodeError as exc:
                 raise ValueError(f"lift file {path} is not valid JSON: {exc}") from None
         docs = doc if isinstance(doc, list) else [doc]
-        if len(docs) != ci.codim:
-            raise ValueError(
-                f"lift file provides {len(docs)} assignment rows, sequence has {ci.codim}"
-            )
-        maps = [parse_assignments(ci.ring, d) for d in docs]
-        return lift_matrix(ci, "fixed-assignment", maps)
+        return lift_matrix(ci, [parse_assignments(ci.ring, d) for d in docs])
     raise ValueError(f"--lift must be first, average, or file:PATH (got {spec!r})")
 
 
@@ -453,7 +489,7 @@ def _build_ci(args):
 
 
 def _build_system(args, ci):
-    return HomotopySystem(ci, build_lift(args, ci))
+    return HomotopySystem(build_lift(args, ci))
 
 
 def _build_resolution(args):

@@ -13,10 +13,11 @@ k - p - 1, so sigma_i has f_it * x^(m_t - q) times that same sign at
 (S+t, S).  sigma_e reads each entry off tau; t is sum(S+t) - sum(S).  Together
 with sigma_0 = tau these satisfy the homotopy conditions checked by
 verify_homotopy_system; all higher sigma_u (|u| >= 2) vanish for this family.
+
+The lift is the one free choice, and a HomotopySystem is built from it alone.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
@@ -26,7 +27,7 @@ from .poly import Polynomial
 from .report import Report
 from .taylor import MonomialIdeal, taylor_complex
 
-LIFT_STRATEGIES = ("first", "fixed-assignment", "average")
+LIFT_STRATEGIES = ("first", "average")
 
 
 class NotInIdeal(ValueError):
@@ -97,16 +98,15 @@ def check_lift(ci, rows):
                 )
 
 
-def compute_lift(a, ideal, strategy="first", assignments=None):
+def compute_lift(a, ideal, rule="first"):
     """One lift row for a single polynomial a = sum_j f_j * m_j.
 
-    ``first`` routes each term of a to its smallest dividing generator,
-    ``average`` spreads it uniformly over all dividing generators, and
-    ``fixed-assignment`` follows an explicit term -> generator map
-    (exponent tuple -> 1-based generator index).
+    ``"first"`` routes each term of a to its smallest dividing generator,
+    ``"average"`` spreads it uniformly over all dividing generators, and a
+    dict (exponent tuple -> 1-based generator index) routes it explicitly.
     """
-    if strategy not in LIFT_STRATEGIES:
-        raise ValueError(f"unknown lift strategy {strategy!r}")
+    if rule not in LIFT_STRATEGIES and not isinstance(rule, dict):
+        raise ValueError(f"unknown lift strategy {rule!r}")
     ring = ideal.ring
     row = [dict() for _ in range(ideal.ngens)]
 
@@ -123,10 +123,10 @@ def compute_lift(a, ideal, strategy="first", assignments=None):
                 divisors[t] = quot
         if not divisors:
             raise NotInIdeal(f"term {ring.term(e, c)} lies outside the ideal")
-        if strategy == "first":
+        if rule == "first":
             t = next(iter(divisors))
             credit(t, divisors[t], c)
-        elif strategy == "average":
+        elif rule == "average":
             try:
                 share = ring.field.coerce(Fraction(1, len(divisors)))
             except ZeroDivisionError:
@@ -137,9 +137,7 @@ def compute_lift(a, ideal, strategy="first", assignments=None):
             for t, quot in divisors.items():
                 credit(t, quot, c * share)
         else:
-            if assignments is None:
-                raise ValueError("fixed-assignment strategy needs an assignment map")
-            t = assignments.get(e)
+            t = rule.get(e)
             if t is None:
                 raise ValueError(f"no assignment for term {ring.format_exponents(e) or '1'}")
             if not 1 <= t <= ideal.ngens:
@@ -152,17 +150,12 @@ def compute_lift(a, ideal, strategy="first", assignments=None):
     return tuple(Polynomial(ring, terms) for terms in row)
 
 
-def lift_matrix(ci, strategy="first", assignments=None):
-    """Lift every sequence element; assignments is one map per row when fixed."""
-    rows = []
-    for i, a in enumerate(ci.sequence):
-        amap = None
-        if strategy == "fixed-assignment":
-            if assignments is None or len(assignments) != len(ci.sequence):
-                raise ValueError("fixed-assignment needs one assignment map per row")
-            amap = assignments[i]
-        rows.append(compute_lift(a, ci.ideal, strategy, amap))
-    rows = tuple(rows)
+def lift_matrix(ci, rule="first"):
+    """Lift every sequence element by one compute_lift rule, or by a list of one per element."""
+    rules = list(rule) if isinstance(rule, (list, tuple)) else [rule] * ci.codim
+    if len(rules) != ci.codim:
+        raise ValueError(f"lift has {len(rules)} assignment rows, sequence has {ci.codim}")
+    rows = tuple(compute_lift(a, ci.ideal, r) for a, r in zip(ci.sequence, rules))
     check_lift(ci, rows)
     return LiftMatrix(ci, rows)
 
@@ -173,32 +166,6 @@ def lift_matrix_from_rows(ci, rows):
         raise ValueError("lift matrix must be c x r")
     check_lift(ci, rows)
     return LiftMatrix(ci, rows)
-
-
-def parse_assignments(ring, doc):
-    """Decode {"assignments": [{"term": "x^2*z", "gen": 1}, ...]}."""
-    items = doc.get("assignments") if isinstance(doc, dict) else None
-    if not isinstance(items, list):
-        raise ValueError(f'expected {{"assignments": [...]}}, got {json.dumps(doc)}')
-    out = {}
-    for item in items:
-        if not isinstance(item, dict) or not isinstance(item.get("term"), str):
-            raise ValueError(f'assignment {json.dumps(item)} needs a "term" string')
-        p = ring.parse(item["term"])
-        if len(p.terms) != 1:
-            raise ValueError(f"term pattern {item['term']!r} is not a single monomial")
-        (e, c), = p.terms.items()
-        if c != ring.field.one:
-            raise ValueError(f"term pattern {item['term']!r} must be a bare monomial")
-        gen = item.get("gen")
-        if not isinstance(gen, int) or isinstance(gen, bool):
-            raise ValueError(
-                f"assignment 'gen' must be a 1-based integer index (got {json.dumps(gen)})"
-            )
-        if e in out:
-            raise ValueError(f"term pattern {item['term']!r} assigned twice")
-        out[e] = gen
-    return out
 
 
 def average_lifts(lifts, weights):
@@ -231,16 +198,14 @@ def average_lifts(lifts, weights):
 
 
 class HomotopySystem:
-    """Taylor differential plus one homotopy per sequence element."""
+    """Taylor differential plus one homotopy per sequence element, read off the lift."""
 
     __slots__ = ("ci", "lift", "complex", "_sigma")
 
-    def __init__(self, ci, lift):
-        if lift.ci != ci:
-            raise ValueError("lift was computed for different data")
-        self.ci = ci
+    def __init__(self, lift):
+        self.ci = lift.ci
         self.lift = lift
-        self.complex = taylor_complex(ci.ideal)
+        self.complex = taylor_complex(lift.ci.ideal)
         self._sigma = {}
 
     @property
@@ -287,10 +252,13 @@ class HomotopySystem:
         return built
 
 
-def homotopy_system(ci, lift=None, strategy="first", assignments=None):
-    if lift is None:
-        lift = lift_matrix(ci, strategy, assignments)
-    return HomotopySystem(ci, lift)
+def homotopy_system(ci, lift="first"):
+    """The system of a LiftMatrix for ci, or of the lift that lift_matrix(ci, lift) builds."""
+    if not isinstance(lift, LiftMatrix):
+        lift = lift_matrix(ci, lift)
+    elif lift.ci != ci:
+        raise ValueError("lift was computed for different data")
+    return HomotopySystem(lift)
 
 
 def verify_homotopy_system(system):

@@ -249,9 +249,6 @@ class Polynomial:
                 acc[e] = c if s is None else s + c
         return Polynomial(self.ring, acc)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def scale(self, scalar):
         c0 = self.ring.field.coerce(scalar)
         if not c0:

@@ -199,8 +199,6 @@ class GradedExactness:
     def __init__(self, resolution, p=DEFAULT_PRIME):
         if not is_prime(p):
             raise BadPrime(f"{p} is not prime")
-        if resolution.system.ci.codim < 1:
-            raise ValueError("exactness check needs a nonempty sequence")
         self.resolution = resolution
         self.p = p
         ring = resolution.system.ring

@@ -140,7 +140,7 @@ def build_three_squares(max_step=6):
     R = ring("x,y,z")
     I = monomial_ideal(R, ["x^2", "y^2", "z^2"])
     ci = complete_intersection(I, ["x^2*z + x*y^2"])
-    return shamash_resolution(homotopy_system(ci, strategy="first"), max_step)
+    return shamash_resolution(homotopy_system(ci, "first"), max_step)
 
 
 def build_squarefree_taylor():
@@ -155,7 +155,7 @@ def build_monomial_c1(gen=1, max_step=6):
     I = monomial_ideal(R, ["x*y", "x*z", "y*z"])
     ci = complete_intersection(I, ["x*y*z"])
     exps = (1, 1, 1)
-    lift = lift_matrix(ci, "fixed-assignment", [{exps: gen}])
+    lift = lift_matrix(ci, [{exps: gen}])
     return shamash_resolution(homotopy_system(ci, lift=lift), max_step)
 
 
@@ -164,7 +164,7 @@ def build_poly_c1(max_step=6):
     R = ring("x,y")
     I = monomial_ideal(R, ["x^2", "y^2"])
     ci = complete_intersection(I, ["x^2*y + x*y^2"])
-    return shamash_resolution(homotopy_system(ci, strategy="first"), max_step)
+    return shamash_resolution(homotopy_system(ci, "first"), max_step)
 
 
 def build_codim2(max_step=5):
@@ -172,7 +172,7 @@ def build_codim2(max_step=5):
     R = ring("x,y,z,w")
     I = monomial_ideal(R, ["x^2", "y^2", "z^2", "w^2"])
     ci = complete_intersection(I, ["x^3 + y^3", "z^3 + w^3"])
-    return shamash_resolution(homotopy_system(ci, strategy="first"), max_step)
+    return shamash_resolution(homotopy_system(ci, "first"), max_step)
 
 
 def build_hypersurface(max_step=5):
@@ -180,7 +180,7 @@ def build_hypersurface(max_step=5):
     R = ring("x1,x2")
     I = monomial_ideal(R, ["x1^2", "x2^2"])
     ci = complete_intersection(I, ["x1^5"])
-    return shamash_resolution(homotopy_system(ci, strategy="first"), max_step)
+    return shamash_resolution(homotopy_system(ci, "first"), max_step)
 
 
 def build_tate(max_step=6):
@@ -188,7 +188,7 @@ def build_tate(max_step=6):
     R = ring("x,y,z")
     I = monomial_ideal(R, ["x", "y", "z"])
     ci = complete_intersection(I, ["x^2 + y^2 + z^2"])
-    return shamash_resolution(homotopy_system(ci, strategy="first"), max_step)
+    return shamash_resolution(homotopy_system(ci, "first"), max_step)
 
 
 @pytest.fixture(scope="session")

@@ -240,7 +240,7 @@ def test_criterion_2_golden_matrices():
         R = ring("x1,x2")
         hyp = homotopy_system(
             complete_intersection(monomial_ideal(R, ["x1^2", "x2^2"]), ["x1^5"]),
-            strategy="first",
+            "first",
         )
         assert grid(hyp.sigma_e(1, 0)) == [["x1^3"], ["0"]]
         assert grid(hyp.sigma_e(1, 1)) == [["0", "-x1^3"]]
@@ -279,8 +279,8 @@ def test_criterion_3_identity_suite():
         for _ in range(25):
             ideal, ci = random_instance(rng, max_vars=4, max_gens=5, max_codim=2)
             for strategy in ("first", "average"):
-                run_identity_suite(homotopy_system(ci, strategy=strategy))
-            fixed = lift_matrix(ci, "fixed-assignment", last_divisor_assignments(ci))
+                run_identity_suite(homotopy_system(ci, strategy))
+            fixed = lift_matrix(ci, last_divisor_assignments(ci))
             run_identity_suite(homotopy_system(ci, lift=fixed))
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"took {elapsed:.1f}s, budget is 60s"
@@ -356,7 +356,7 @@ def test_criterion_8_averaged_lift():
     with criterion(8, "uniform average of the three variant lifts"):
         ci = squarefree_ci()
         lifts = [
-            lift_matrix(ci, "fixed-assignment", [{(1, 1, 1): gen}]) for gen in (1, 2, 3)
+            lift_matrix(ci, [{(1, 1, 1): gen}]) for gen in (1, 2, 3)
         ]
         averaged = average_lifts(lifts, [Fraction(1, 3)] * 3)
         assert averaged.rows == lift_matrix(ci, "average").rows

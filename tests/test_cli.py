@@ -138,7 +138,7 @@ def test_every_json_round_trip_is_exact(field):
     rng = seeded_rng()
     for _ in range(8):
         _, ci = random_instance(rng, max_codim=2, field=field)
-        assert_round_trip_exact(shamash_resolution(homotopy_system(ci, strategy="first"), 4))
+        assert_round_trip_exact(shamash_resolution(homotopy_system(ci, "first"), 4))
 
 
 def test_round_trip_rejects_tampered_data(capsys):
@@ -278,6 +278,51 @@ def test_round_trip_rejects_a_ring_of_the_wrong_type(capsys, key, value):
     doc = _resolution_doc(capsys)
     doc["ring"][key] = value
     pattern = rf"^ring\.{key} must be .*, got {re.escape(json.dumps(value))}$"
+    with pytest.raises(ValueError, match=pattern):
+        resolution_from_json(doc)
+
+
+def _set(*path_and_value):
+    """An edit that stores the value at the path of keys; _MISSING deletes the key."""
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for k in path:
+            doc = doc[k]
+        if value is _MISSING:
+            del doc[key]
+        else:
+            doc[key] = value
+
+    return edit
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "edit, field, shown",
+    [
+        pytest.param(_set("ring", _MISSING), "ring", None, id="no-ring"),
+        pytest.param(_set("reports", _MISSING), "reports", None, id="no-reports"),
+        pytest.param(_set("ring", ["x"]), "ring", ["x"], id="ring-list"),
+        pytest.param(_set("ideal", [3, "y^2", "z^2"]), "ideal", [3, "y^2", "z^2"], id="ideal-int"),
+        pytest.param(_set("ci", "x^2*z+x*y^2"), "ci", "x^2*z+x*y^2", id="ci-string"),
+        pytest.param(_set("lift", None), "lift", None, id="lift-null"),
+        pytest.param(_set("lift", [[3]]), "lift rows", [3], id="lift-row-int"),
+        pytest.param(_set("modules", 3), "modules", 3, id="modules-int"),
+        pytest.param(_set("modules", 1, 0, "u", 1), "modules[1]", "module", id="u-int"),
+        pytest.param(_set("differentials", 3), "differentials", 3, id="differentials-int"),
+    ],
+)
+def test_round_trip_rejects_a_field_of_the_wrong_type(capsys, edit, field, shown):
+    """Each field's JSON type is checked before use, and the ValueError names the field
+    and shows what it held ("module": the whole edited module)."""
+    doc = _resolution_doc(capsys)
+    edit(doc)
+    if shown == "module":
+        shown = doc["modules"][1]
+    pattern = rf"^{re.escape(field)} must be [^,]+, got {re.escape(json.dumps(shown))}$"
     with pytest.raises(ValueError, match=pattern):
         resolution_from_json(doc)
 

@@ -21,7 +21,8 @@ from citaylor import (
     monomial_ideal,
     verify_homotopy_system,
 )
-from citaylor.homotopy import check_lift, parse_assignments
+from citaylor.cli import parse_assignments
+from citaylor.homotopy import check_lift
 
 from conftest import (
     grid,
@@ -102,7 +103,7 @@ def test_average_fine_in_good_characteristic():
 def test_fixed_assignment_routes_terms():
     ci = squarefree_ci()
     for gen, expected in [(1, ["z", "0", "0"]), (2, ["0", "y", "0"]), (3, ["0", "0", "x"])]:
-        lift = lift_matrix(ci, "fixed-assignment", [{(1, 1, 1): gen}])
+        lift = lift_matrix(ci, [{(1, 1, 1): gen}])
         assert [str(f) for f in lift.rows[0]] == expected
 
 
@@ -110,18 +111,34 @@ def test_fixed_assignment_validation():
     ci = squarefree_ci()
     I = ci.ideal
     a = ci.sequence[0]
-    with pytest.raises(ValueError, match="needs an assignment map"):
-        compute_lift(a, I, "fixed-assignment")
     with pytest.raises(ValueError, match="no assignment"):
-        compute_lift(a, I, "fixed-assignment", {})
+        compute_lift(a, I, {})
     with pytest.raises(ValueError, match="out of range"):
-        compute_lift(a, I, "fixed-assignment", {(1, 1, 1): 9})
+        compute_lift(a, I, {(1, 1, 1): 9})
     with pytest.raises(ValueError, match="does not divide"):
         R = ring("x,y,z")
         J = monomial_ideal(R, ["x*y", "z^3"])
-        compute_lift(R.parse("x*y*z"), J, "fixed-assignment", {(1, 1, 1): 2})
+        compute_lift(R.parse("x*y*z"), J, {(1, 1, 1): 2})
     with pytest.raises(ValueError, match="unknown lift strategy"):
         compute_lift(a, I, "nearest")
+
+
+def test_a_lift_is_one_rule_value():
+    """A rule name or a map is one rule for every element; a list gives one per element."""
+    ci = squarefree_ci()
+    assert lift_matrix(ci, {(1, 1, 1): 2}).rows == lift_matrix(ci, [{(1, 1, 1): 2}]).rows
+    with pytest.raises(ValueError, match="unknown lift strategy 'fixed-assignment'"):
+        lift_matrix(ci, "fixed-assignment")
+    with pytest.raises(ValueError, match="unknown lift strategy None"):
+        homotopy_system(ci, None)
+    with pytest.raises(ValueError, match="lift has 2 assignment rows, sequence has 1"):
+        lift_matrix(ci, [{(1, 1, 1): 1}, {(1, 1, 1): 2}])
+    twice = complete_intersection(ci.ideal, ["x*y*z", "x*y*z"])
+    mixed = lift_matrix(twice, ["first", "average"])
+    assert [[str(f) for f in row] for row in mixed.rows] == [
+        ["z", "0", "0"],
+        ["1/3*z", "1/3*y", "1/3*x"],
+    ]
 
 
 def test_term_outside_ideal_rejected(ring_xyz):
@@ -186,7 +203,7 @@ def test_ungraded_lift_rows_are_rejected():
 def variant_lifts():
     ci = squarefree_ci()
     return ci, [
-        lift_matrix(ci, "fixed-assignment", [{(1, 1, 1): g}]) for g in (1, 2, 3)
+        lift_matrix(ci, [{(1, 1, 1): g}]) for g in (1, 2, 3)
     ]
 
 
@@ -214,7 +231,7 @@ def test_average_lifts_validation():
 
 def test_monomial_example_sigma_grids():
     ci = squarefree_ci()
-    system = homotopy_system(ci, strategy="fixed-assignment", assignments=[{(1, 1, 1): 1}])
+    system = homotopy_system(ci, [{(1, 1, 1): 1}])
     assert grid(system.sigma_e(1, 0)) == [["z"], ["0"], ["0"]]
     assert grid(system.sigma_e(1, 1)) == [
         ["0", "-x*z", "0"],
@@ -228,13 +245,13 @@ def test_hypersurface_sigma_grids():
     R = ring("x1,x2")
     I = monomial_ideal(R, ["x1^2", "x2^2"])
     ci = complete_intersection(I, ["x1^5"])
-    system = homotopy_system(ci, strategy="first")
+    system = homotopy_system(ci, "first")
     assert grid(system.sigma_e(1, 0)) == [["x1^3"], ["0"]]
     assert grid(system.sigma_e(1, 1)) == [["0", "-x1^3"]]
 
 
 def test_codim2_sigma_grids_first_sequence_element():
-    system = homotopy_system(codim2_ci(), strategy="first")
+    system = homotopy_system(codim2_ci(), "first")
     assert grid(system.sigma_e(1, 0)) == [["x"], ["y"], ["0"], ["0"]]
     assert grid(system.sigma_e(1, 1)) == [
         ["y", "-x", "0", "0"],
@@ -254,7 +271,7 @@ def test_codim2_sigma_grids_first_sequence_element():
 
 
 def test_codim2_sigma_grids_second_sequence_element():
-    system = homotopy_system(codim2_ci(), strategy="first")
+    system = homotopy_system(codim2_ci(), "first")
     assert grid(system.sigma_e(2, 0)) == [["0"], ["0"], ["z"], ["w"]]
     assert grid(system.sigma_e(2, 1)) == [
         ["0", "0", "0", "0"],
@@ -274,14 +291,14 @@ def test_codim2_sigma_grids_second_sequence_element():
 
 
 def test_sigma_at_top_degree_is_zero():
-    system = homotopy_system(squarefree_ci(), strategy="first")
+    system = homotopy_system(squarefree_ci(), "first")
     top = system.sigma_e(1, 3)
     assert top.shape == (0, 1)
     assert top.is_zero()
 
 
 def test_sigma_index_bounds():
-    system = homotopy_system(squarefree_ci(), strategy="first")
+    system = homotopy_system(squarefree_ci(), "first")
     with pytest.raises(ValueError):
         system.sigma_e(2, 0)
     with pytest.raises(ValueError):
@@ -298,7 +315,7 @@ def test_sigma_matches_the_formula_on_every_taylor_module(field, codim):
     for trial in range(8):
         ideal = random_ideal(rng, max_vars=3, max_gens=5, field=field)
         ci = complete_intersection(ideal, random_sequence(rng, ideal, codim))
-        system = homotopy_system(ci, strategy="average" if trial % 2 else "first")
+        system = homotopy_system(ci, "average" if trial % 2 else "first")
         r = ideal.ngens
         for i in range(1, codim + 1):
             for k in range(r + 1):
@@ -307,7 +324,7 @@ def test_sigma_matches_the_formula_on_every_taylor_module(field, codim):
 
 
 def test_sigma_entries_homogeneous_of_forced_degree():
-    system = homotopy_system(codim2_ci(), strategy="first")
+    system = homotopy_system(codim2_ci(), "first")
     for i in (1, 2):
         d = system.ci.degrees[i - 1]
         for k in range(0, 4):
@@ -320,8 +337,10 @@ def test_sigma_entries_homogeneous_of_forced_degree():
 def test_mismatched_lift_rejected():
     ci, lifts = variant_lifts()
     other = lift_matrix(codim2_ci(), "first")
-    with pytest.raises(ValueError):
-        HomotopySystem(ci, other)
+    with pytest.raises(ValueError, match="lift was computed for different data"):
+        homotopy_system(ci, other)
+    assert homotopy_system(ci, lifts[1]).lift is lifts[1]
+    assert HomotopySystem(other).ci is other.ci
 
 
 # ---- the defining identities ---------------------------------------------------
@@ -329,14 +348,14 @@ def test_mismatched_lift_rejected():
 
 def test_verify_on_worked_examples():
     for build in (squarefree_ci, codim2_ci):
-        report = verify_homotopy_system(homotopy_system(build(), strategy="first"))
+        report = verify_homotopy_system(homotopy_system(build(), "first"))
         assert report.passed, report.failure
 
 
 def test_verify_all_strategies_on_monomial_example():
     ci = squarefree_ci()
     for lift in [lift_matrix(ci, "average"), *variant_lifts()[1]]:
-        report = verify_homotopy_system(HomotopySystem(ci, lift))
+        report = verify_homotopy_system(HomotopySystem(lift))
         assert report.passed, report.failure
 
 
@@ -344,7 +363,7 @@ def test_verify_flags_corrupted_lift():
     ci = squarefree_ci()
     R = ci.ring
     bad = LiftMatrix(ci, ((R.parse("z"), R.zero, R.parse("1")),))
-    report = verify_homotopy_system(HomotopySystem(ci, bad))
+    report = verify_homotopy_system(HomotopySystem(bad))
     assert not report.passed
     assert report.failure == "(b) fails for a_1 on T_0 at ({}, {}): defect y*z"
     assert failures(report) == [
@@ -363,7 +382,7 @@ def test_verify_pins_defects_of_a_corrupted_sigma():
     """One sigma_1 entry on T_1 off by x: (b) on T_1, T_2 and (c) with i = j and i < j fail."""
     ci = codim2_ci()
     R = ci.ring
-    system = homotopy_system(ci, strategy="first")
+    system = homotopy_system(ci, "first")
     sigma = system.sigma_e(1, 1)
     entries = dict(sigma.entries)
     first = min(entries, key=lambda ij: (ij[1], ij[0]))
@@ -382,8 +401,8 @@ def test_verify_pins_defects_of_a_corrupted_sigma():
 def test_sigma_is_linear_in_the_lift():
     ci, lifts = variant_lifts()
     weights = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
-    avg_system = HomotopySystem(ci, average_lifts(lifts, weights))
-    systems = [HomotopySystem(ci, lift) for lift in lifts]
+    avg_system = HomotopySystem(average_lifts(lifts, weights))
+    systems = [HomotopySystem(lift) for lift in lifts]
     coerced = [ci.ring.field.coerce(w) for w in weights]
     for k in range(0, 4):
         expected = weighted_sum([system.sigma_e(1, k) for system in systems], coerced)
@@ -394,5 +413,5 @@ def test_verify_random_instances():
     rng = random.Random(99)
     for _ in range(8):
         _, ci = random_instance(rng, max_vars=3, max_gens=4, max_codim=2)
-        report = verify_homotopy_system(homotopy_system(ci, strategy="first"))
+        report = verify_homotopy_system(homotopy_system(ci, "first"))
         assert report.passed, report.failure

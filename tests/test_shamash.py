@@ -83,7 +83,7 @@ def test_u_zero_part_of_each_step_is_the_taylor_basis():
     rng = seeded_rng()
     for _ in range(12):
         _, ci = random_instance(rng, max_vars=3, max_gens=4, max_codim=3)
-        system = homotopy_system(ci, strategy="first")
+        system = homotopy_system(ci, "first")
         res = shamash_resolution(system, 6)
         for k in range(7):
             u_zero = [b for b in res.basis(k) if not any(b.u)]
@@ -297,7 +297,7 @@ def test_constant_lift_entry_flagged():
     R = ring("x,y")
     I = monomial_ideal(R, ["x", "x*y"])
     ci = complete_intersection(I, ["x"])
-    res = shamash_resolution(homotopy_system(ci, strategy="first"), 3)
+    res = shamash_resolution(homotopy_system(ci, "first"), 3)
     report = res.minimality
     assert not report.minimal
     assert report.constant_lift_entries
@@ -360,7 +360,7 @@ def test_periodicity_matches_the_shift_oracle(field, strategy):
     rng = random.Random(20261018)
     for r in range(1, 7):
         for _ in range(2):
-            system = homotopy_system(c1_instance(rng, r, field), strategy=strategy)
+            system = homotopy_system(c1_instance(rng, r, field), strategy)
             for max_step in range(r + 5):
                 res = shamash_resolution(system, max_step)
                 info = res.periodicity
@@ -435,7 +435,7 @@ def test_rank_formula_against_enumeration_small():
             R = ring(",".join(f"v{i}" for i in range(1, r + 1)))
             I = monomial_ideal(R, [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)])
             ci = complete_intersection(I, [f"v1^{j + 2}" for j in range(c)])
-            system = homotopy_system(ci, strategy="first")
+            system = homotopy_system(ci, "first")
             for n in range(9):
                 assert len(shamash_basis(system, n)) == rank_formula(r, c, n)
 
@@ -501,7 +501,7 @@ def test_phi_squared_random_instances():
     rng = random.Random(424242)
     for _ in range(6):
         _, ci = random_instance(rng, max_vars=3, max_gens=4, max_codim=2)
-        res = shamash_resolution(homotopy_system(ci, strategy="first"), 4)
+        res = shamash_resolution(homotopy_system(ci, "first"), 4)
         report = phi_squared_check(res)
         assert report.passed, report.failure
 
@@ -560,7 +560,7 @@ def test_equal_entries_are_shared_objects():
     R = ring("a,b,c,d,e,f")
     I = monomial_ideal(R, [f"{v}^2" for v in R.variables])
     ci = complete_intersection(I, ["a^3 + b^3", "c^3 + d^2*e"])
-    res = shamash_resolution(homotopy_system(ci, strategy="first"), 6)
+    res = shamash_resolution(homotopy_system(ci, "first"), 6)
     system = res.system
     taylor_entries = {}
     for k in range(1, 7):
@@ -641,7 +641,7 @@ def test_resolution_matches_standalone_builders(codim):
             field = GF(32003) if trial % 2 else QQ
             ideal = random_ideal(rng, max_vars=3, max_gens=max_gens, field=field)
             ci = complete_intersection(ideal, random_sequence(rng, ideal, codim))
-            system = homotopy_system(ci, strategy="average" if trial >= 2 else "first")
+            system = homotopy_system(ci, "average" if trial >= 2 else "first")
             top = window(ideal.ngens)
             short += top < ideal.ngens
             tall += top >= ideal.ngens + 2
