@@ -208,6 +208,7 @@ def _field(value, field, what, ok=_list_of(str)):
 
 def resolution_from_json(doc):
     """Rebuild the resolution and cross-check it, each field against its JSON type first."""
+    _field(doc, "document", "an object", lambda v: isinstance(v, dict))
     ring_doc = _field(doc.get("ring"), "ring", "an object", lambda v: isinstance(v, dict))
     names = _field(ring_doc.get("vars"), "ring.vars", "a list of variable names")
     char = _field(ring_doc.get("char"), "ring.char", "an integer", lambda v: type(v) is int)
@@ -239,16 +240,22 @@ def resolution_from_json(doc):
             raise ValueError(f"stored basis at step {n} does not match the data")
     if [d.get("from") for d in dmats] != list(range(1, res.max_step + 1)):
         raise ValueError("stored differentials do not run from 1 to the last module")
-    for dmat in dmats:
+    for m, dmat in enumerate(dmats):
         if dmat.get("to") != dmat["from"] - 1:
             raise ValueError(f"stored differential {dmat['from']} maps to step {dmat.get('to')}")
         entries = res.differential(dmat["from"]).entries
-        stored = {(e["row"], e["col"]): e["poly"] for e in dmat["entries"]}
-        # a text equal to the canonical one needs no parse; any other must parse to the entry
-        if stored.keys() != entries.keys() or any(
-            text != str(entries[cell]) and parse(text) != entries[cell]
-            for cell, text in stored.items()
-        ):
+        try:  # checked as it is read, like the modules
+            stored = {(e["row"], e["col"]): e["poly"] for e in dmat["entries"]}
+            # a text equal to the canonical one needs no parse; any other must parse to the entry
+            matches = stored.keys() == entries.keys() and all(
+                text == str(entries[cell]) or parse(text) == entries[cell]
+                for cell, text in stored.items()
+            )
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"differentials[{m}] must be a matrix of row/col/poly entries, got {json.dumps(dmat)}"
+            ) from None
+        if not matches:
             raise ValueError(f"stored differential {dmat['from']} does not match the data")
     # verify --format json stores more reports; only the resolution's own are rebuilt
     for name, report in own_reports_json(res).items():

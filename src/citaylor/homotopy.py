@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import sub
 
-from .matrix import LabeledGradedMatrix, defect
+from .matrix import LabeledGradedMatrix, defect, memo
 from .poly import Polynomial
 from .report import Report
 from .taylor import MonomialIdeal, taylor_complex
@@ -200,13 +201,14 @@ def average_lifts(lifts, weights):
 class HomotopySystem:
     """Taylor differential plus one homotopy per sequence element, read off the lift."""
 
-    __slots__ = ("ci", "lift", "complex", "_sigma")
+    __slots__ = ("ci", "lift", "complex", "_sigma", "_residuals")
 
     def __init__(self, lift):
         self.ci = lift.ci
         self.lift = lift
         self.complex = taylor_complex(lift.ci.ideal)
         self._sigma = {}
+        self._residuals = {}  # memo of homotopy_defect and anticommutator, by operand matrices
 
     @property
     def ring(self):
@@ -251,6 +253,33 @@ class HomotopySystem:
         self._sigma[(i, k)] = built
         return built
 
+    def homotopy_defect(self, i, k):
+        """tau.sigma_i + sigma_i.tau - a_i on T_k, 0 <= k <= r: zero exactly when (b) holds there.
+
+        Computed once per operand matrices, so verify_homotopy_system and the
+        phi.phi certificate share it, and a replaced sigma is checked afresh.
+        """
+        r = self.ideal.ngens
+        pairs = []
+        if k < r:
+            pairs.append((self.sigma_zero(k + 1), self.sigma_e(i, k)))
+        if k >= 1:
+            pairs.append((self.sigma_e(i, k - 1), self.sigma_zero(k)))
+        a = self.ci.sequence[i - 1]
+        diagonal = (((d, d), a) for d in range(len(self.complex.basis(k))))
+        return memo(self._residuals, (*chain(*pairs), a), lambda: defect(pairs, diagonal))
+
+    def anticommutator(self, i, j, k):
+        """sigma_i.sigma_j + sigma_j.sigma_i on T_k for i < j, sigma_i^2 for i = j,
+        0 <= k <= r - 2: zero exactly when (c) holds there.  Computed once per
+        operand matrices, like homotopy_defect.
+        """
+        left, right = self.sigma_e(i, k + 1), self.sigma_e(j, k)
+        if i == j:  # sigma_i^2 = 0 is a single composition
+            return memo(self._residuals, (left, right), lambda: left.compose(right))
+        pairs = [(left, right), (self.sigma_e(j, k + 1), self.sigma_e(i, k))]
+        return memo(self._residuals, (*chain(*pairs),), lambda: defect(pairs))
+
 
 def homotopy_system(ci, lift="first"):
     """The system of a LiftMatrix for ci, or of the lift that lift_matrix(ci, lift) builds."""
@@ -272,33 +301,18 @@ def verify_homotopy_system(system):
     report = Report("homotopy system")
     r = system.ideal.ngens
     c = system.ci.codim
-
     for i in range(1, c + 1):
-        a = system.ci.sequence[i - 1]
         for k in range(0, r + 1):
-            pairs = []
-            if k < r:
-                pairs.append((system.sigma_zero(k + 1), system.sigma_e(i, k)))
-            if k >= 1:
-                pairs.append((system.sigma_e(i, k - 1), system.sigma_zero(k)))
-            diagonal = (((d, d), a) for d in range(len(system.complex.basis(k))))
             report.check(
-                defect(pairs, diagonal),
+                system.homotopy_defect(i, k),
                 f"(b) tau.sigma_{i} + sigma_{i}.tau = a_{i} on T_{k}",
                 f"(b) fails for a_{i} on T_{k} at ({{row}}, {{col}}): defect {{entry}}",
             )
-
     for i in range(1, c + 1):
         for j in range(i, c + 1):
             for k in range(0, r - 1):
-                left, right = system.sigma_e(i, k + 1), system.sigma_e(j, k)
-                if i == j:  # sigma_i^2 = 0 is a single composition
-                    residual = left.compose(right)
-                else:
-                    pairs = [(left, right), (system.sigma_e(j, k + 1), system.sigma_e(i, k))]
-                    residual = defect(pairs)
                 report.check(
-                    residual,
+                    system.anticommutator(i, j, k),
                     f"(c) sigma_{i}, sigma_{j} anticommute on T_{k}",
                     f"(c) fails for sigma_{i}, sigma_{j} on T_{k} at ({{row}}, {{col}}): {{entry}}",
                 )

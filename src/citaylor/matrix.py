@@ -104,6 +104,20 @@ class LabeledGradedMatrix:
         return [(rows[i], cols[j], self.entries[(i, j)]) for i, j in bad]
 
 
+def memo(cache, operands, compute):
+    """compute(), run once per tuple of operand objects.
+
+    cache maps the operands' ids to (operands, result).  Holding the operands
+    keeps their ids from being reused while the entry lives, so a new matrix
+    put in an old one's place is always computed afresh.
+    """
+    key = tuple(map(id, operands))
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = (operands, compute())
+    return hit[1]
+
+
 def _distinct(matrices):
     """id -> entry for each distinct entry object of the matrices."""
     return {id(p): p for m in matrices for p in m.entries.values()}

@@ -12,11 +12,11 @@ with i the 1-based position of s_i inside S.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import sub
 from typing import NamedTuple
 
-from .matrix import LabeledGradedMatrix
+from .matrix import LabeledGradedMatrix, memo
 from .poly import Polynomial
 from .report import Report
 
@@ -145,6 +145,7 @@ class TaylorComplex:
     ideal: MonomialIdeal
     bases: tuple[tuple[BasisElement, ...], ...]
     differentials: tuple[LabeledGradedMatrix, ...]
+    _squares: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def basis(self, k):
         """T_k; empty outside 0..r, so sigma on T_r has an empty target."""
@@ -159,6 +160,11 @@ class TaylorComplex:
                 f"no differential at step {k}: steps run 1..{len(self.differentials)}"
             )
         return self.differentials[k - 1]
+
+    def square(self, k):
+        """tau_k . tau_{k+1}, 1 <= k < r; each pair of matrices is multiplied once."""
+        left, right = self.differential(k), self.differential(k + 1)
+        return memo(self._squares, (left, right), lambda: left.compose(right))
 
 
 def taylor_complex(ideal):
@@ -177,7 +183,7 @@ def verify_taylor(cx):
     r = cx.ideal.ngens
     for k in range(1, r):
         report.check(
-            cx.differential(k).compose(cx.differential(k + 1)),
+            cx.square(k),
             f"tau_{k}.tau_{k + 1} = 0",
             f"tau_{k}.tau_{k + 1} nonzero at ({{row}}, {{col}}): {{entry}}",
         )

@@ -313,15 +313,31 @@ _MISSING = object()
         pytest.param(_set("modules", 3), "modules", 3, id="modules-int"),
         pytest.param(_set("modules", 1, 0, "u", 1), "modules[1]", "module", id="u-int"),
         pytest.param(_set("differentials", 3), "differentials", 3, id="differentials-int"),
+        pytest.param(
+            _set("differentials", 0, "entries", 0, "row", _MISSING),
+            "differentials[0]", "matrix", id="entry-without-row",
+        ),
+        pytest.param(
+            _set("differentials", 0, "entries", _MISSING), "differentials[0]", "matrix", id="no-entries"
+        ),
+        pytest.param(
+            _set("differentials", 0, "entries", 0, "poly", 5), "differentials[0]", "matrix", id="poly-int"
+        ),
+        pytest.param(lambda doc: [doc], "document", "document", id="document-list"),
     ],
 )
 def test_round_trip_rejects_a_field_of_the_wrong_type(capsys, edit, field, shown):
     """Each field's JSON type is checked before use, and the ValueError names the field
-    and shows what it held ("module": the whole edited module)."""
+    and shows what it held ("module" and "matrix": the whole edited module or matrix,
+    "document": the document an edit returned in place of the one it was given)."""
     doc = _resolution_doc(capsys)
-    edit(doc)
+    doc = edit(doc) or doc
     if shown == "module":
         shown = doc["modules"][1]
+    elif shown == "matrix":
+        shown = doc["differentials"][0]
+    elif shown == "document":
+        shown = doc
     pattern = rf"^{re.escape(field)} must be [^,]+, got {re.escape(json.dumps(shown))}$"
     with pytest.raises(ValueError, match=pattern):
         resolution_from_json(doc)
@@ -538,6 +554,29 @@ SQUARES_CODIM2_SYSTEM_ARGS = [
 ]
 SQUARES_CODIM2_RESOLVE_ARGS = [*SQUARES_CODIM2_SYSTEM_ARGS, "--max-step", "4"]
 SQUARES_CODIM2_ARGS = [*SQUARES_CODIM2_RESOLVE_ARGS, "--max-degree", "8"]
+
+
+def test_verify_multiplies_each_operand_pair_once(capsys, monkeypatch):
+    """verify shares each identity's product between its reports and the phi.phi
+    certificate, and multiplies no phi matrix on a passing run."""
+    from citaylor import homotopy, matrix, shamash
+
+    pairs = []  # the operands stay alive, so their ids stay unique
+    product = matrix.defect
+
+    def recording(operands, corrections=()):
+        operands = list(operands)
+        pairs.extend(operands)
+        return product(operands, corrections)
+
+    for module in (matrix, homotopy, shamash):
+        monkeypatch.setattr(module, "defect", recording)
+    code, out, _ = run(capsys, "verify", *SQUARES_CODIM2_RESOLVE_ARGS)
+    assert code == 0 and out.endswith("overall: PASS\n")
+    keys = [(id(left), id(right)) for left, right in pairs]
+    assert keys and len(set(keys)) == len(keys)
+    # every operand is a map of the Taylor complex (u = ()), never a phi
+    assert all(m.cols[0].u == () for pair in pairs for m in pair)
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,14 @@
 """Assembly of the quotient-ring resolution from a homotopy system."""
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from citaylor import (
     GF,
     QQ,
+    LabeledGradedMatrix,
     NoStableTail,
     PolyRing,
     homotopy_system,
@@ -19,6 +21,7 @@ from citaylor import (
     shamash_differential,
     shamash_resolution,
 )
+from citaylor import shamash
 from citaylor.cli import u_dividers
 from citaylor.shamash import _shift_positions
 
@@ -497,13 +500,31 @@ def test_phi_squared_short_window():
     assert any("vacuous" in line for line in report.details)
 
 
-def test_phi_squared_random_instances():
+def random_resolutions():
     rng = random.Random(424242)
     for _ in range(6):
         _, ci = random_instance(rng, max_vars=3, max_gens=4, max_codim=2)
-        res = shamash_resolution(homotopy_system(ci, "first"), 4)
+        yield shamash_resolution(homotopy_system(ci, "first"), 4)
+
+
+def test_phi_squared_random_instances():
+    for res in random_resolutions():
         report = phi_squared_check(res)
         assert report.passed, report.failure
+
+
+def test_passing_checks_never_multiply_phi(monkeypatch, three_squares, poly_c1, codim2):
+    """The certificate proves every step of a correct resolution: no full product runs."""
+
+    def refuse(resolution, n):
+        raise AssertionError(f"phi_{n}.phi_{n + 1} was multiplied")
+
+    monkeypatch.setattr(shamash, "_phi_defect", refuse)
+    for res in (three_squares, poly_c1, codim2, *random_resolutions()):
+        report = phi_squared_check(res)
+        assert report.passed, report.failure
+    A, B = matrix_factorization(three_squares)
+    assert grid(A) == THREE_SQUARES_ODD
 
 
 def shift_reference_failure(res, n):
@@ -527,32 +548,198 @@ def shift_reference_failure(res, n):
     return rows[ii], cols[jj], entries[(ii, jj)]
 
 
+def with_phi(res, n, edit):
+    """res with phi_n replaced by a copy whose entries dict edit has changed."""
+    phi = res.differential(n)
+    entries = dict(phi.entries)
+    edit(phi, entries)
+    diffs = list(res.differentials)
+    diffs[n - 1] = LabeledGradedMatrix(phi.ring, phi.rows, phi.cols, entries)
+    return replace(res, differentials=tuple(diffs))
+
+
+def first_in_column_order(cells):
+    return min(cells, key=lambda ij: (ij[1], ij[0]))
+
+
+def set_first(text):
+    def edit(phi, entries):
+        first = first_in_column_order(entries)
+        if text is None:
+            del entries[first]
+        else:
+            entries[first] = phi.ring.parse(text)
+
+    return edit
+
+
+def add_extra(phi, entries):
+    """y in the first empty cell, in column order."""
+    nrows, ncols = phi.shape
+    empty = [(i, j) for j in range(ncols) for i in range(nrows) if (i, j) not in entries]
+    entries[first_in_column_order(empty)] = phi.ring.parse("y")
+
+
+def move_to_another_u(phi, entries):
+    """Move the first tau cell (u, S') <- (u, S) to row (u'', S') of another u'', same column."""
+    for (i, j) in sorted(entries, key=lambda ij: (ij[1], ij[0])):
+        row, col = phi.rows[i], phi.cols[j]
+        if row.u != col.u:
+            continue
+        for other, label in enumerate(phi.rows):
+            if label.indices == row.indices and label.u != row.u:
+                entries[(other, j)] = entries.pop((i, j))
+                return
+    raise AssertionError("no tau cell has a row of another u")
+
+
+def flipped_sigma(build):
+    """A fresh resolution assembled after one sigma_1 entry on T_1 changed sign."""
+    system = build(max_step=4).system
+    sigma = system.sigma_e(1, 1)
+    entries = dict(sigma.entries)
+    first = first_in_column_order(entries)
+    entries[first] = -entries[first]
+    system._sigma[(1, 1)] = LabeledGradedMatrix(sigma.ring, sigma.rows, sigma.cols, entries)
+    return shamash_resolution(system, 4)
+
+
+def place_off_by_one_row(monkeypatch, build):
+    """A fresh resolution assembled while _place puts every cell one row up (row 0 stays)."""
+    system = build(max_step=4).system
+    place = shamash._place
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            shamash,
+            "_place",
+            lambda *args: (((max(i - 1, 0), j), p) for (i, j), p in place(*args)),
+        )
+        return shamash_resolution(system, 4)
+
+
 @pytest.mark.parametrize("build", [build_three_squares, build_codim2])
-def test_phi_squared_defect_matches_shift_reference(build):
-    from dataclasses import replace
-
-    from citaylor import LabeledGradedMatrix
-
+def test_phi_squared_defect_matches_shift_reference(build, monkeypatch):
+    """Every mutation fails the certificate at each step whose defect is nonzero, and
+    phi_squared_check names the reference's first failing cell."""
     res = build(max_step=4)
-    ring = res.system.ring
-    for n in (1, 2, 3):
-        for change in ("drop", "y", "-2*x^2"):
-            phi = res.differential(n)
-            entries = dict(phi.entries)
-            first = min(entries, key=lambda ij: (ij[1], ij[0]))
-            if change == "drop":
-                del entries[first]
-            else:
-                entries[first] = ring.parse(change)
-            broken = LabeledGradedMatrix(ring, phi.rows, phi.cols, entries)
-            diffs = list(res.differentials)
-            diffs[n - 1] = broken
-            bad = replace(res, differentials=tuple(diffs))
-            report = phi_squared_check(bad)
-            assert not report.passed
-            step = next(m for m in (1, 2, 3) if shift_reference_failure(bad, m))
-            row, col, entry = shift_reference_failure(bad, step)
-            assert report.failure == f"phi_{step}.phi_{step + 1} defect at ({row}, {col}): {entry}"
+    broken = [
+        with_phi(res, n, edit)
+        for n in (1, 2, 3)
+        for edit in (set_first(None), set_first("y"), set_first("-2*x^2"))
+    ]
+    broken += [with_phi(res, n, add_extra) for n in (2, 3)]  # phi_1 has no empty cell
+    if res.system.ci.codim > 1:
+        broken.append(with_phi(res, 3, move_to_another_u))
+    broken.append(flipped_sigma(build))
+    broken.append(place_off_by_one_row(monkeypatch, build))
+    for bad in broken:
+        failing = [m for m in (1, 2, 3) if shift_reference_failure(bad, m)]
+        assert failing
+        certificate = shamash._PhiCertificate(bad)
+        assert not any(certificate.holds(m) for m in failing)
+        report = phi_squared_check(bad)
+        assert not report.passed
+        row, col, entry = shift_reference_failure(bad, failing[0])
+        step = failing[0]
+        assert report.failure == f"phi_{step}.phi_{step + 1} defect at ({row}, {col}): {entry}"
+
+
+def test_certificate_rejects_a_relabelled_basis(three_squares):
+    """Swapping two labels of F_2, with phi_2's columns and phi_3's rows swapped alike,
+    keeps every cell where its labels call for it; but the shift cells move off the
+    positions the full defect subtracts a_j at, so the certificate must refuse the order."""
+    res = three_squares
+    swap = {0: 1, 1: 0}
+    labels = res.basis(2)
+    basis = tuple(labels[swap.get(x, x)] for x in range(len(labels)))
+    phi2, phi3 = res.differential(2), res.differential(3)
+    cols = {(i, swap.get(j, j)): p for (i, j), p in phi2.entries.items()}
+    rows = {(swap.get(i, i), j): p for (i, j), p in phi3.entries.items()}
+    diffs = list(res.differentials)
+    diffs[1] = LabeledGradedMatrix(phi2.ring, phi2.rows, basis, cols)
+    diffs[2] = LabeledGradedMatrix(phi3.ring, basis, phi3.cols, rows)
+    bases = list(res.bases)
+    bases[2] = basis
+    bad = replace(res, bases=tuple(bases), differentials=tuple(diffs))
+    assert not shamash._PhiCertificate(bad).holds(1)
+    row, col, entry = shamash._phi_defect(bad, 1).first_failure()
+    assert phi_squared_check(bad).failure == f"phi_1.phi_2 defect at ({row}, {col}): {entry}"
+
+
+def identity_uses(res, n):
+    """The identities the blocks (u, S) of F_{n+1} use, read off their labels."""
+    r, c = res.system.ideal.ngens, res.system.ci.codim
+    used = set()
+    for b in res.basis(n + 1):
+        u, k = b.u, len(b.indices)
+        if k >= 2:
+            used.add(("tau", k - 1))
+        for i in range(1, c + 1):
+            if u[i - 1]:
+                used.add(("b", i, k))
+            for j in range(i, c + 1):
+                if k + 2 <= r and u[i - 1] and u[j - 1] >= 1 + (i == j):
+                    used.add(("c", i, j, k))
+    return used
+
+
+def test_certificate_consults_each_identity_its_blocks_use(monkeypatch):
+    """With one identity made to fail, the certificate refuses exactly the steps whose
+    F_{n+1} blocks use it; the full product then passes those steps."""
+    from citaylor import HomotopySystem, TaylorComplex
+
+    res = build_codim2(max_step=7)  # F_6 and F_7 use (c) on T_2 = T_{r-2} and on T_1
+    system = res.system
+    r, c = system.ideal.ngens, system.ci.codim
+    steps = range(1, res.max_step)
+    label = res.basis(0)[0]
+    nonzero = LabeledGradedMatrix(system.ring, [label], [label], {(0, 0): system.ring.parse("1")})
+    methods = {
+        "tau": (TaylorComplex, "square"),
+        "b": (HomotopySystem, "homotopy_defect"),
+        "c": (HomotopySystem, "anticommutator"),
+    }
+    identities = [("tau", k) for k in range(1, r)]
+    identities += [("b", i, k) for i in range(1, c + 1) for k in range(r + 1)]
+    identities += [
+        ("c", i, j, k) for i in range(1, c + 1) for j in range(i, c + 1) for k in range(r - 1)
+    ]
+    refused_somewhere = set()
+    for broken in identities:
+        owner, name = methods[broken[0]]
+        real = getattr(owner, name)
+
+        def fake(self, *args, real=real, broken=broken):
+            return nonzero if (broken[0], *args) == broken else real(self, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, fake)
+            certificate = shamash._PhiCertificate(res)
+            refused = [n for n in steps if not certificate.holds(n)]
+            assert refused == [n for n in steps if broken in identity_uses(res, n)]
+            assert phi_squared_check(res).passed
+        if refused:
+            refused_somewhere.add(broken[0])
+    assert refused_somewhere == {"tau", "b", "c"}
+
+
+def test_a_replaced_sigma_is_checked_afresh():
+    """Verdicts are kept per operand matrix: a sigma put into the system after a
+    passing check is checked again once the resolution is re-assembled."""
+    res = build_codim2(max_step=4)
+    system = res.system
+    assert phi_squared_check(res).passed
+    sigma = system.sigma_e(1, 1)
+    entries = dict(sigma.entries)
+    first = first_in_column_order(entries)
+    entries[first] = entries[first] + system.ring.parse("x")
+    system._sigma[(1, 1)] = LabeledGradedMatrix(system.ring, sigma.rows, sigma.cols, entries)
+    bad = shamash_resolution(system, 4)
+    report = phi_squared_check(bad)
+    assert not report.passed
+    step = next(m for m in (1, 2, 3) if shift_reference_failure(bad, m))
+    row, col, entry = shift_reference_failure(bad, step)
+    assert report.failure == f"phi_{step}.phi_{step + 1} defect at ({row}, {col}): {entry}"
 
 
 def test_equal_entries_are_shared_objects():
