@@ -32,7 +32,7 @@ from .homotopy import (
 )
 from .jsondoc import dump, iterdump, own_reports_json, report_json, resolution_json, taylor_json
 from .poly import QQ, ParseError, PolyRing, PrimeField, render_terms
-from .quotient import DEFAULT_PRIME, BadPrime, CapExceeded, GradedExactness, check_exactness
+from .quotient import BadPrime, CapExceeded, GradedExactness, check_exactness
 from .shamash import phi_squared_check, rank_formula, shamash_resolution
 from .taylor import monomial_ideal, taylor_complex, verify_taylor
 
@@ -117,8 +117,6 @@ def matrix_text(mat, name, rows, cols):
 
 
 def module_text(basis):
-    if not basis:
-        return "0"
     runs = []
     for b in basis:
         if runs and runs[-1][0] == b.twist:
@@ -513,8 +511,8 @@ def cmd_resolve(args):
 
 
 def _exactness_reports(res, args):
-    """check_exactness at steps 1..N-1, all sharing one engine over GF(p)."""
-    engine = GradedExactness(res, args.char if args.char else DEFAULT_PRIME)
+    """check_exactness at steps 1..N-1, all sharing one engine."""
+    engine = GradedExactness(res)
     return [check_exactness(engine, n, args.max_degree) for n in range(1, res.max_step)]
 
 

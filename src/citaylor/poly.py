@@ -381,11 +381,15 @@ class PolyRing:
         def peek():
             return tokens[pos] if pos < len(tokens) else (None, None, len(src))
 
+        def unexpected(wanted, tok):
+            found = "end of input" if tok[0] is None else repr(tok[1])
+            return ParseError(f"expected {wanted}, found {found}", tok[2])
+
         def take(kind):
             nonlocal pos
             tok = peek()
             if tok[0] != kind:
-                raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
+                raise unexpected(kind, tok)
             pos += 1
             return tok
 
@@ -424,7 +428,7 @@ class PolyRing:
                     take("op")
                     parse_factor(exps)
             else:
-                raise ParseError(f"expected a term, found {tok[1]!r}", tok[2])
+                raise unexpected("a term", tok)
             return tuple(exps), self.field.coerce(coeff * sign)
 
         acc = {}
@@ -443,7 +447,7 @@ class PolyRing:
         while peek()[0] is not None:
             op = peek()
             if op[1] not in ("+", "-"):
-                raise ParseError(f"expected '+' or '-', found {op[1]!r}", op[2])
+                raise unexpected("'+' or '-'", op)
             take("op")
             add_term(-1 if op[1] == "-" else 1)
         return Polynomial(self, acc)

@@ -3,8 +3,9 @@
 The exactness check works one internal degree at a time over GF(p): each
 graded piece of the quotient ring has the standard monomials as a basis, so
 the assembled maps become finite matrices and homology vanishing is a rank
-condition.  A ``GradedExactness`` engine holds what the checks of one
-resolution share, so each piece of that work is done once per run.
+condition.  The resolution fixes p: its own characteristic over GF(p), and
+``DEFAULT_PRIME`` over QQ.  A ``GradedExactness`` engine holds what the
+checks of one resolution share, so each piece of that work is done once per run.
 """
 from __future__ import annotations
 
@@ -12,10 +13,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import add
 
-from .poly import Polynomial, PolyRing, PrimeField, exponents_of_degree, is_prime
+from .poly import Polynomial, PolyRing, PrimeField, exponents_of_degree
 from .report import Report
 
 DEFAULT_PRIME = 32003  # the field of the exactness checks when the input is over QQ
+
+# Buchberger stops with CapExceeded past this many S-pairs or this lcm degree.
+MAX_PAIRS = 10000
+MAX_DEGREE = 40
 
 
 def grevlex(exponents):
@@ -28,7 +33,7 @@ class CapExceeded(RuntimeError):
 
 
 class BadPrime(ValueError):
-    """The chosen prime is composite or divides a coefficient denominator."""
+    """DEFAULT_PRIME divides a coefficient denominator of a QQ input."""
 
 
 @dataclass(frozen=True)
@@ -68,10 +73,11 @@ def _reduce_full(terms, leads, polys):
     return remainder
 
 
-def buchberger(generators, max_pairs=10000, max_degree=40):
+def buchberger(generators):
     """Reduced grevlex Groebner basis with normal pair selection (lowest lcm degree first).
 
-    Deterministic given the caps; raises CapExceeded when a cap is hit.
+    Deterministic; raises CapExceeded past MAX_PAIRS S-pairs or an lcm of
+    degree above MAX_DEGREE.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -104,13 +110,13 @@ def buchberger(generators, max_pairs=10000, max_degree=40):
         lcm = tuple(map(max, li, lj))
         if tuple(map(add, li, lj)) == lcm:
             continue  # coprime leading terms: S-polynomial reduces to zero
-        if sum(lcm) > max_degree:
+        if sum(lcm) > MAX_DEGREE:
             raise CapExceeded(
-                f"S-pair lcm degree {sum(lcm)} exceeds max_degree={max_degree}"
+                f"S-pair lcm degree {sum(lcm)} exceeds max_degree={MAX_DEGREE}"
             )
         processed += 1
-        if processed > max_pairs:
-            raise CapExceeded(f"more than max_pairs={max_pairs} S-pairs processed")
+        if processed > MAX_PAIRS:
+            raise CapExceeded(f"more than max_pairs={MAX_PAIRS} S-pairs processed")
 
         fi, fj = basis[i], basis[j]
         spoly = fi.mul_term(tuple(a - b for a, b in zip(lcm, li))) - fj.mul_term(
@@ -189,20 +195,20 @@ def rank_mod_p(rows, p):
 
 
 class GradedExactness:
-    """What the exactness checks of one resolution over GF(p) share, each computed once.
+    """What the exactness checks of one resolution share, each computed once.
 
-    NF(w * f) is linear in the normal forms of the monomials of w * f, so one
-    table of monomial normal forms serves every map; steps n and n + 1 share
-    the (dim, rank) of (phi_{n + 1})_d.  The Groebner basis is built on first use.
+    They run over GF(p), p the resolution's characteristic, or DEFAULT_PRIME
+    when that is 0.  NF(w * f) is linear in the normal forms of the monomials
+    of w * f, so one table of monomial normal forms serves every map; steps n
+    and n + 1 share the (dim, rank) of (phi_{n + 1})_d.  The Groebner basis is
+    built on first use.
     """
 
-    def __init__(self, resolution, p=DEFAULT_PRIME):
-        if not is_prime(p):
-            raise BadPrime(f"{p} is not prime")
+    def __init__(self, resolution):
         self.resolution = resolution
-        self.p = p
         ring = resolution.system.ring
-        self.ring = PolyRing(ring.variables, PrimeField(p))
+        self.p = ring.field.characteristic or DEFAULT_PRIME
+        self.ring = PolyRing(ring.variables, PrimeField(self.p))
         self._columns = {}  # k -> {column j: [(row i, [(exponents, int)])]} of phi_k
         self._normal_forms = {}  # exponents -> [(exponents, int)]
         self._standard = {}  # degree -> exponents of the standard monomials

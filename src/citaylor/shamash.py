@@ -56,7 +56,7 @@ from functools import lru_cache
 from math import comb
 from operator import mul
 
-from .matrix import LabeledGradedMatrix, defect
+from .matrix import LabeledGradedMatrix, defect, memo
 from .poly import exponents_of_degree
 from .report import Report
 from .taylor import BasisElement
@@ -80,12 +80,11 @@ def _layout(system, n):
     """
     blocks = {}
     offset = 0
-    if n >= 0:
-        c = system.ci.codim
-        for k in range(n % 2, min(n, system.ideal.ngens) + 1, 2):
-            us = _weights((n - k) // 2, c)
-            blocks[k] = (offset, us)
-            offset += len(system.complex.basis(k)) * len(us)
+    c = system.ci.codim
+    for k in range(n % 2, min(n, system.ideal.ngens) + 1, 2):
+        us = _weights((n - k) // 2, c)
+        blocks[k] = (offset, us)
+        offset += len(system.complex.basis(k)) * len(us)
     return blocks, offset
 
 
@@ -317,16 +316,13 @@ class _PhiCertificate:
         self.resolution = resolution
         self.system = system = resolution.system
         self.subsets = {e.indices: s for basis in system.complex.bases for s, e in enumerate(basis)}
-        self._blocks = {}  # id(basis) -> (basis, its _label_blocks)
+        self._blocks = {}  # memo of _label_blocks, by basis
         self._placed = {}  # n -> placement verdict of phi_n
 
     def blocks(self, basis, n):
-        hit = self._blocks.get(id(basis))
-        if hit is None:
-            system = self.system
-            found = _label_blocks(self.subsets, basis, n, system.ideal.ngens, system.ci.codim)
-            hit = self._blocks[id(basis)] = (basis, found)
-        return hit[1]
+        system = self.system
+        r, c = system.ideal.ngens, system.ci.codim
+        return memo(self._blocks, (basis,), lambda: _label_blocks(self.subsets, basis, n, r, c))
 
     def placed(self, n):
         """Every nonzero cell of phi_n is the entry its labels call for, and no entry is missing.
@@ -416,8 +412,6 @@ def rank_formula(r, c, n):
         raise ValueError(
             f"rank formula needs r >= 1 generators and c >= 1 sequence elements (got r={r}, c={c})"
         )
-    if n < 0:
-        return 0
     m, parity = divmod(n, 2)
     total = 0
     for j in range(m + 1):

@@ -135,9 +135,9 @@ def reference_sigma(system, i, k):
 # ---- the worked examples -------------------------------------------------
 
 
-def build_three_squares(max_step=6):
+def build_three_squares(max_step=6, field=QQ):
     """k[x,y,z], I = <x^2,y^2,z^2>, a = x^2*z + x*y^2, lift (z, x, 0)."""
-    R = ring("x,y,z")
+    R = ring("x,y,z", field)
     I = monomial_ideal(R, ["x^2", "y^2", "z^2"])
     ci = complete_intersection(I, ["x^2*z + x*y^2"])
     return shamash_resolution(homotopy_system(ci, "first"), max_step)

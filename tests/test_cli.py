@@ -596,6 +596,25 @@ def test_exactness_output_bytes_unchanged(capsys, command, fmt, digest):
 
 
 @pytest.mark.parametrize(
+    "char, digest",
+    [
+        ("0", "ce497f4a87649e3f7f1b6c6af3b39120744658e67ce8f5403d5e57b01be78763"),
+        ("7", "06f34e9ec06f9145d90776e5a6bce75182e8f5906e011be970ad51df3a31c051"),
+    ],
+)
+def test_exactness_runs_over_the_input_field(capsys, char, digest):
+    """Byte guard on the three-squares case: over QQ the checks run over GF(32003),
+    over GF(7) over GF(7) itself."""
+    argv = ["--vars", "x,y,z", "--ideal", "x^2,y^2,z^2", "--ci", "x^2*z+x*y^2"]
+    code, out, _ = run(
+        capsys, "check-exactness", *argv, "--max-step", "4", "--max-degree", "6", "--char", char
+    )
+    assert code == 0
+    assert f"over GF({int(char) or 32003})" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "fmt, digest",
     [
         ("text", "7aa751e3accfd2084336018fa355fb7d1d1c506623d1e175013c8be34ead20cd"),
@@ -808,6 +827,27 @@ UNUSABLE_INPUT = {
         "--ci needs at least one element"
     ),
 }
+# malformed text and a QQ input that GF(32003) cannot hold; listed last for the same reason
+MALFORMED_INPUT = {
+    ("resolve", "--vars", "x,y,z", "--ideal", "x^2,y^2,z^2", "--ci", "x^2+", "--max-step", "2"): (
+        "error: expected a term, found end of input (at position 4)"
+    ),
+    ("taylor", "--vars", "x,1y", "--ideal", "x^2"): "error: bad variable name '1y'",
+    ("resolve", "--vars", "x,y,z", "--ideal", "x^2,y^2,z^2", "--ci", "1/0*x^2", "--max-step", "2"): (
+        "error: zero denominator (at position 2)"
+    ),
+    ("resolve", "--vars", "x,y,z", "--ideal", "x^2,y^2,z^2", "--ci", "x^2 y", "--max-step", "2"): (
+        "error: expected '+' or '-', found 'y' (at position 4)"
+    ),
+    (
+        "check-exactness",
+        "--vars", "x,y,z",
+        "--ideal", "x^2,y^2,z^2",
+        "--ci", "1/32003*x^2*z+x*y^2",
+        "--max-step", "3",
+        "--max-degree", "4",
+    ): "error: 32003 divides a denominator: ",
+}
 
 
 @pytest.mark.parametrize(
@@ -825,6 +865,7 @@ UNUSABLE_INPUT = {
         ["taylor", "--vars", "x,y", "--ideal", "x^2", "--format", "dot"],
         ["resolve", *THREE_SQUARES_ARGS, "--max-step", "3", "--format", "dot"],
         *UNUSABLE_INPUT,
+        *MALFORMED_INPUT,
     ],
 )
 def test_input_errors_exit_two(capsys, argv):
@@ -833,7 +874,7 @@ def test_input_errors_exit_two(capsys, argv):
     # argparse rejects an option's value after the usage line, naming the command
     message = err.splitlines()[-1]
     assert message.startswith(("error:", f"citaylor {argv[0]}: error:"))
-    bad_value = {**BAD_VALUE_INPUT, **UNUSABLE_INPUT}.get(tuple(argv))
+    bad_value = {**BAD_VALUE_INPUT, **UNUSABLE_INPUT, **MALFORMED_INPUT}.get(tuple(argv))
     if bad_value is not None:
         assert bad_value in message
 

@@ -226,6 +226,13 @@ def test_average_lifts_validation():
         average_lifts([lifts[0], other], [Fraction(1, 2), Fraction(1, 2)])
 
 
+def test_average_lifts_rejects_a_weight_the_field_cannot_hold():
+    ci = squarefree_ci(GF(7))
+    lifts = [lift_matrix(ci, [{(1, 1, 1): g}]) for g in (1, 2, 3)]
+    with pytest.raises(ValueError, match="^weight unusable in characteristic 7: "):
+        average_lifts(lifts, [Fraction(1, 7), Fraction(3, 7), Fraction(3, 7)])
+
+
 # ---- the homotopies -----------------------------------------------------------
 
 

@@ -39,6 +39,8 @@ def test_modp_arithmetic():
     assert str(a / b) == "2"  # 3 * 5^-1 = 3 * 3 = 9 = 2
     assert not F.zero
     assert F.coerce(7) == F.zero
+    with pytest.raises(TypeError, match=r"^element of GF\(5\) used in GF\(7\)$"):
+        F.coerce(GF(5).one)
 
 
 def test_modp_coerce_fraction():
@@ -114,6 +116,13 @@ def test_parse_errors_carry_position(ring_xyz):
         with pytest.raises(ParseError) as err:
             ring_xyz.parse(src)
         assert err.value.position == pos
+    for src, message in [
+        ("x^2+", "expected a term, found end of input (at position 4)"),
+        ("x^", "expected int, found end of input (at position 2)"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            ring_xyz.parse(src)
+        assert str(err.value) == message
 
 
 def test_parse_unknown_variable(ring_xyz):

@@ -7,13 +7,13 @@ from citaylor import (
     BadPrime,
     CapExceeded,
     GF,
+    QQ,
     PolyRing,
     buchberger,
     check_exactness,
     complete_intersection,
     graded_piece_basis,
     homotopy_system,
-    lift_matrix,
     monomial_ideal,
     normal_form,
     shamash_resolution,
@@ -61,18 +61,25 @@ def test_gb_prime_field():
     assert [str(p) for p in gb.polys] == ["x*y", "x^2 + y^2", "y^3"]
 
 
-def test_caps_raise():
+def test_caps_raise(monkeypatch):
+    import citaylor.quotient as quotient
+
     R = ring("x,y")
-    with pytest.raises(CapExceeded, match="max_degree"):
+    with pytest.raises(CapExceeded, match=r"^S-pair lcm degree 42 exceeds max_degree=40$"):
         buchberger([R.parse("x^21*y"), R.parse("x*y^21")])
-    with pytest.raises(CapExceeded, match="max_pairs"):
-        buchberger([R.parse("x^2 + y^2"), R.parse("x*y")], max_pairs=0)
+    monkeypatch.setattr(quotient, "MAX_PAIRS", 0)
+    with pytest.raises(CapExceeded, match=r"^more than max_pairs=0 S-pairs processed$"):
+        buchberger([R.parse("x^2 + y^2"), R.parse("x*y")])
 
 
-def test_cap_spares_coprime_pairs():
+def test_cap_spares_coprime_pairs(monkeypatch):
     # leading terms are coprime, so the lone S-pair is skipped before any cap
+    import citaylor.quotient as quotient
+
+    monkeypatch.setattr(quotient, "MAX_DEGREE", 40)
+    monkeypatch.setattr(quotient, "MAX_PAIRS", 0)
     R = ring("x,y")
-    gb = buchberger([R.parse("x^30"), R.parse("y^30")], max_degree=40, max_pairs=0)
+    gb = buchberger([R.parse("x^30"), R.parse("y^30")])
     assert len(gb.polys) == 2
 
 
@@ -222,22 +229,28 @@ def test_exactness_window_validation():
         check_exactness(engine, 3, 5)
 
 
-def test_exactness_composite_prime_rejected():
-    res = build_three_squares(max_step=3)
-    with pytest.raises(BadPrime, match="not prime"):
-        GradedExactness(res, 4)
-
-
 def test_exactness_prime_dividing_denominator_rejected():
     R = ring("x,y,z")
-    I = monomial_ideal(R, ["x*y", "x*z", "y*z"])
+    I = monomial_ideal(R, ["x^2", "y^2", "z^2"])
+    ci = complete_intersection(I, ["1/32003*x^2*z + x*y^2"])
+    res = shamash_resolution(homotopy_system(ci, "first"), 3)
+    with pytest.raises(BadPrime, match=r"^32003 divides a denominator: "):
+        check_exactness(GradedExactness(res), 1, 5)
+    # the average lift (entries 1/3*z etc.) is checked over its own GF(5)
+    I = monomial_ideal(ring("x,y,z", GF(5)), ["x*y", "x*z", "y*z"])
     ci = complete_intersection(I, ["x*y*z"])
-    lift = lift_matrix(ci, "average")  # entries 1/3*z etc.
-    res = shamash_resolution(homotopy_system(ci, lift=lift), 3)
-    with pytest.raises(BadPrime, match="denominator"):
-        check_exactness(GradedExactness(res, 3), 1, 5)
-    report = check_exactness(GradedExactness(res, 5), 1, 6)
+    res = shamash_resolution(homotopy_system(ci, "average"), 3)
+    report = check_exactness(GradedExactness(res), 1, 6)
     assert report.passed, report.failure
+
+
+def test_exactness_over_the_resolutions_own_prime_field():
+    res = build_three_squares(max_step=4, field=GF(7))
+    engine = GradedExactness(res)
+    for n in (1, 2, 3):
+        report = check_exactness(engine, n, 6)
+        assert report.passed, report.failure
+        assert report.title == f"exactness at step {n} over GF(7)"
 
 
 def test_exactness_detects_a_broken_map():
@@ -287,10 +300,10 @@ def test_shared_engine_matches_fresh_checks(monkeypatch):
     rank = quotient.rank_mod_p
     monkeypatch.setattr(quotient, "rank_mod_p", lambda rows, p: calls.append(p) or rank(rows, p))
     res = build_three_squares(max_step=5)
-    engine = GradedExactness(res, 32003)
+    engine = GradedExactness(res)
     shared = [check_exactness(engine, n, 9) for n in range(1, 5)]
     assert len(calls) == 5 * 10  # each (phi_k, d), k = 1..5, ranked once
-    fresh = [check_exactness(GradedExactness(res, 32003), n, 9) for n in range(1, 5)]
+    fresh = [check_exactness(GradedExactness(res), n, 9) for n in range(1, 5)]
     assert len(calls) == 50 + 4 * 2 * 10
     assert [(r.title, r.passed, r.details) for r in shared] == [
         (r.title, r.passed, r.details) for r in fresh
@@ -321,25 +334,25 @@ def dense_graded_rank(res, k, d, p):
 @pytest.mark.parametrize("lift", ["first", "average"])
 def test_engine_ranks_match_dense_reference(lift):
     # the lift puts two terms into one entry (x + y), so images need summing
-    R = ring("x,y,z")
-    ci = complete_intersection(
-        monomial_ideal(R, ["x^2", "y^2", "z^2"]), ["x^3 + x^2*y + x*y^2 + y^2*z"]
-    )
-    res = shamash_resolution(homotopy_system(ci, lift), 4)
-    for p in (5, 32003):
-        engine = GradedExactness(res, p)
+    for field, p in ((GF(5), 5), (QQ, 32003)):
+        R = ring("x,y,z", field)
+        ci = complete_intersection(
+            monomial_ideal(R, ["x^2", "y^2", "z^2"]), ["x^3 + x^2*y + x*y^2 + y^2*z"]
+        )
+        res = shamash_resolution(homotopy_system(ci, lift), 4)
+        engine = GradedExactness(res)
+        assert engine.p == p
         for k in range(1, 5):
             for d in range(8):
-                assert engine.rank(k, d) == dense_graded_rank(res, k, d, p), (p, k, d)
+                assert engine.rank(k, d) == dense_graded_rank(res, k, d, engine.p), (p, k, d)
 
 
 def test_engine_belongs_to_one_resolution_and_prime():
-    # the engine carries the resolution and the prime, so a check cannot mix them
-    res = build_three_squares(max_step=3)
-    for p in (7, 32003):
-        engine = GradedExactness(res, p)
+    # the engine carries the resolution and takes the prime from it, so a check cannot mix them
+    for field, p in ((GF(7), 7), (QQ, 32003)):
+        res = build_three_squares(max_step=3, field=field)
+        engine = GradedExactness(res)
         report = check_exactness(engine, 1, 4)
+        assert engine.p == p
         assert report.title == f"exactness at step 1 over GF({p})"
         assert engine.resolution is res and engine.ring.field.characteristic == p
-    with pytest.raises(BadPrime, match="not prime"):
-        GradedExactness(res, 9)

@@ -666,6 +666,42 @@ def test_certificate_rejects_a_relabelled_basis(three_squares):
     assert phi_squared_check(bad).failure == f"phi_1.phi_2 defect at ({row}, {col}): {entry}"
 
 
+def test_certificate_rejects_a_label_of_the_wrong_weight(three_squares):
+    """F_2's first label (u=(1,), S={}) relabelled u=(2,) in the basis, phi_2's columns
+    and phi_3's rows: no cell moves, so the full product still passes, but a label of
+    weight 2 does not belong to step 2 and the certificate refuses every step it touches."""
+    res = three_squares
+    first = res.basis(2)[0]
+    assert (first.u, first.indices) == ((1,), ())
+    basis = (first._replace(u=(2,)), *res.basis(2)[1:])
+    phi2, phi3 = res.differential(2), res.differential(3)
+    diffs = list(res.differentials)
+    diffs[1] = LabeledGradedMatrix(phi2.ring, phi2.rows, basis, phi2.entries)
+    diffs[2] = LabeledGradedMatrix(phi3.ring, basis, phi3.cols, phi3.entries)
+    bases = list(res.bases)
+    bases[2] = basis
+    bad = replace(res, bases=tuple(bases), differentials=tuple(diffs))
+    certificate = shamash._PhiCertificate(bad)
+    assert not any(certificate.holds(n) for n in (1, 2, 3))
+    assert phi_squared_check(bad).details == phi_squared_check(res).details
+
+
+def test_certificate_rejects_a_sigma_on_the_top_taylor_module():
+    """sigma_1 on T_r lands in T_{r+1} = 0, so assembly never places it; an entry put
+    there makes the certificate refuse the steps whose blocks would need it, while the
+    full product, which never sees it, still passes."""
+    system = build_three_squares(max_step=6).system
+    r = system.ideal.ngens
+    sigma = system.sigma_e(1, r)
+    assert sigma.is_zero()
+    entries = {(0, 0): system.ring.parse("x")}
+    system._sigma[(1, r)] = LabeledGradedMatrix(system.ring, sigma.rows, sigma.cols, entries)
+    res = shamash_resolution(system, 6)
+    certificate = shamash._PhiCertificate(res)
+    assert [n for n in range(1, 6) if not certificate.holds(n)] == [4, 5]
+    assert phi_squared_check(res).passed
+
+
 def identity_uses(res, n):
     """The identities the blocks (u, S) of F_{n+1} use, read off their labels."""
     r, c = res.system.ideal.ngens, res.system.ci.codim

@@ -9,6 +9,7 @@ import pytest
 from citaylor import (
     GF,
     QQ,
+    MonomialIdeal,
     monomial_ideal,
     taylor_complex,
     verify_taylor,
@@ -311,3 +312,5 @@ def test_wrong_arity_generator_rejected(ring_xyz):
         monomial_ideal(ring_xyz, [(1, 0)])
     with pytest.raises(ValueError, match="negative exponent"):
         monomial_ideal(ring_xyz, [(1, -1, 0)])
+    with pytest.raises(ValueError, match="^generator does not live in the ring$"):
+        MonomialIdeal(ring("x,y"), ((1,),))
