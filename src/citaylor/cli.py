@@ -9,9 +9,10 @@ A ring is its variables and its field, all that a JSON document stores, so
 a document loads back to the resolution that wrote it.  Polynomials print
 in grlex (degree, then lex).
 
-Every writer is a generator of text pieces: a line, or at most one matrix
-row or one matrix.  ``emit`` writes them as they come, so no document is
-ever held whole as one string.
+Every writer is a generator of text pieces: a line, one matrix row, or
+for JSON one record read straight from the complex.  ``emit`` writes them
+as they come, so neither the text nor a JSON document of the whole complex
+is ever held.
 """
 from __future__ import annotations
 
@@ -30,7 +31,8 @@ from .homotopy import (
     lift_matrix_from_rows,
     verify_homotopy_system,
 )
-from .jsondoc import dump, iterdump, own_reports_json, report_json, resolution_json, taylor_json
+from . import jsondoc
+from .jsondoc import iterdump, iterdump_resolution, iterdump_taylor, own_reports_json, report_json
 from .poly import QQ, ParseError, PolyRing, PrimeField, render_terms
 from .quotient import BadPrime, CapExceeded, GradedExactness, check_exactness
 from .shamash import phi_squared_check, rank_formula, shamash_resolution
@@ -48,8 +50,8 @@ EDGE_COLORS = ("red", "orange", "purple", "brown", "cyan4", "magenta")
 # sum_n rank F_{n-1} * rank F_n, the request is refused before anything is built.
 MAX_DENSE_CELLS = 10**8
 
-# A document's JSON text as one string, for library callers.
-_dump = dump
+# The JSON documents and a document's text as one string, for library callers.
+resolution_json, taylor_json, _dump = jsondoc.resolution_json, jsondoc.taylor_json, jsondoc.dump
 
 
 # ---- text rendering ------------------------------------------------------
@@ -470,10 +472,10 @@ def emit(args, pieces):
 # ---- commands ------------------------------------------------------------
 
 
-def _write(args, obj, text, tex, to_json):
+def _write(args, obj, text, tex, json_pieces):
     """Emit obj through the writer that args.format names."""
     if args.format == "json":
-        emit(args, iterdump(to_json(obj)))
+        emit(args, json_pieces(obj))
     elif args.format == "tex":
         emit(args, tex(obj))
     else:
@@ -486,7 +488,7 @@ def cmd_taylor(args):
     if args.format != "json":
         _check_dense_cells([comb(ideal.ngens, k) for k in range(ideal.ngens + 1)])
     cx = taylor_complex(ideal)
-    return _write(args, cx, taylor_text, taylor_tex, taylor_json)
+    return _write(args, cx, taylor_text, taylor_tex, iterdump_taylor)
 
 
 def _build_ci(args):
@@ -507,7 +509,7 @@ def cmd_resolve(args):
         r, c = ci.ideal.ngens, ci.codim
         _check_dense_cells([rank_formula(r, c, n) for n in range(args.max_step + 1)])
     res = shamash_resolution(_build_system(args, ci), args.max_step)
-    return _write(args, res, resolution_lines, resolution_tex, resolution_json)
+    return _write(args, res, resolution_lines, resolution_tex, iterdump_resolution)
 
 
 def _exactness_reports(res, args):
@@ -519,8 +521,7 @@ def _exactness_reports(res, args):
 def _emit_reports(args, res, reports):
     passed = all(r.passed for r in reports)
     if args.format == "json":
-        doc = resolution_json(res, {r.title: report_json(r) for r in reports})
-        emit(args, iterdump(doc))
+        emit(args, iterdump_resolution(res, {r.title: report_json(r) for r in reports}))
     else:
         out = [r.summary() + "\n" for r in reports]
         out.append("overall: " + ("PASS" if passed else "FAIL") + "\n")

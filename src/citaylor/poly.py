@@ -297,6 +297,8 @@ class Polynomial:
 
 
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^])|(?P<ws>\s+)|(?P<bad>.)")
+# each token kind as a parse error names it
+_TOKEN_WORDS = {"int": "an integer", "name": "a variable", "op": "an operator"}
 
 
 def _tokenize(src):
@@ -389,7 +391,7 @@ class PolyRing:
             nonlocal pos
             tok = peek()
             if tok[0] != kind:
-                raise unexpected(kind, tok)
+                raise unexpected(_TOKEN_WORDS[kind], tok)
             pos += 1
             return tok
 

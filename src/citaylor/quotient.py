@@ -218,8 +218,8 @@ class GradedExactness:
         coerce = self.ring.field.coerce
         try:
             return Polynomial(self.ring, {e: coerce(c) for e, c in poly.terms.items()})
-        except ZeroDivisionError as exc:
-            raise BadPrime(f"{self.p} divides a denominator: {exc}") from None
+        except ZeroDivisionError:
+            raise BadPrime(f"{self.p} divides a denominator of {poly}") from None
 
     @cached_property
     def gb(self):

@@ -2,8 +2,8 @@
 of json.dumps(doc, indent=2) plus a newline.
 
 The trees mix entry records ({"row", "col", "poly"} with int, int, str values,
-which the writer formats in one f-string) with records that only look like
-them: a bool or str where an int belongs, another key order, an extra key.
+as a document of ``sections_json`` holds them) with records that only look
+like them: a bool or str where an int belongs, another key order, an extra key.
 """
 import json
 

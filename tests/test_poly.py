@@ -118,7 +118,8 @@ def test_parse_errors_carry_position(ring_xyz):
         assert err.value.position == pos
     for src, message in [
         ("x^2+", "expected a term, found end of input (at position 4)"),
-        ("x^", "expected int, found end of input (at position 2)"),
+        ("x^", "expected an integer, found end of input (at position 2)"),
+        ("x*^2", "expected a variable, found '^' (at position 2)"),
     ]:
         with pytest.raises(ParseError) as err:
             ring_xyz.parse(src)

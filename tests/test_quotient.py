@@ -234,7 +234,7 @@ def test_exactness_prime_dividing_denominator_rejected():
     I = monomial_ideal(R, ["x^2", "y^2", "z^2"])
     ci = complete_intersection(I, ["1/32003*x^2*z + x*y^2"])
     res = shamash_resolution(homotopy_system(ci, "first"), 3)
-    with pytest.raises(BadPrime, match=r"^32003 divides a denominator: "):
+    with pytest.raises(BadPrime, match=r"^32003 divides a denominator of 1/32003\*x\^2\*z \+ x\*y\^2$"):
         check_exactness(GradedExactness(res), 1, 5)
     # the average lift (entries 1/3*z etc.) is checked over its own GF(5)
     I = monomial_ideal(ring("x,y,z", GF(5)), ["x*y", "x*z", "y*z"])
