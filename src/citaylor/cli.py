@@ -5,9 +5,8 @@ Exit codes: 0 success, 1 a verification reported failure, 2 bad input,
 3 a computation cap was exceeded, 141 (128 + SIGPIPE) the reader of stdout
 closed the pipe.
 
-A ring is its variables and its field, all that a JSON document stores, so
-a document loads back to the resolution that wrote it.  Polynomials print
-in grlex (degree, then lex).
+Polynomials print in grlex (degree, then lex); ``jsondoc`` reads and writes
+the JSON format.
 
 Every writer is a generator of text pieces: a line, one matrix row, or
 for JSON one record read straight from the complex.  ``emit`` writes them
@@ -19,8 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
+from functools import partial
 from math import comb
 from operator import mul
 
@@ -28,15 +29,14 @@ from .homotopy import (
     HomotopySystem,
     complete_intersection,
     lift_matrix,
-    lift_matrix_from_rows,
     verify_homotopy_system,
 )
 from . import jsondoc
-from .jsondoc import iterdump, iterdump_resolution, iterdump_taylor, own_reports_json, report_json
+from .jsondoc import dump, iterdump_resolution, iterdump_taylor, parse_assignments, report_json
 from .poly import QQ, ParseError, PolyRing, PrimeField, render_terms
 from .quotient import BadPrime, CapExceeded, GradedExactness, check_exactness
 from .shamash import phi_squared_check, rank_formula, shamash_resolution
-from .taylor import monomial_ideal, taylor_complex, verify_taylor
+from .taylor import MonomialIdeal, monomial_generator, taylor_complex, verify_taylor
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -50,8 +50,12 @@ EDGE_COLORS = ("red", "orange", "purple", "brown", "cyan4", "magenta")
 # sum_n rank F_{n-1} * rank F_n, the request is refused before anything is built.
 MAX_DENSE_CELLS = 10**8
 
-# The JSON documents and a document's text as one string, for library callers.
-resolution_json, taylor_json, _dump = jsondoc.resolution_json, jsondoc.taylor_json, jsondoc.dump
+# The JSON format lives in jsondoc.  These names stay in cli for library callers and for the
+# benchmark: it calls cli.resolution_json and cli.resolution_from_json, and its tracer patches
+# them, cli._dump and cli.lift_matrix_from_rows.
+resolution_json, taylor_json, _dump = jsondoc.resolution_json, jsondoc.taylor_json, dump
+resolution_from_json = jsondoc.resolution_from_json
+lift_matrix_from_rows = jsondoc.lift_matrix_from_rows
 
 
 # ---- text rendering ------------------------------------------------------
@@ -192,78 +196,6 @@ def resolution_text(res):
     return "".join(resolution_lines(res))
 
 
-# ---- json ----------------------------------------------------------------
-
-
-def _list_of(kind):
-    return lambda value: isinstance(value, list) and all(isinstance(v, kind) for v in value)
-
-
-def _field(value, field, what, ok=_list_of(str)):
-    """value when ok accepts it, else a ValueError naming the field."""
-    if not ok(value):
-        raise ValueError(f"{field} must be {what}, got {json.dumps(value)}")
-    return value
-
-
-def resolution_from_json(doc):
-    """Rebuild the resolution and cross-check it, each field against its JSON type first."""
-    _field(doc, "document", "an object", lambda v: isinstance(v, dict))
-    ring_doc = _field(doc.get("ring"), "ring", "an object", lambda v: isinstance(v, dict))
-    names = _field(ring_doc.get("vars"), "ring.vars", "a list of variable names")
-    char = _field(ring_doc.get("char"), "ring.char", "an integer", lambda v: type(v) is int)
-    ring = PolyRing(tuple(names), QQ if char == 0 else PrimeField(char))
-    ideal = monomial_ideal(ring, _field(doc.get("ideal"), "ideal", "a list of monomials"))
-    ci = complete_intersection(ideal, _field(doc.get("ci"), "ci", "a list of polynomials"))
-    lift = _field(doc.get("lift"), "lift", "a list of rows", _list_of(list))
-    modules = _field(doc.get("modules"), "modules", "a list of modules", _list_of(list))
-    dmats = _field(doc.get("differentials"), "differentials", "a list of matrices", _list_of(dict))
-    reports = _field(doc.get("reports"), "reports", "an object", lambda v: isinstance(v, dict))
-    parsed = {}  # text -> Polynomial: each distinct string is parsed once
-
-    def parse(text):
-        poly = parsed.get(text)
-        if poly is None:
-            poly = parsed[text] = ring.parse(text)
-        return poly
-
-    rows = [[parse(s) for s in _field(row, "lift rows", "lists of polynomials")] for row in lift]
-    res = shamash_resolution(HomotopySystem(lift_matrix_from_rows(ci, rows)), len(modules) - 1)
-    for n, module in enumerate(modules):
-        try:  # checked as it is read: basis elements are the bulk of a document
-            stored = [(tuple(e["u"]), tuple(e["S"]), e["twist"]) for e in module]
-        except (KeyError, TypeError):
-            raise ValueError(
-                f"modules[{n}] must be a list of basis elements, got {json.dumps(module)}"
-            ) from None
-        if stored != [(b.u, b.indices, b.twist) for b in res.basis(n)]:
-            raise ValueError(f"stored basis at step {n} does not match the data")
-    if [d.get("from") for d in dmats] != list(range(1, res.max_step + 1)):
-        raise ValueError("stored differentials do not run from 1 to the last module")
-    for m, dmat in enumerate(dmats):
-        if dmat.get("to") != dmat["from"] - 1:
-            raise ValueError(f"stored differential {dmat['from']} maps to step {dmat.get('to')}")
-        entries = res.differential(dmat["from"]).entries
-        try:  # checked as it is read, like the modules
-            stored = {(e["row"], e["col"]): e["poly"] for e in dmat["entries"]}
-            # a text equal to the canonical one needs no parse; any other must parse to the entry
-            matches = stored.keys() == entries.keys() and all(
-                text == str(entries[cell]) or parse(text) == entries[cell]
-                for cell, text in stored.items()
-            )
-        except (KeyError, TypeError):
-            raise ValueError(
-                f"differentials[{m}] must be a matrix of row/col/poly entries, got {json.dumps(dmat)}"
-            ) from None
-        if not matches:
-            raise ValueError(f"stored differential {dmat['from']} does not match the data")
-    # verify --format json stores more reports; only the resolution's own are rebuilt
-    for name, report in own_reports_json(res).items():
-        if reports.get(name) != report:
-            raise ValueError(f"stored {name} report does not match the data")
-    return res
-
-
 # ---- latex ---------------------------------------------------------------
 
 
@@ -390,44 +322,29 @@ def build_ring(args):
     return PolyRing(names, field)
 
 
+def _elements(option, value, build, what):
+    """build(text) of each comma-separated element of an option's value, blanks stripped.
+
+    A ParseError names the option and counts its position from the start of the value.
+    """
+    out = []
+    for m in re.finditer(r"[^,\s](?:[^,]*[^,\s])?", value):
+        try:
+            out.append(build(m[0]))
+        except ParseError as exc:
+            raise ParseError(f"{option}: {exc.message}", m.start() + exc.position) from None
+    if not out:
+        raise ValueError(f"{option} needs at least one {what}")
+    return out
+
+
 def build_ideal(args, ring):
-    gens = [g.strip() for g in args.ideal.split(",") if g.strip()]
-    if not gens:
-        raise ValueError("--ideal needs at least one generator")
-    return monomial_ideal(ring, gens)
+    gens = _elements("--ideal", args.ideal, partial(monomial_generator, ring), "generator")
+    return MonomialIdeal(ring, tuple(gens))
 
 
 def build_ci(args, ideal):
-    elements = [a.strip() for a in args.ci.split(",") if a.strip()]
-    if not elements:
-        raise ValueError("--ci needs at least one element")
-    return complete_intersection(ideal, elements)
-
-
-def parse_assignments(ring, doc):
-    """Decode {"assignments": [{"term": "x^2*z", "gen": 1}, ...]} into a term -> generator map."""
-    items = doc.get("assignments") if isinstance(doc, dict) else None
-    if not isinstance(items, list):
-        raise ValueError(f'expected {{"assignments": [...]}}, got {json.dumps(doc)}')
-    out = {}
-    for item in items:
-        if not isinstance(item, dict) or not isinstance(item.get("term"), str):
-            raise ValueError(f'assignment {json.dumps(item)} needs a "term" string')
-        p = ring.parse(item["term"])
-        if len(p.terms) != 1:
-            raise ValueError(f"term pattern {item['term']!r} is not a single monomial")
-        (e, c), = p.terms.items()
-        if c != ring.field.one:
-            raise ValueError(f"term pattern {item['term']!r} must be a bare monomial")
-        gen = item.get("gen")
-        if not isinstance(gen, int) or isinstance(gen, bool):
-            raise ValueError(
-                f"assignment 'gen' must be a 1-based integer index (got {json.dumps(gen)})"
-            )
-        if e in out:
-            raise ValueError(f"term pattern {item['term']!r} assigned twice")
-        out[e] = gen
-    return out
+    return complete_intersection(ideal, _elements("--ci", args.ci, ideal.ring.parse, "element"))
 
 
 def build_lift(args, ci):
@@ -545,7 +462,7 @@ def cmd_verify(args):
 def cmd_betti(args):
     bounds = [rank_formula(args.gens, args.codim, n) for n in range(args.max_step + 1)]
     if args.format == "json":
-        emit(args, iterdump({"r": args.gens, "c": args.codim, "bounds": bounds}))
+        emit(args, [dump({"r": args.gens, "c": args.codim, "bounds": bounds})])
     else:
         lines = [
             f"betti number bounds: r={args.gens} generators, sequence length c={args.codim}\n",

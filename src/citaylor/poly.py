@@ -17,7 +17,7 @@ class ParseError(ValueError):
 
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 class ModP:

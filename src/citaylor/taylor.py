@@ -82,19 +82,20 @@ class MonomialIdeal:
 
 def monomial_ideal(ring, generators):
     """Build an ideal from exponent tuples or generator strings."""
-    gens = []
-    for g in generators:
-        if isinstance(g, str):
-            p = ring.parse(g)
-            if len(p.terms) != 1:
-                raise ValueError(f"{g!r} is not a monomial")
-            (e, c), = p.terms.items()
-            if c != ring.field.one:
-                raise ValueError(f"{g!r} has a coefficient; generators must be monic")
-            gens.append(ring.monomial(e))
-        else:
-            gens.append(ring.monomial(g))
-    return MonomialIdeal(ring, tuple(gens))
+    return MonomialIdeal(ring, tuple(monomial_generator(ring, g) for g in generators))
+
+
+def monomial_generator(ring, g):
+    """The exponent tuple of a generator given as one or as the text of a monic monomial."""
+    if not isinstance(g, str):
+        return ring.monomial(g)
+    p = ring.parse(g)
+    if len(p.terms) != 1:
+        raise ValueError(f"{g!r} is not a monomial")
+    (e, c), = p.terms.items()
+    if c != ring.field.one:
+        raise ValueError(f"{g!r} has a coefficient; generators must be monic")
+    return ring.monomial(e)
 
 
 def _bases(ideal):

@@ -224,6 +224,14 @@ def _retarget_differential(doc):
     doc["differentials"][0]["to"] = 7
 
 
+def _start_at_true(doc):
+    doc["differentials"][0]["from"] = True  # equals 1, but is not an int
+
+
+def _map_to_false(doc):
+    doc["differentials"][0]["to"] = False
+
+
 def _flip_minimality(doc):
     report = doc["reports"]["minimality"]
     report["minimal"] = not report["minimal"]
@@ -250,6 +258,8 @@ def _claim_a_periodic_tail(doc):
         (_flip_minimality, "^stored minimality report does not match"),
         (_add_a_minimality_witness, "^stored minimality report does not match"),
         (_claim_a_periodic_tail, "^stored periodicity report does not match"),
+        (_start_at_true, "do not run from 1"),
+        (_map_to_false, "^stored differential 1 maps to step False$"),
     ],
 )
 def test_round_trip_rejects_entries_that_differ_from_the_data(capsys, tamper, error):
@@ -324,18 +334,30 @@ _MISSING = object()
             _set("differentials", 0, "entries", 0, "poly", 5), "differentials[0]", "matrix", id="poly-int"
         ),
         pytest.param(lambda doc: [doc], "document", "document", id="document-list"),
+        # JSON's true, false and 2.0 compare equal to the ints the format holds
+        pytest.param(_set("modules", 0, 0, "twist", False), "modules[0]", "module", id="twist-bool"),
+        pytest.param(_set("modules", 1, 0, "twist", 2.0), "modules[1]", "module", id="twist-float"),
+        pytest.param(_set("modules", 1, 0, "u", [False]), "modules[1]", "module", id="u-bool"),
+        pytest.param(_set("modules", 1, 0, "S", [True]), "modules[1]", "module", id="S-bool"),
+        pytest.param(
+            _set("differentials", 0, "entries", 1, "col", True), "differentials[0]", "matrix",
+            id="col-bool",
+        ),
+        pytest.param(
+            _set("differentials", 1, "entries", 0, "row", 0.0), "differentials[1]", "matrix",
+            id="row-float",
+        ),
     ],
 )
 def test_round_trip_rejects_a_field_of_the_wrong_type(capsys, edit, field, shown):
     """Each field's JSON type is checked before use, and the ValueError names the field
-    and shows what it held ("module" and "matrix": the whole edited module or matrix,
-    "document": the document an edit returned in place of the one it was given)."""
+    and shows what it held ("module" and "matrix": the whole module or matrix the field
+    names, "document": the document an edit returned in place of the one it was given)."""
     doc = _resolution_doc(capsys)
     doc = edit(doc) or doc
-    if shown == "module":
-        shown = doc["modules"][1]
-    elif shown == "matrix":
-        shown = doc["differentials"][0]
+    if shown in ("module", "matrix"):
+        section, index = re.fullmatch(r"(\w+)\[(\d+)\]", field).groups()
+        shown = doc[section][int(index)]
     elif shown == "document":
         shown = doc
     pattern = rf"^{re.escape(field)} must be [^,]+, got {re.escape(json.dumps(shown))}$"
@@ -830,14 +852,14 @@ UNUSABLE_INPUT = {
 # malformed text and a QQ input that GF(32003) cannot hold; listed last for the same reason
 MALFORMED_INPUT = {
     ("resolve", "--vars", "x,y,z", "--ideal", "x^2,y^2,z^2", "--ci", "x^2+", "--max-step", "2"): (
-        "error: expected a term, found end of input (at position 4)"
+        "error: --ci: expected a term, found end of input (at position 4)"
     ),
     ("taylor", "--vars", "x,1y", "--ideal", "x^2"): "error: bad variable name '1y'",
     ("resolve", "--vars", "x,y,z", "--ideal", "x^2,y^2,z^2", "--ci", "1/0*x^2", "--max-step", "2"): (
-        "error: zero denominator (at position 2)"
+        "error: --ci: zero denominator (at position 2)"
     ),
     ("resolve", "--vars", "x,y,z", "--ideal", "x^2,y^2,z^2", "--ci", "x^2 y", "--max-step", "2"): (
-        "error: expected '+' or '-', found 'y' (at position 4)"
+        "error: --ci: expected '+' or '-', found 'y' (at position 4)"
     ),
     (
         "check-exactness",
@@ -847,6 +869,16 @@ MALFORMED_INPUT = {
         "--max-step", "3",
         "--max-degree", "4",
     ): "error: 32003 divides a denominator of 1/32003*x^2*z + x*y^2",
+    # a position counts from the start of the option's value, not of the element
+    ("taylor", "--vars", "x,y", "--ideal", "x^2,y^"): (
+        "error: --ideal: expected an integer, found end of input (at position 6)"
+    ),
+    ("resolve", "--vars", "x,y,z", "--ideal", "x^2,y^2,z^2", "--ci", "x^2,y^2+", "--max-step", "2"): (
+        "error: --ci: expected a term, found end of input (at position 8)"
+    ),
+    ("taylor", "--vars", "x,y", "--ideal", "x^2, y^2, x*q"): (
+        "error: --ideal: unknown variable 'q' (at position 12)"
+    ),
 }
 
 

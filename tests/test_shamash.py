@@ -307,6 +307,28 @@ def test_constant_lift_entry_flagged():
     assert any("constant term" in line for line in report.describe())
 
 
+def test_minimality_names_each_constant_lift_entry_by_row_and_column():
+    """The lift f[i,t] is 1-based in both indices, as the text output prints its rows."""
+    R = ring("x,y,z")
+    I = monomial_ideal(R, ["x*y", "y*z", "x*z"])
+    res = shamash_resolution(homotopy_system(complete_intersection(I, ["x*y+y*z+x*z"]), "first"), 2)
+    assert res.minimality.describe() == [
+        "tau_3 entry (12 <- 123) = 1 is a unit",
+        "tau_3 entry (13 <- 123) = -1 is a unit",
+        "tau_3 entry (23 <- 123) = 1 is a unit",
+        "lift entry f[1,1] has constant term 1",
+        "lift entry f[1,2] has constant term 1",
+        "lift entry f[1,3] has constant term 1",
+    ]
+    squares = monomial_ideal(R, ["x^2", "y^2", "z^2"])
+    ci = complete_intersection(squares, ["x^2*z+x*y^2", "y^2+2*z^2"])
+    res = shamash_resolution(homotopy_system(ci, "first"), 2)
+    assert res.minimality.describe() == [
+        "lift entry f[2,2] has constant term 1",
+        "lift entry f[2,3] has constant term 2",
+    ]
+
+
 # ---- periodicity and matrix factorizations -------------------------------------
 
 
@@ -498,6 +520,9 @@ def test_phi_squared_short_window():
     report = phi_squared_check(build_poly_c1(max_step=1))
     assert report.passed
     assert any("vacuous" in line for line in report.details)
+    # the shortest window with a composite checks it and is not vacuous
+    details = phi_squared_check(build_three_squares(max_step=2)).details
+    assert details == ["ok: phi_1.phi_2 = sum a_j shift_j"]
 
 
 def random_resolutions():
