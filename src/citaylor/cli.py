@@ -33,7 +33,7 @@ from .homotopy import (
 )
 from . import jsondoc
 from .jsondoc import dump, iterdump_resolution, iterdump_taylor, parse_assignments, report_json
-from .poly import QQ, ParseError, PolyRing, PrimeField, render_terms
+from .poly import QQ, ParseError, PolyRing, PrimeField, parse_in, render_terms
 from .quotient import BadPrime, CapExceeded, GradedExactness, check_exactness
 from .shamash import phi_squared_check, rank_formula, shamash_resolution
 from .taylor import MonomialIdeal, monomial_generator, taylor_complex, verify_taylor
@@ -327,12 +327,8 @@ def _elements(option, value, build, what):
 
     A ParseError names the option and counts its position from the start of the value.
     """
-    out = []
-    for m in re.finditer(r"[^,\s](?:[^,]*[^,\s])?", value):
-        try:
-            out.append(build(m[0]))
-        except ParseError as exc:
-            raise ParseError(f"{option}: {exc.message}", m.start() + exc.position) from None
+    elements = re.finditer(r"[^,\s](?:[^,]*[^,\s])?", value)
+    out = [parse_in(build, m[0], option, m.start()) for m in elements]
     if not out:
         raise ValueError(f"{option} needs at least one {what}")
     return out
@@ -359,7 +355,8 @@ def build_lift(args, ci):
             except json.JSONDecodeError as exc:
                 raise ValueError(f"lift file {path} is not valid JSON: {exc}") from None
         docs = doc if isinstance(doc, list) else [doc]
-        return lift_matrix(ci, [parse_assignments(ci.ring, d) for d in docs])
+        read = partial(parse_assignments, ci.ring)
+        return lift_matrix(ci, [parse_in(read, d, f"lift file {path}") for d in docs])
     raise ValueError(f"--lift must be first, average, or file:PATH (got {spec!r})")
 
 

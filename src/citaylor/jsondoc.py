@@ -12,15 +12,15 @@ and checks the document against it.  ``parse_assignments`` reads a lift file.
 from __future__ import annotations
 
 import json
-from functools import cache
+from functools import cache, partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .homotopy import HomotopySystem, complete_intersection, lift_matrix_from_rows
-from .poly import QQ, PolyRing, PrimeField
+from .poly import QQ, PolyRing, PrimeField, parse_in
 from .shamash import shamash_resolution
-from .taylor import monomial_ideal
+from .taylor import MonomialIdeal, monomial_generator
 
 
 def ring_json(ring):
@@ -222,14 +222,18 @@ def resolution_from_json(doc):
     names = _field(ring_doc.get("vars"), "ring.vars", "a list of variable names")
     char = _field(ring_doc.get("char"), "ring.char", "an integer", lambda v: type(v) is int)
     ring = PolyRing(tuple(names), QQ if char == 0 else PrimeField(char))
-    ideal = monomial_ideal(ring, _field(doc.get("ideal"), "ideal", "a list of monomials"))
-    ci = complete_intersection(ideal, _field(doc.get("ci"), "ci", "a list of polynomials"))
+    gens = enumerate(_field(doc.get("ideal"), "ideal", "a list of monomials"))
+    generator = partial(monomial_generator, ring)
+    ideal = MonomialIdeal(ring, tuple(parse_in(generator, g, f"ideal[{i}]") for i, g in gens))
+    elements = enumerate(_field(doc.get("ci"), "ci", "a list of polynomials"))
+    ci = complete_intersection(ideal, [parse_in(ring.parse, a, f"ci[{i}]") for i, a in elements])
     lift = _field(doc.get("lift"), "lift", "a list of rows", _list_of(list))
     modules = _field(doc.get("modules"), "modules", "a list of modules", _list_of(list))
     dmats = _field(doc.get("differentials"), "differentials", "a list of matrices", _list_of(dict))
     reports = _field(doc.get("reports"), "reports", "an object", lambda v: isinstance(v, dict))
     parse = cache(ring.parse)  # each distinct string is parsed once
-    rows = [[parse(s) for s in _field(row, "lift rows", "lists of polynomials")] for row in lift]
+    texts = [enumerate(_field(row, "lift rows", "lists of polynomials")) for row in lift]
+    rows = [[parse_in(parse, s, f"lift[{i}][{t}]") for t, s in row] for i, row in enumerate(texts)]
     res = shamash_resolution(HomotopySystem(lift_matrix_from_rows(ci, rows)), len(modules) - 1)
     for n, module in enumerate(modules):
         try:  # checked as it is read: basis elements are the bulk of a document
@@ -256,7 +260,8 @@ def resolution_from_json(doc):
                 raise TypeError("an entry's row or col is not an int")
             # a text equal to the canonical one needs no parse; any other must parse to the entry
             matches = stored.keys() == entries.keys() and all(
-                text == str(entries[cell]) or parse(text) == entries[cell]
+                text == str(entries[cell])
+                or parse_in(parse, text, f"differentials[{m}] entry {cell}") == entries[cell]
                 for cell, text in stored.items()
             )
         except (KeyError, TypeError):
@@ -281,7 +286,7 @@ def parse_assignments(ring, doc):
     for item in items:
         if not isinstance(item, dict) or not isinstance(item.get("term"), str):
             raise ValueError(f'assignment {json.dumps(item)} needs a "term" string')
-        p = ring.parse(item["term"])
+        p = parse_in(ring.parse, item["term"], f"term {item['term']!r}")
         if len(p.terms) != 1:
             raise ValueError(f"term pattern {item['term']!r} is not a single monomial")
         (e, c), = p.terms.items()

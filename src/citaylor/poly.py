@@ -20,6 +20,14 @@ class ParseError(ValueError):
         self.message, self.position = message, position
 
 
+def parse_in(build, text, where, offset=0):
+    """build(text); a ParseError from it names where the text came from, position + offset."""
+    try:
+        return build(text)
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc.message}", offset + exc.position) from None
+
+
 class ModP:
     """Element of GF(p), stored as the canonical representative in 0..p-1."""
 

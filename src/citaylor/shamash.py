@@ -30,12 +30,12 @@ tau.sigma_j + sigma_j.tau (u_j lowered; a_j exactly when identity (b)
 holds), and sigma_i.sigma_j + sigma_j.sigma_i or sigma_i^2 (two lowerings;
 zero when identity (c) holds).  So step n is proved by two checks:
 
-- placement, by labels alone: every nonzero cell (u', S') <- (u, S) of phi_n
-  and of phi_{n+1} is the tau_k entry its labels call for (u' = u,
-  |S'| = |S| - 1) or the sigma_j entry (u' = u - e_j, |S'| = |S| + 1), the
-  very object or an equal one, and the cells number exactly as many as those
-  entries; the bases must list each (u, S) of their step once, in the order
-  above, so that the shift_j cells sit where the full defect puts them;
+- placement, by labels: the labels of phi_n and phi_{n+1} equal
+  ``shamash_basis`` of their step, field for field, so the shift_j cells sit
+  where the full defect puts them, and every nonzero cell (u', S') <- (u, S)
+  is the tau_k entry its labels call for (u' = u, |S'| = |S| - 1) or the
+  sigma_j entry (u' = u - e_j, |S'| = |S| + 1), the very object or an equal
+  one, and the cells number exactly as many as those entries;
 - every tau.tau, (b) and (c) identity that the blocks of F_{n+1} use.  These
   are the residuals ``verify_taylor`` and ``verify_homotopy_system`` report,
   computed once per pair of operand matrices and kept by the complex and the
@@ -56,7 +56,7 @@ from functools import lru_cache
 from math import comb
 from operator import mul
 
-from .matrix import LabeledGradedMatrix, defect, memo
+from .matrix import LabeledGradedMatrix, defect
 from .poly import exponents_of_degree
 from .report import Report
 from .taylor import BasisElement
@@ -284,26 +284,6 @@ def _phi_defect(resolution, n):
     return defect([pair], shifts)
 
 
-def _label_blocks(subsets, basis, n, r, c):
-    """{(u, k): [position of (u, S) for each S of T_k in order]} read off the labels of F_n.
-
-    None unless the labels are each (u, S) of step n exactly once, ordered by
-    |S|, then S, then u: the order shift_j positions are computed in.
-    """
-    blocks = {}
-    last = None
-    for pos, b in enumerate(basis):
-        u, k = b.u, len(b.indices)
-        key = (k, subsets.get(b.indices), u)
-        if key[1] is None or (last is not None and key <= last):
-            return None
-        if len(u) != c or min(u) < 0 or 2 * sum(u) != n - k:
-            return None
-        last = key
-        blocks.setdefault((u, k), []).append(pos)
-    return blocks if len(basis) == rank_formula(r, c, n) else None
-
-
 class _PhiCertificate:
     """Proves phi_n . phi_{n+1} = sum_j a_j * shift_j without multiplying phi matrices.
 
@@ -314,15 +294,23 @@ class _PhiCertificate:
 
     def __init__(self, resolution):
         self.resolution = resolution
-        self.system = system = resolution.system
-        self.subsets = {e.indices: s for basis in system.complex.bases for s, e in enumerate(basis)}
-        self._blocks = {}  # memo of _label_blocks, by basis
+        self.system = resolution.system
+        self._blocks = {}  # n -> blocks of F_n, grouped once
         self._placed = {}  # n -> placement verdict of phi_n
 
     def blocks(self, basis, n):
-        system = self.system
-        r, c = system.ideal.ngens, system.ci.codim
-        return memo(self._blocks, (basis,), lambda: _label_blocks(self.subsets, basis, n, r, c))
+        """{(u, k): [position of (u, S) for each S of T_k in order]} read off the labels of F_n.
+
+        None unless basis is shamash_basis(system, n), field for field: the one
+        basis of step n, in the order shift_j positions are computed in.
+        """
+        if basis != tuple(shamash_basis(self.system, n)):
+            return None
+        if n not in self._blocks:
+            blocks = self._blocks[n] = {}
+            for pos, b in enumerate(basis):
+                blocks.setdefault((b.u, len(b.indices)), []).append(pos)
+        return self._blocks[n]
 
     def placed(self, n):
         """Every nonzero cell of phi_n is the entry its labels call for, and no entry is missing.
@@ -364,13 +352,14 @@ class _PhiCertificate:
         return count == len(phi.entries)
 
     def holds(self, n):
-        """phi_n . phi_{n+1} = sum_j a_j * shift_j is proved, 1 <= n < max_step."""
-        res, system = self.resolution, self.system
-        left, right = res.differential(n), res.differential(n + 1)
-        if left.cols != right.rows or not (self.placed(n) and self.placed(n + 1)):
+        """phi_n . phi_{n+1} = sum_j a_j * shift_j is proved, 1 <= n < max_step: once both
+        maps are placed, they share the one F_n, and F_{n+1}'s blocks name the identities used.
+        """
+        system = self.system
+        if not (self.placed(n) and self.placed(n + 1)):
             return False
         r, c = system.ideal.ngens, system.ci.codim
-        for u, k in self.blocks(right.cols, n + 1):
+        for u, k in self._blocks[n + 1]:
             if k >= 2 and not system.complex.square(k - 1).is_zero():
                 return False
             for i in range(1, c + 1):

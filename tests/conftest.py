@@ -22,6 +22,7 @@ from citaylor import (
     shamash_resolution,
     taylor_complex,
 )
+from citaylor.quotient import grevlex
 
 
 def grid(mat):
@@ -104,6 +105,46 @@ def random_instance(rng, max_vars=4, max_gens=5, max_codim=2, field=QQ):
     ideal = random_ideal(rng, max_vars, max_gens, field)
     codim = rng.randint(1, max_codim)
     sequence = random_sequence(rng, ideal, codim)
+    return ideal, complete_intersection(ideal, sequence)
+
+
+def regular_instance(rng, field=QQ):
+    """(ideal, complete intersection data) for a sequence that is regular by construction.
+
+    Element i leads in grevlex with a power of its own variable, and a pure-power
+    generator of the ideal divides that power.  Its other terms are grevlex-smaller
+    multiples of generators, of the same degree, with coefficients +-1..3.  Leading
+    terms that are pairwise coprime make the sequence a Groebner basis whose initial
+    ideal is a monomial complete intersection, so the sequence is regular.
+    """
+    nvars = rng.randint(2, 4)
+    ring = PolyRing(VARIABLE_POOL[:nvars], field)
+    # the last variable leads nothing: every grevlex-smaller term of a power involves it
+    leads = rng.sample(range(nvars - 1), rng.randint(1, min(2, nvars - 1)))
+
+    def power(v, d):
+        return tuple(d if x == v else 0 for x in range(nvars))
+
+    powers = {v: rng.randint(1, 2) for v in leads}
+    gens = {power(v, powers[v]) for v in leads}
+    size = len(gens) + rng.randint(1, 3)
+    while len(gens) < size:
+        gens.add(_random_exponents(rng, nvars, rng.randint(1, 3)))
+    ideal = monomial_ideal(ring, sorted(gens))
+    sequence = []
+    for v in leads:
+        degree = powers[v] + rng.randint(0, 2)
+        lead = power(v, degree)
+        total = ring.term(lead)
+        for _ in range(rng.randint(1, 4)):
+            g = ideal.generator(rng.randint(1, ideal.ngens))
+            if sum(g) > degree:
+                continue
+            pad = _random_exponents(rng, nvars, degree - sum(g))
+            term = tuple(a + b for a, b in zip(g, pad))
+            if grevlex(term) < grevlex(lead):
+                total = total + ring.term(term, rng.choice([-3, -2, -1, 1, 2, 3]))
+        sequence.append(total)
     return ideal, complete_intersection(ideal, sequence)
 
 

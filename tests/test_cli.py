@@ -27,7 +27,7 @@ from citaylor import (
     taylor_complex,
 )
 from citaylor.cli import main, poly_tex, resolution_from_json
-from citaylor.poly import PolyRing
+from citaylor.poly import ParseError, PolyRing
 
 from conftest import (
     build_codim2,
@@ -38,6 +38,7 @@ from conftest import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+BAD_TERM_LIFT = Path(__file__).parent / "data" / "lift_bad_term.json"
 ROOT = Path(__file__).parents[1]
 
 THREE_SQUARES_ARGS = [
@@ -363,6 +364,39 @@ def test_round_trip_rejects_a_field_of_the_wrong_type(capsys, edit, field, shown
     pattern = rf"^{re.escape(field)} must be [^,]+, got {re.escape(json.dumps(shown))}$"
     with pytest.raises(ValueError, match=pattern):
         resolution_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(
+            _set("ideal", 1, "y^"),
+            "ideal[1]: expected an integer, found end of input (at position 2)",
+            id="ideal",
+        ),
+        pytest.param(
+            _set("ci", 0, "x^2*z+"), "ci[0]: expected a term, found end of input (at position 6)", id="ci"
+        ),
+        pytest.param(
+            _set("lift", 0, 2, "0+"),
+            "lift[0][2]: expected a term, found end of input (at position 2)",
+            id="lift",
+        ),
+        # the entry at row 0, col 1
+        pytest.param(
+            _set("differentials", 0, "entries", 1, "poly", "x^"),
+            "differentials[0] entry (0, 1): expected an integer, found end of input (at position 2)",
+            id="entry",
+        ),
+    ],
+)
+def test_round_trip_names_the_field_of_a_parse_error(capsys, edit, message):
+    """A polynomial that does not parse names its field; the position counts in its own text."""
+    doc = _resolution_doc(capsys)
+    edit(doc)
+    with pytest.raises(ParseError) as err:
+        resolution_from_json(doc)
+    assert str(err.value) == message
 
 
 def test_round_trip_loads_a_verify_document(capsys):
@@ -878,6 +912,17 @@ MALFORMED_INPUT = {
     ),
     ("taylor", "--vars", "x,y", "--ideal", "x^2, y^2, x*q"): (
         "error: --ideal: unknown variable 'q' (at position 12)"
+    ),
+    # a parse error in a lift file names the file and the term; the position counts in the term
+    (
+        "verify",
+        "--vars", "x,y,z",
+        "--ideal", "x^2,y^2,z^2",
+        "--ci", "x^2*z+x*y^2",
+        "--lift", f"file:{BAD_TERM_LIFT}",
+    ): (
+        f"error: lift file {BAD_TERM_LIFT}: term 'x^': expected an integer, found end of input"
+        " (at position 2)"
     ),
 }
 

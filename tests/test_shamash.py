@@ -694,21 +694,30 @@ def test_certificate_rejects_a_relabelled_basis(three_squares):
 def test_certificate_rejects_a_label_of_the_wrong_weight(three_squares):
     """F_2's first label (u=(1,), S={}) relabelled u=(2,) in the basis, phi_2's columns
     and phi_3's rows: no cell moves, so the full product still passes, but a label of
-    weight 2 does not belong to step 2 and the certificate refuses every step it touches."""
+    weight 2 does not belong to step 2 and the certificate refuses every step it touches.
+    So it does for the second label (u=(0,), S={1,2}) with its twist one higher, or with
+    the lcm of the third: a basis passes only when it is the step's basis, field for field."""
     res = three_squares
-    first = res.basis(2)[0]
-    assert (first.u, first.indices) == ((1,), ())
-    basis = (first._replace(u=(2,)), *res.basis(2)[1:])
+    labels = res.basis(2)
+    assert [(b.u, b.indices) for b in labels[:3]] == [((1,), ()), ((0,), (1, 2)), ((0,), (1, 3))]
+    second = labels[1]
+    relabelled = [
+        (0, labels[0]._replace(u=(2,))),
+        (1, second._replace(twist=second.twist + 1)),
+        (1, second._replace(lcm=labels[2].lcm)),
+    ]
     phi2, phi3 = res.differential(2), res.differential(3)
-    diffs = list(res.differentials)
-    diffs[1] = LabeledGradedMatrix(phi2.ring, phi2.rows, basis, phi2.entries)
-    diffs[2] = LabeledGradedMatrix(phi3.ring, basis, phi3.cols, phi3.entries)
-    bases = list(res.bases)
-    bases[2] = basis
-    bad = replace(res, bases=tuple(bases), differentials=tuple(diffs))
-    certificate = shamash._PhiCertificate(bad)
-    assert not any(certificate.holds(n) for n in (1, 2, 3))
-    assert phi_squared_check(bad).details == phi_squared_check(res).details
+    for at, label in relabelled:
+        basis = (*labels[:at], label, *labels[at + 1:])
+        diffs = list(res.differentials)
+        diffs[1] = LabeledGradedMatrix(phi2.ring, phi2.rows, basis, phi2.entries)
+        diffs[2] = LabeledGradedMatrix(phi3.ring, basis, phi3.cols, phi3.entries)
+        bases = list(res.bases)
+        bases[2] = basis
+        bad = replace(res, bases=tuple(bases), differentials=tuple(diffs))
+        certificate = shamash._PhiCertificate(bad)
+        assert not any(certificate.holds(n) for n in (1, 2, 3)), label
+        assert phi_squared_check(bad).details == phi_squared_check(res).details
 
 
 def test_certificate_rejects_a_sigma_on_the_top_taylor_module():
