@@ -29,6 +29,7 @@ from .homotopy import (
     HomotopySystem,
     complete_intersection,
     lift_matrix,
+    sequence_element,
     verify_homotopy_system,
 )
 from . import jsondoc
@@ -325,7 +326,7 @@ def build_ring(args):
 def _elements(option, value, build, what):
     """build(text) of each comma-separated element of an option's value, blanks stripped.
 
-    A ParseError names the option and counts its position from the start of the value.
+    An error names the option; a ParseError counts its position from the start of the value.
     """
     elements = re.finditer(r"[^,\s](?:[^,]*[^,\s])?", value)
     out = [parse_in(build, m[0], option, m.start()) for m in elements]
@@ -340,7 +341,8 @@ def build_ideal(args, ring):
 
 
 def build_ci(args, ideal):
-    return complete_intersection(ideal, _elements("--ci", args.ci, ideal.ring.parse, "element"))
+    element = partial(sequence_element, ideal.ring)
+    return complete_intersection(ideal, _elements("--ci", args.ci, element, "element"))
 
 
 def build_lift(args, ci):

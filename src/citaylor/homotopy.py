@@ -51,17 +51,20 @@ class CompleteIntersectionData:
         return len(self.sequence)
 
 
+def sequence_element(ring, a):
+    """a, parsed when it is a string, once it is checked nonzero and homogeneous."""
+    p = ring.parse(a) if isinstance(a, str) else a
+    if p.is_zero():
+        raise NonHomogeneous("sequence elements must be nonzero")
+    if not p.is_homogeneous():
+        raise NonHomogeneous(f"{p} is not homogeneous")
+    return p
+
+
 def complete_intersection(ideal, sequence):
     """Bundle an ideal with a homogeneous sequence (strings are parsed)."""
     ring = ideal.ring
-    polys = []
-    for a in sequence:
-        p = ring.parse(a) if isinstance(a, str) else a
-        if p.is_zero():
-            raise NonHomogeneous("sequence elements must be nonzero")
-        if not p.is_homogeneous():
-            raise NonHomogeneous(f"{p} is not homogeneous")
-        polys.append(p)
+    polys = [sequence_element(ring, a) for a in sequence]
     if not polys:
         raise ValueError("sequence must have length >= 1")
     return CompleteIntersectionData(

@@ -17,7 +17,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from .homotopy import HomotopySystem, complete_intersection, lift_matrix_from_rows
+from .homotopy import HomotopySystem, complete_intersection, lift_matrix_from_rows, sequence_element
 from .poly import QQ, PolyRing, PrimeField, parse_in
 from .shamash import shamash_resolution
 from .taylor import MonomialIdeal, monomial_generator
@@ -226,7 +226,8 @@ def resolution_from_json(doc):
     generator = partial(monomial_generator, ring)
     ideal = MonomialIdeal(ring, tuple(parse_in(generator, g, f"ideal[{i}]") for i, g in gens))
     elements = enumerate(_field(doc.get("ci"), "ci", "a list of polynomials"))
-    ci = complete_intersection(ideal, [parse_in(ring.parse, a, f"ci[{i}]") for i, a in elements])
+    element = partial(sequence_element, ring)
+    ci = complete_intersection(ideal, [parse_in(element, a, f"ci[{i}]") for i, a in elements])
     lift = _field(doc.get("lift"), "lift", "a list of rows", _list_of(list))
     modules = _field(doc.get("modules"), "modules", "a list of modules", _list_of(list))
     dmats = _field(doc.get("differentials"), "differentials", "a list of matrices", _list_of(dict))
@@ -277,6 +278,17 @@ def resolution_from_json(doc):
     return res
 
 
+def _bare_monomial(ring, text):
+    """The exponents of text, a single monomial with coefficient 1."""
+    p = ring.parse(text)
+    if len(p.terms) != 1:
+        raise ValueError("not a single monomial")
+    (e, c), = p.terms.items()
+    if c != ring.field.one:
+        raise ValueError("not a bare monomial")
+    return e
+
+
 def parse_assignments(ring, doc):
     """Decode {"assignments": [{"term": "x^2*z", "gen": 1}, ...]} into a term -> generator map."""
     items = doc.get("assignments") if isinstance(doc, dict) else None
@@ -286,12 +298,7 @@ def parse_assignments(ring, doc):
     for item in items:
         if not isinstance(item, dict) or not isinstance(item.get("term"), str):
             raise ValueError(f'assignment {json.dumps(item)} needs a "term" string')
-        p = parse_in(ring.parse, item["term"], f"term {item['term']!r}")
-        if len(p.terms) != 1:
-            raise ValueError(f"term pattern {item['term']!r} is not a single monomial")
-        (e, c), = p.terms.items()
-        if c != ring.field.one:
-            raise ValueError(f"term pattern {item['term']!r} must be a bare monomial")
+        e = parse_in(partial(_bare_monomial, ring), item["term"], f"term {item['term']!r}")
         gen = item.get("gen")
         if not isinstance(gen, int) or isinstance(gen, bool):
             raise ValueError(

@@ -21,11 +21,15 @@ class ParseError(ValueError):
 
 
 def parse_in(build, text, where, offset=0):
-    """build(text); a ParseError from it names where the text came from, position + offset."""
+    """build(text); a ValueError from it names where the text came from, and a
+    ParseError keeps its type with the position counted from offset.
+    """
     try:
         return build(text)
     except ParseError as exc:
         raise ParseError(f"{where}: {exc.message}", offset + exc.position) from None
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 class ModP:

@@ -3,7 +3,10 @@
 The exactness check works one internal degree at a time over GF(p): each
 graded piece of the quotient ring has the standard monomials as a basis, so
 the assembled maps become finite matrices and homology vanishing is a rank
-condition.  The resolution fixes p: its own characteristic over GF(p), and
+condition.  A row of such a matrix is addressed by the offset of its block
+plus the position of its standard monomial; a standard monomial is its own
+normal form, so only the monomials that a leading term divides are divided,
+each once.  The resolution fixes p: its own characteristic over GF(p), and
 ``DEFAULT_PRIME`` over QQ.  A ``GradedExactness`` engine holds what the
 checks of one resolution share, so each piece of that work is done once per run.
 """
@@ -172,20 +175,22 @@ def rank_mod_p(rows, p):
 
     Each row is reduced against the pivot rows found so far, which are keyed
     by their leading (smallest) column, as in the sparse elimination of F4
-    (Faugere-Lachartre 2010); a row left nonzero becomes a new pivot.
+    (Faugere-Lachartre 2010); a row left nonzero becomes a new pivot.  A pivot
+    is kept as its tail: the row without its lead, scaled so that the lead is
+    1, so a reduction step pops the row's lead and never visits that cell.
     """
     pivots = {}
     for row in rows:
         row = {c: v % p for c, v in row.items() if v % p}
         while row:
             lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = pow(row[lead], -1, p)
+            factor = row.pop(lead)
+            tail = pivots.get(lead)
+            if tail is None:
+                inv = pow(factor, -1, p)
                 pivots[lead] = {c: v * inv % p for c, v in row.items()}
                 break
-            factor = row[lead]
-            for c, v in pivot.items():
+            for c, v in tail.items():
                 value = (row.get(c, 0) - factor * v) % p
                 if value:
                     row[c] = value
@@ -210,8 +215,8 @@ class GradedExactness:
         self.p = ring.field.characteristic or DEFAULT_PRIME
         self.ring = PolyRing(ring.variables, PrimeField(self.p))
         self._columns = {}  # k -> {column j: [(row i, [(exponents, int)])]} of phi_k
-        self._normal_forms = {}  # exponents -> [(exponents, int)]
-        self._standard = {}  # degree -> exponents of the standard monomials
+        self._normal_forms = {}  # exponents -> [(position in its degree, int)], [] when zero
+        self._standard = {}  # degree -> {standard monomial: position}, in basis order
         self._ranks = {}  # (k, d) -> (dim (F_k)_d, rank (phi_k)_d)
 
     def _over_field(self, poly):
@@ -245,35 +250,53 @@ class GradedExactness:
 
     def _monomials(self, degree):
         if degree not in self._standard:
-            self._standard[degree] = graded_piece_basis(self.gb, degree).monomials
+            monomials = graded_piece_basis(self.gb, degree).monomials
+            self._standard[degree] = {e: x for x, e in enumerate(monomials)}
         return self._standard[degree]
 
     def _normal_form(self, exponents):
-        if exponents not in self._normal_forms:
-            nf = normal_form(self.ring.term(exponents), self.gb)
-            self._normal_forms[exponents] = [(e, c.value) for e, c in nf.terms.items()]
-        return self._normal_forms[exponents]
+        """NF(x^exponents) as [(position among the standard monomials of its degree, int)],
+        kept in the table; a standard monomial is its own normal form and is not divided.
+        """
+        index = self._monomials(sum(exponents))
+        if exponents in index:
+            nf = [(index[exponents], 1)]
+        else:
+            terms = normal_form(self.ring.term(exponents), self.gb).terms
+            nf = [(index[e], c.value) for e, c in terms.items()]
+        self._normal_forms[exponents] = nf
+        return nf
 
     def rank(self, k, d):
         """(dim (F_k)_d, rank (phi_k)_d).  Each basis vector of (F_k)_d gives
         one sparse row, its image: a column of (phi_k)_d, as rank(A^T) = rank(A).
+
+        Row block i of (F_{k-1})_d starts at offset_i, the running sum of the
+        dimensions of the blocks before it, and an image cell is offset_i plus
+        the position that the normal-form table stores for its standard
+        monomial.  Only the non-standard monomials of w * entry are divided.
         """
         if (k, d) not in self._ranks:
             res = self.resolution
-            row_pos = {}
-            for i, b in enumerate(res.basis(k - 1)):
-                for w in self._monomials(d - b.twist):
-                    row_pos[(i, w)] = len(row_pos)
+            offsets, start = [], 0
+            for b in res.basis(k - 1):
+                offsets.append(start)
+                start += len(self._monomials(d - b.twist))
             by_col = self._entries_by_column(k)
+            table = self._normal_forms
             images = []
             for j, b in enumerate(res.basis(k)):
-                entries = by_col.get(j, ())
+                entries = [(offsets[i], terms) for i, terms in by_col.get(j, ())]
                 for w in self._monomials(d - b.twist):
                     image = {}
-                    for i, terms in entries:
+                    for offset, terms in entries:
                         for e, c in terms:
-                            for ee, v in self._normal_form(tuple(map(add, e, w))):
-                                pos = row_pos[(i, ee)]
+                            m = tuple(map(add, e, w))
+                            nf = table.get(m)
+                            if nf is None:
+                                nf = self._normal_form(m)
+                            for x, v in nf:
+                                pos = offset + x
                                 image[pos] = image.get(pos, 0) + c * v
                     images.append(image)
             self._ranks[(k, d)] = (len(images), rank_mod_p(images, self.p))

@@ -295,22 +295,27 @@ class _PhiCertificate:
     def __init__(self, resolution):
         self.resolution = resolution
         self.system = resolution.system
-        self._blocks = {}  # n -> blocks of F_n, grouped once
+        self._blocks = {}  # n -> (basis of F_n last compared, its blocks or None)
         self._placed = {}  # n -> placement verdict of phi_n
 
     def blocks(self, basis, n):
         """{(u, k): [position of (u, S) for each S of T_k in order]} read off the labels of F_n.
 
         None unless basis is shamash_basis(system, n), field for field: the one
-        basis of step n, in the order shift_j positions are computed in.
+        basis of step n, in the order shift_j positions are computed in.  The
+        verdict is kept with the basis object it was reached for, so F_n, the
+        columns of phi_n and the rows of phi_{n+1}, is compared once; another
+        object for step n is compared again.
         """
-        if basis != tuple(shamash_basis(self.system, n)):
-            return None
-        if n not in self._blocks:
-            blocks = self._blocks[n] = {}
-            for pos, b in enumerate(basis):
-                blocks.setdefault((b.u, len(b.indices)), []).append(pos)
-        return self._blocks[n]
+        kept = self._blocks.get(n)
+        if kept is None or kept[0] is not basis:
+            blocks = None
+            if basis == tuple(shamash_basis(self.system, n)):
+                blocks = {}
+                for pos, b in enumerate(basis):
+                    blocks.setdefault((b.u, len(b.indices)), []).append(pos)
+            kept = self._blocks[n] = (basis, blocks)
+        return kept[1]
 
     def placed(self, n):
         """Every nonzero cell of phi_n is the entry its labels call for, and no entry is missing.
@@ -359,7 +364,7 @@ class _PhiCertificate:
         if not (self.placed(n) and self.placed(n + 1)):
             return False
         r, c = system.ideal.ngens, system.ci.codim
-        for u, k in self._blocks[n + 1]:
+        for u, k in self.blocks(self.resolution.differential(n + 1).cols, n + 1):
             if k >= 2 and not system.complex.square(k - 1).is_zero():
                 return False
             for i in range(1, c + 1):

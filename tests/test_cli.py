@@ -39,6 +39,7 @@ from conftest import (
 
 GOLDEN = Path(__file__).parent / "golden"
 BAD_TERM_LIFT = Path(__file__).parent / "data" / "lift_bad_term.json"
+SUM_TERM_LIFT = Path(__file__).parent / "data" / "lift_sum_term.json"
 ROOT = Path(__file__).parents[1]
 
 THREE_SQUARES_ARGS = [
@@ -367,35 +368,53 @@ def test_round_trip_rejects_a_field_of_the_wrong_type(capsys, edit, field, shown
 
 
 @pytest.mark.parametrize(
-    "edit, message",
+    "edit, error, message",
     [
         pytest.param(
             _set("ideal", 1, "y^"),
+            ParseError,
             "ideal[1]: expected an integer, found end of input (at position 2)",
             id="ideal",
         ),
         pytest.param(
-            _set("ci", 0, "x^2*z+"), "ci[0]: expected a term, found end of input (at position 6)", id="ci"
+            _set("ci", 0, "x^2*z+"),
+            ParseError,
+            "ci[0]: expected a term, found end of input (at position 6)",
+            id="ci",
         ),
         pytest.param(
             _set("lift", 0, 2, "0+"),
+            ParseError,
             "lift[0][2]: expected a term, found end of input (at position 2)",
             id="lift",
         ),
         # the entry at row 0, col 1
         pytest.param(
             _set("differentials", 0, "entries", 1, "poly", "x^"),
+            ParseError,
             "differentials[0] entry (0, 1): expected an integer, found end of input (at position 2)",
             id="entry",
         ),
+        # texts that parse but cannot stand in their field
+        pytest.param(
+            _set("ideal", 1, "x+y"), ValueError, "ideal[1]: 'x+y' is not a monomial", id="ideal-sum"
+        ),
+        pytest.param(
+            _set("ci", 0, "x^2*z+x*y^2+z"),
+            ValueError,
+            "ci[0]: x^2*z + x*y^2 + z is not homogeneous",
+            id="ci-inhomogeneous",
+        ),
     ],
 )
-def test_round_trip_names_the_field_of_a_parse_error(capsys, edit, message):
-    """A polynomial that does not parse names its field; the position counts in its own text."""
+def test_round_trip_names_the_field_of_a_parse_error(capsys, edit, error, message):
+    """A polynomial that does not parse, or does not fit its field, names the field; a
+    parse error's position counts in its own text."""
     doc = _resolution_doc(capsys)
     edit(doc)
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ValueError) as err:
         resolution_from_json(doc)
+    assert type(err.value) is error
     assert str(err.value) == message
 
 
@@ -923,6 +942,19 @@ MALFORMED_INPUT = {
     ): (
         f"error: lift file {BAD_TERM_LIFT}: term 'x^': expected an integer, found end of input"
         " (at position 2)"
+    ),
+    # a term that parses but is no bare monomial, and a generator or sequence element that
+    # parses but does not fit, also name the file and term or the option
+    (
+        "verify",
+        "--vars", "x,y,z",
+        "--ideal", "x^2,y^2,z^2",
+        "--ci", "x^2*z+x*y^2",
+        "--lift", f"file:{SUM_TERM_LIFT}",
+    ): f"error: lift file {SUM_TERM_LIFT}: term 'x*y+z': not a single monomial",
+    ("taylor", "--vars", "x,y", "--ideal", "x^2,x+y"): "error: --ideal: 'x+y' is not a monomial",
+    ("resolve", "--vars", "x,y", "--ideal", "x^2", "--ci", "x^2+y", "--max-step", "2"): (
+        "error: --ci: x^2 + y is not homogeneous"
     ),
 }
 

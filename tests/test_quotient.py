@@ -9,7 +9,6 @@ from citaylor import (
     CapExceeded,
     GF,
     QQ,
-    PolyRing,
     buchberger,
     check_exactness,
     complete_intersection,
@@ -19,9 +18,17 @@ from citaylor import (
     normal_form,
     shamash_resolution,
 )
-from citaylor.quotient import GradedExactness, grevlex, rank_mod_p
+from citaylor.quotient import DEFAULT_PRIME, GradedExactness, grevlex, rank_mod_p
 
-from conftest import build_three_squares, build_poly_c1, regular_instance, ring, seeded_rng
+from conftest import (
+    build_poly_c1,
+    build_three_squares,
+    random_ideal,
+    random_sequence,
+    regular_instance,
+    ring,
+    seeded_rng,
+)
 
 
 # ---- Groebner bases ----------------------------------------------------------
@@ -171,7 +178,8 @@ def dense_rank(rows, ncols, p):
         inv = pow(mat[rank][col], -1, p)
         for r in range(rank + 1, len(mat)):
             factor = mat[r][col] * inv % p
-            mat[r] = [(a - factor * b) % p for a, b in zip(mat[r], mat[rank])]
+            if factor:
+                mat[r] = [(a - factor * b) % p for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return rank
 
@@ -311,41 +319,79 @@ def test_shared_engine_matches_fresh_checks(monkeypatch):
     ]
 
 
-def dense_graded_rank(res, k, d, p):
-    """Reference: (dim, rank) of (phi_k)_d from the normal form of every entry
-    times every standard monomial, ranked by dense elimination."""
-    ring_p = PolyRing(res.system.ring.variables, GF(p))
-    gb = buchberger([ring_p.polynomial(a.terms) for a in res.system.ci.sequence])
+def test_engine_divides_only_nonstandard_monomials_each_once(monkeypatch):
+    """A standard monomial is its own normal form; any other is divided once, also when
+    its normal form is 0, as every multiple of a = x^2 is here."""
+    import citaylor.quotient as quotient
 
+    divided = []
+    real = quotient.normal_form
+    monkeypatch.setattr(
+        quotient, "normal_form", lambda poly, gb: divided.extend(poly.terms) or real(poly, gb)
+    )
+    R = ring("x,y,z", GF(32003))
+    ci = complete_intersection(monomial_ideal(R, ["x^2", "y^2", "z^2"]), ["x^2"])
+    engine = GradedExactness(shamash_resolution(homotopy_system(ci, "first"), 4))
+    for n in range(1, 4):
+        assert check_exactness(engine, n, 7).passed
+    assert divided and len(set(divided)) == len(divided)
+    assert all(e[0] >= 2 for e in divided)  # x^2 is the one leading term
+
+
+def dense_graded_rank(res, gb, k, d):
+    """Reference: (dim, rank) of (phi_k)_d over the field of gb.  Column (j, w) holds the
+    normal form of w times each entry (i, j) at the rows (i, e), e a standard monomial,
+    and the matrix is ranked by dense elimination."""
     def std(degree):
-        return list(graded_piece_basis(gb, degree).monomials)
+        return graded_piece_basis(gb, degree).monomials
 
     rows = [(i, e) for i, b in enumerate(res.basis(k - 1)) for e in std(d - b.twist)]
-    cols = [(j, w) for j, b in enumerate(res.basis(k)) for w in std(d - b.twist)]
-    phi = res.differential(k)
+    at = {cell: r for r, cell in enumerate(rows)}
+    entries = {}
+    for (i, j), poly in res.differential(k).entries.items():
+        entries.setdefault(j, []).append((i, gb.ring.polynomial(poly.terms)))
     matrix = [{} for _ in rows]
-    for c, (j, w) in enumerate(cols):
-        for r, (i, e) in enumerate(rows):
-            if (i, j) in phi.entries:
-                image = normal_form(ring_p.polynomial(phi.entries[(i, j)].terms).mul_term(w), gb)
-                matrix[r][c] = image.terms.get(e, GF(p).zero).value
-    return len(cols), dense_rank(matrix, len(cols), p)
+    ncols = 0
+    for j, b in enumerate(res.basis(k)):
+        for w in std(d - b.twist):
+            for i, entry in entries.get(j, ()):
+                for e, c in normal_form(entry.mul_term(w), gb).terms.items():
+                    matrix[at[(i, e)]][ncols] = c.value
+            ncols += 1
+    return ncols, dense_rank(matrix, ncols, gb.ring.field.characteristic)
+
+
+def reference_instances():
+    """Complete intersections over GF(5), GF(32003) and QQ: the fixed one, whose lift
+    puts two terms into one entry (x + y) so that images need summing; three squares
+    with a = x^2, so that every multiple of a has normal form 0; and seeded draws,
+    regular and of codim 1-3 with no such guarantee, whose Groebner bases can be
+    larger than the sequence."""
+    rng = seeded_rng()
+    out = []
+    for field in (GF(5), GF(32003), QQ):
+        R = ring("x,y,z", field)
+        squares = monomial_ideal(R, ["x^2", "y^2", "z^2"])
+        out.append(complete_intersection(squares, ["x^3 + x^2*y + x*y^2 + y^2*z"]))
+        out.append(complete_intersection(squares, ["x^2"]))
+        out.append(regular_instance(rng, field)[1])
+        for codim in (1, 2, 3):
+            ideal = random_ideal(rng, max_vars=3, max_gens=4, field=field)
+            out.append(complete_intersection(ideal, random_sequence(rng, ideal, codim)))
+    return out
 
 
 @pytest.mark.parametrize("lift", ["first", "average"])
 def test_engine_ranks_match_dense_reference(lift):
-    # the lift puts two terms into one entry (x + y), so images need summing
-    for field, p in ((GF(5), 5), (QQ, 32003)):
-        R = ring("x,y,z", field)
-        ci = complete_intersection(
-            monomial_ideal(R, ["x^2", "y^2", "z^2"]), ["x^3 + x^2*y + x*y^2 + y^2*z"]
-        )
+    for ci in reference_instances():
         res = shamash_resolution(homotopy_system(ci, lift), 4)
         engine = GradedExactness(res)
-        assert engine.p == p
+        assert engine.p == (ci.ring.field.characteristic or DEFAULT_PRIME)
+        gb = buchberger([engine.ring.polynomial(a.terms) for a in ci.sequence])
         for k in range(1, 5):
             for d in range(8):
-                assert engine.rank(k, d) == dense_graded_rank(res, k, d, engine.p), (p, k, d)
+                expected = dense_graded_rank(res, gb, k, d)
+                assert engine.rank(k, d) == expected, ([str(a) for a in ci.sequence], k, d)
 
 
 def test_engine_belongs_to_one_resolution_and_prime():

@@ -720,6 +720,26 @@ def test_certificate_rejects_a_label_of_the_wrong_weight(three_squares):
         assert phi_squared_check(bad).details == phi_squared_check(res).details
 
 
+def test_certificate_compares_each_step_basis_once(monkeypatch, three_squares):
+    """F_n is the columns of phi_n and the rows of phi_{n+1}, one object: the certificate
+    compares it with shamash_basis once, and again only when another object stands for it."""
+    res = three_squares
+    real = shamash.shamash_basis
+    compared = []
+    monkeypatch.setattr(
+        shamash, "shamash_basis", lambda system, n: compared.append(n) or real(system, n)
+    )
+    certificate = shamash._PhiCertificate(res)
+    assert all(certificate.holds(n) for n in range(1, res.max_step))
+    assert compared == list(range(res.max_step + 1))
+    # an equal copy is compared afresh, and so is the original after it
+    copy = tuple(list(res.basis(1)))
+    assert copy is not res.basis(1)
+    blocks = certificate.blocks(copy, 1)
+    assert blocks is not None and certificate.blocks(res.basis(1), 1) == blocks
+    assert compared[res.max_step + 1:] == [1, 1]
+
+
 def test_certificate_rejects_a_sigma_on_the_top_taylor_module():
     """sigma_1 on T_r lands in T_{r+1} = 0, so assembly never places it; an entry put
     there makes the certificate refuse the steps whose blocks would need it, while the
