@@ -10,7 +10,7 @@ where k = |S| and p is the 1-based position of t inside S + {t}.  This is
 tau_{k+1} transposed: tau_{k+1} has the entry (-1)^(k + 1 - p) * x^q at
 (S, S+t), with x^q = lcm(S+t) / lcm(S), and k + 1 - p has the parity of
 k - p - 1, so sigma_i has f_it * x^(m_t - q) times that same sign at
-(S+t, S).  sigma_e reads each entry off tau; t is sum(S+t) - sum(S).  Together
+(S+t, S).  sigma_e reads each entry, and t, off tau's face order.  Together
 with sigma_0 = tau these satisfy the homotopy conditions checked by
 verify_homotopy_system; all higher sigma_u (|u| >= 2) vanish for this family.
 
@@ -228,7 +228,9 @@ class HomotopySystem:
     def sigma_e(self, i, k):
         """The homotopy for sequence element i on T_k, landing in T_{k+1}.
 
-        Valid for 0 <= k <= r; at k = r the target module is zero.
+        Valid for 0 <= k <= r; at k = r the target module is zero.  tau_{k+1}
+        lists column S + t's entries in face order, so the p-th is at (S, S + t)
+        for the t at position p; an entry is built only where f_it is nonzero.
         """
         if not 1 <= i <= self.ci.codim:
             raise ValueError(f"sequence index {i} out of range 1..{self.ci.codim}")
@@ -240,17 +242,19 @@ class HomotopySystem:
             return cached
         rows, cols = self.complex.basis(k + 1), self.complex.basis(k)
         gens = self.ideal.generators
+        lift = self.lift.rows[i - 1]
+        nonzero = {t for t, f in enumerate(lift, start=1) if f}
+        tau = self.complex.differential(k + 1).entries if k < r else {}
+        ts = chain.from_iterable(label.indices for label in rows)  # each tau entry's t, in order
         entries = {}
         shared = {}  # (t, tau entry) -> the one sigma entry they all refer to
-        tau = self.complex.differential(k + 1).entries if k < r else {}
-        for (s, st), p in tau.items():  # sign * x^q at (S, S + t)
-            t = sum(rows[st].indices) - sum(cols[s].indices)
-            f = self.lift.entry(i, t)
-            if f:
+        for ((s, st), p), t in zip(tau.items(), ts):  # sign * x^q at (S, S + t)
+            if t in nonzero:
                 poly = shared.get((t, id(p)))
                 if poly is None:
                     (q, sign), = p.terms.items()
-                    poly = shared[(t, id(p))] = f.mul_term(tuple(map(sub, gens[t - 1], q)), sign)
+                    m_over_q = tuple(map(sub, gens[t - 1], q))
+                    poly = shared[(t, id(p))] = lift[t - 1].mul_term(m_over_q, sign)
                 entries[(st, s)] = poly
         built = LabeledGradedMatrix(self.ring, rows, cols, entries)
         self._sigma[(i, k)] = built

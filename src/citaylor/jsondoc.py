@@ -12,6 +12,7 @@ and checks the document against it.  ``parse_assignments`` reads a lift file.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import cache, partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -199,8 +200,8 @@ def dump(doc):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _list_of(kind):
-    return lambda value: isinstance(value, list) and all(isinstance(v, kind) for v in value)
+def _list_of(kind, least=0):
+    return lambda v: isinstance(v, list) and len(v) >= least and all(isinstance(x, kind) for x in v)
 
 
 def _field(value, field, what, ok=_list_of(str)):
@@ -229,7 +230,7 @@ def resolution_from_json(doc):
     element = partial(sequence_element, ring)
     ci = complete_intersection(ideal, [parse_in(element, a, f"ci[{i}]") for i, a in elements])
     lift = _field(doc.get("lift"), "lift", "a list of rows", _list_of(list))
-    modules = _field(doc.get("modules"), "modules", "a list of modules", _list_of(list))
+    modules = _field(doc.get("modules"), "modules", "a nonempty list of modules", _list_of(list, 1))
     dmats = _field(doc.get("differentials"), "differentials", "a list of matrices", _list_of(dict))
     reports = _field(doc.get("reports"), "reports", "an object", lambda v: isinstance(v, dict))
     parse = cache(ring.parse)  # each distinct string is parsed once
@@ -255,15 +256,20 @@ def resolution_from_json(doc):
         if dmat.get("to") != dmat["from"] - 1 or type(dmat["to"]) is not int:
             raise ValueError(f"stored differential {dmat['from']} maps to step {dmat.get('to')}")
         entries = res.differential(dmat["from"]).entries
+        text_of = {id(p): str(p) for p in {id(p): p for p in entries.values()}.values()}
+        canonical = {cell: text_of[id(p)] for cell, p in entries.items()}
         try:  # checked as it is read, like the modules
             stored = {(e["row"], e["col"]): e["poly"] for e in dmat["entries"]}
             if not _ints(chain.from_iterable(stored)):
                 raise TypeError("an entry's row or col is not an int")
-            # a text equal to the canonical one needs no parse; any other must parse to the entry
-            matches = stored.keys() == entries.keys() and all(
-                text == str(entries[cell])
-                or parse_in(parse, text, f"differentials[{m}] entry {cell}") == entries[cell]
+            if len(stored) < len(dmat["entries"]):  # the dict kept one record of a cell
+                (cell, _), = Counter((e["row"], e["col"]) for e in dmat["entries"]).most_common(1)
+                raise ValueError(f"differentials[{m}] lists cell {cell} more than once")
+            # only a text other than the canonical one is parsed, and must parse to the entry
+            matches = stored == canonical or stored.keys() == canonical.keys() and all(
+                parse_in(parse, text, f"differentials[{m}] entry {cell}") == entries[cell]
                 for cell, text in stored.items()
+                if text != canonical[cell]
             )
         except (KeyError, TypeError):
             raise ValueError(

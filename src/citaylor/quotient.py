@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, ge
 
 from .poly import Polynomial, PolyRing, PrimeField, exponents_of_degree
 from .report import Report
@@ -60,10 +60,10 @@ def _reduce_full(terms, leads, polys):
             if all(a >= b for a, b in zip(e, le)):
                 shift = tuple(a - b for a, b in zip(e, le))
                 factor = c / lc
-                for ge, gc in gterms.items():
-                    if ge == le:
+                for g_e, gc in gterms.items():
+                    if g_e == le:
                         continue
-                    ee = tuple(a + b for a, b in zip(ge, shift))
+                    ee = tuple(a + b for a, b in zip(g_e, shift))
                     prev = work.get(ee)
                     value = -factor * gc if prev is None else prev - factor * gc
                     if value:
@@ -165,7 +165,10 @@ def graded_piece_basis(gb, degree):
     leads = gb.leading_exponents
     out = []
     for e in exponents_of_degree(gb.ring.nvars, degree):
-        if not any(all(a >= b for a, b in zip(e, le)) for le in leads):
+        for lead in leads:
+            if all(map(ge, e, lead)):
+                break
+        else:
             out.append(e)
     return GradedPieceBasis(degree, tuple(out))
 

@@ -13,7 +13,7 @@ one cell: tau keeps u and shrinks S, while sigma_j lowers u_j and grows S.
 The basis order is a block layout, and every position is read from it.  F_n
 is a run of blocks, one per |S| = k of the parity of n, k ascending; block k
 holds each S of T_k in order, and for each S every u of weight (n - k) / 2
-in lex order.  One rule, ``_place``, puts every cell: a map T_k -> T_k'
+in lex order.  One rule, ``_place``, puts every block's cells: a map T_k -> T_k'
 with entry (i, s) sends column (u, s) of block k of F_n, at
 col offset + s * #u + (index of u), to row (u', i) of block k' of F_m, with
 u' = u for tau and u' = u - e_j for sigma_j and for the phi.phi shift_j
@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import mul
+from operator import itemgetter, mul
 
 from .matrix import LabeledGradedMatrix, defect
 from .poly import exponents_of_degree
@@ -105,8 +105,8 @@ def _place(cells, source, target, j):
     source = (offset, us) is block k of F_n and target block k' of F_m.
 
     Column (u, s) lands in row (u, i) when j = 0, and in row (u - e_j, i)
-    when j >= 1 and u_j >= 1.  Yields ((row, col), value), each entry's
-    cells in the lex order of u.
+    when j >= 1 and u_j >= 1.  Returns {(row, col): value} from one dict
+    comprehension, u by u in lex order; each position is block arithmetic.
     """
     (col_off, us), (row_off, target_us) = source, target
     if j:
@@ -117,10 +117,11 @@ def _place(cells, source, target, j):
     else:
         shifts = [(x, x) for x in range(len(us))]
     m, lm = len(us), len(target_us)
-    for (i, s), value in cells:
-        row, col = row_off + i * lm, col_off + s * m
-        for lx, x in shifts:
-            yield (row + lx, col + x), value
+    return {
+        (row_off + lx + i * lm, col_off + x + s * m): value
+        for lx, x in shifts
+        for (i, s), value in cells
+    }
 
 
 def shamash_differential(system, n, rows, cols):
@@ -268,9 +269,8 @@ def _shift_positions(resolution, n, j):
     row_blocks = _layout(system, n - 1)[0]
     for k, block in _layout(system, n + 1)[0].items():
         if k in row_blocks:  # F_{n-1} has no block n + 1
-            identity = (((s, s), None) for s in range(len(system.complex.basis(k))))
-            for cell, _ in _place(identity, block, row_blocks[k], j):
-                yield cell
+            identity = [((s, s), None) for s in range(len(system.complex.basis(k)))]
+            yield from sorted(_place(identity, block, row_blocks[k], j), key=itemgetter(1))
 
 
 def _phi_defect(resolution, n):

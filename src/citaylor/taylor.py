@@ -7,17 +7,17 @@ The differential sends the basis element of S = {s_1 < ... < s_k} to
 
     sum_i (-1)^(k-i) * (lcm(S)/lcm(S - s_i)) * e_{S - s_i},
 
-with i the 1-based position of s_i inside S.
+with i the 1-based position of s_i inside S.  ``taylor_complex`` finds each
+face's row by position, from the order in which T_k extends T_{k-1}.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from operator import sub
+from itertools import chain
 from typing import NamedTuple
 
 from .matrix import LabeledGradedMatrix, memo
-from .poly import Polynomial
 from .report import Report
 
 
@@ -98,49 +98,6 @@ def monomial_generator(ring, g):
     return ring.monomial(e)
 
 
-def _bases(ideal):
-    """Basis elements (u = ()) of sizes 0..r, each size in lexicographic order.
-
-    Size k extends every size-(k-1) label by each larger index, so
-    lcm(S) = max(lcm(S minus its last index), m_last) entrywise.
-    """
-    gens = ideal.generators
-    level = (BasisElement((), (), (0,) * ideal.ring.nvars, 0),)
-    out = [level]
-    for _ in gens:
-        nxt = []
-        for lab in level:
-            start = lab.indices[-1] if lab.indices else 0
-            for t in range(start + 1, len(gens) + 1):
-                lcm = tuple(map(max, lab.lcm, gens[t - 1]))
-                nxt.append(BasisElement((), lab.indices + (t,), lcm, sum(lcm)))
-        level = tuple(nxt)
-        out.append(level)
-    return tuple(out)
-
-
-def _differential(ring, k, rows, cols, shared):
-    """tau_k: T_k -> T_{k-1} from the two bases, entries straight from lcm exponents.
-
-    shared maps (exponents, sign) to the one Polynomial that every equal
-    entry refers to.
-    """
-    signs = (ring.field.coerce(1), ring.field.coerce(-1))
-    row_index = {lab.indices: i for i, lab in enumerate(rows)}
-    row_lcms = [lab.lcm for lab in rows]
-    entries = {}
-    for j, col in enumerate(cols):
-        s, lcm = col.indices, col.lcm
-        for pos in range(1, k + 1):
-            i = row_index[s[: pos - 1] + s[pos:]]
-            key = (tuple(map(sub, lcm, row_lcms[i])), (k - pos) % 2)
-            poly = shared.get(key)
-            if poly is None:
-                poly = shared[key] = Polynomial(ring, {key[0]: signs[key[1]]})
-            entries[(i, j)] = poly
-    return LabeledGradedMatrix(ring, rows, cols, entries)
-
-
 @dataclass(frozen=True)
 class TaylorComplex:
     ideal: MonomialIdeal
@@ -169,13 +126,55 @@ class TaylorComplex:
 
 
 def taylor_complex(ideal):
-    r = ideal.ngens
-    bases = _bases(ideal)
-    shared = {}
-    diffs = tuple(
-        _differential(ideal.ring, k, bases[k - 1], bases[k], shared) for k in range(1, r + 1)
-    )
-    return TaylorComplex(ideal, bases, diffs)
+    """T_0..T_r and tau_1..tau_r, every face row found by position.
+
+    T_k lists the children P + t (t past P's last index) of each label P of
+    T_{k-1} in turn, P + t at first[P] + t.  S = P + t has the faces Q + t,
+    Q a face of P, then P: rows first[Q] + t and P's, one addition each.
+    Equal entries are one object, keyed by the packed lcm difference and sign
+    bit; fields are one bit wider than the largest generator exponent, and
+    lcm(S) >= lcm(face) fieldwise, so no difference borrows.
+    """
+    ring, gens = ideal.ring, ideal.generators
+    width = max(chain.from_iterable(gens), default=0).bit_length() + 1
+    shifts = [width * v for v in range(ring.nvars)]
+    shared, mask = {}, (1 << width) - 1  # key -> the one entry with that key
+    support = [[(v, e, shifts[v]) for v, e in enumerate(m) if e] for m in gens]
+    level = (BasisElement((), (), (0,) * ring.nvars, 0),)  # T_{k-1}
+    packed, faces = [0], [()]  # per label of T_{k-1}: packed lcm, face rows in T_{k-2}
+    first = []  # per label Q of T_{k-2}: Q + t sits at first[Q] + t in T_{k-1}
+    bases, diffs = [level], []
+    for k in range(1, len(gens) + 1):
+        labels, lcms, face_rows, firsts = [], [], [], []
+        row = list(range(len(level)))  # one int object per row, shared by its cells
+        for p, lab in enumerate(level):
+            last = lab.indices[-1] if lab.indices else 0
+            firsts.append(len(labels) - last - 1)
+            extended = [first[q] for q in faces[p]]
+            for t in range(last + 1, len(gens) + 1):
+                lcm, twist, top = list(lab.lcm), lab.twist, packed[p]
+                for v, e, shift in support[t - 1]:  # lcm(P + t) = max(lcm(P), m_t)
+                    if e > lcm[v]:
+                        twist += e - lcm[v]
+                        top += e - lcm[v] << shift
+                        lcm[v] = e
+                labels.append(BasisElement((), lab.indices + (t,), tuple(lcm), twist))
+                lcms.append(top)
+                face_rows.append([row[q + t] for q in extended] + [row[p]])
+        bits = [(k - pos) & 1 for pos in range(1, k + 1)]  # face pos has sign (-1)^(k - pos)
+        keys = [
+            (top - packed[i]) << 1 | bit  # packed lcm(S) - lcm(face), then the sign bit
+            for top, rows in zip(lcms, face_rows) for i, bit in zip(rows, bits)
+        ]
+        for key in set(keys).difference(shared):  # a new entry +-x^exponents
+            exponents = tuple(key >> 1 >> s & mask for s in shifts)
+            shared[key] = ring.term(exponents, -1 if key & 1 else 1)
+        cells = [(i, j) for j, rows in enumerate(face_rows) for i in rows]
+        labels = tuple(labels)  # T_k, and the columns of tau_k
+        diffs.append(LabeledGradedMatrix(ring, level, labels, zip(cells, map(shared.get, keys))))
+        level, packed, faces, first = labels, lcms, face_rows, firsts
+        bases.append(level)
+    return TaylorComplex(ideal, tuple(bases), tuple(diffs))
 
 
 def verify_taylor(cx):

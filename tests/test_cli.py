@@ -218,6 +218,14 @@ def _garble_entry(doc):
     doc["differentials"][1]["entries"][0]["poly"] = "x^^2"
 
 
+def _list_a_cell_twice(doc):
+    """A second record for cell (0, 0) of phi_1, before the real one: a dict keyed by cell
+    would keep only the last."""
+    entries = doc["differentials"][0]["entries"]
+    first = next(x for x, e in enumerate(entries) if (e["row"], e["col"]) == (0, 0))
+    entries.insert(first, {"row": 0, "col": 0, "poly": "x^7 + 3"})
+
+
 def _drop_differential(doc):
     del doc["differentials"][-1]
 
@@ -255,6 +263,7 @@ def _claim_a_periodic_tail(doc):
         (_drop_entry, "does not match"),
         (_add_entry_at_an_empty_cell, "does not match"),
         pytest.param(_garble_entry, "expected an integer", id="_garble_entry-expected int"),
+        (_list_a_cell_twice, r"^differentials\[0\] lists cell \(0, 0\) more than once$"),
         (_drop_differential, "do not run from 1"),
         (_retarget_differential, "^stored differential 1 maps to step 7$"),
         (_flip_minimality, "^stored minimality report does not match"),
@@ -323,6 +332,9 @@ _MISSING = object()
         pytest.param(_set("lift", None), "lift", None, id="lift-null"),
         pytest.param(_set("lift", [[3]]), "lift rows", [3], id="lift-row-int"),
         pytest.param(_set("modules", 3), "modules", 3, id="modules-int"),
+        pytest.param(
+            lambda doc: {**doc, "modules": [], "differentials": []}, "modules", [], id="no-modules"
+        ),
         pytest.param(_set("modules", 1, 0, "u", 1), "modules[1]", "module", id="u-int"),
         pytest.param(_set("differentials", 3), "differentials", 3, id="differentials-int"),
         pytest.param(

@@ -12,6 +12,7 @@ from citaylor import (
     NoStableTail,
     PolyRing,
     homotopy_system,
+    lift_matrix,
     matrix_factorization,
     monomial_ideal,
     complete_intersection,
@@ -637,7 +638,7 @@ def place_off_by_one_row(monkeypatch, build):
         patch.setattr(
             shamash,
             "_place",
-            lambda *args: (((max(i - 1, 0), j), p) for (i, j), p in place(*args)),
+            lambda *args: {(max(i - 1, 0), j): p for (i, j), p in place(*args).items()},
         )
         return shamash_resolution(system, 4)
 
@@ -907,6 +908,26 @@ def reference_shift_positions(res, n, j):
 WINDOWS = [(4, lambda r: 5), (6, lambda r: 3), (3, lambda r: r + 2)]
 
 
+def assert_matches_standalone_builders(system, top):
+    """Every basis, phi_n and shift position of the window agrees with the reference
+    built from the definitions, and phi.phi passes."""
+    res = shamash_resolution(system, top)
+    for n in range(top + 1):
+        assert list(res.basis(n)) == shamash_basis(system, n)
+    for n in range(1, top + 1):
+        rows, cols = res.basis(n - 1), res.basis(n)
+        phi = res.differential(n)
+        assert (phi.rows, phi.cols) == (rows, cols)
+        assert phi.entries == reference_differential(system, rows, cols)
+        for labels in (phi.rows, phi.cols):
+            changes = [i for i in range(1, len(labels)) if labels[i].u != labels[i - 1].u]
+            assert sorted(u_dividers(labels)) == changes
+    for n in range(1, top):
+        for j in range(1, system.ci.codim + 1):
+            assert list(_shift_positions(res, n, j)) == reference_shift_positions(res, n, j)
+    assert phi_squared_check(res).passed
+
+
 @pytest.mark.parametrize("codim", [1, 2, 3])
 def test_resolution_matches_standalone_builders(codim):
     rng = random.Random(20261017 + codim)
@@ -922,23 +943,24 @@ def test_resolution_matches_standalone_builders(codim):
             top = window(ideal.ngens)
             short += top < ideal.ngens
             tall += top >= ideal.ngens + 2
-            res = shamash_resolution(system, top)
-            for n in range(top + 1):
-                assert list(res.basis(n)) == shamash_basis(system, n)
-            for n in range(1, top + 1):
-                rows, cols = res.basis(n - 1), res.basis(n)
-                phi = res.differential(n)
-                assert (phi.rows, phi.cols) == (rows, cols)
-                assert phi.entries == reference_differential(system, rows, cols)
-                for labels in (phi.rows, phi.cols):
-                    changes = [i for i in range(1, len(labels)) if labels[i].u != labels[i - 1].u]
-                    assert sorted(u_dividers(labels)) == changes
-            for n in range(1, top):
-                for j in range(1, codim + 1):
-                    assert list(_shift_positions(res, n, j)) == reference_shift_positions(res, n, j)
-            assert phi_squared_check(res).passed
+            assert_matches_standalone_builders(system, top)
     assert short > 0
     assert tall >= (4 if codim == 3 else 1)
+    if codim == 3:
+        # each term routed to one generator: row 1 of f is zero below t = 3, row 2 is zero
+        # after t = 1, row 3 is zero at t = 2 and t = 3; sigma reaches T_r at N = r + 2
+        R = ring("x,y,z,w")
+        ideal = monomial_ideal(R, ["x^2", "y^2", "z^2", "w^2"])
+        ci = complete_intersection(ideal, ["x*z^2 + y*w^2", "x^3", "x^2*y^2 + y^2*w^2"])
+        routes = [
+            {(1, 0, 2, 0): 3, (0, 1, 0, 2): 4},
+            {(3, 0, 0, 0): 1},
+            {(2, 2, 0, 0): 1, (0, 2, 0, 2): 4},
+        ]
+        system = homotopy_system(ci, lift_matrix(ci, routes))
+        zeros = [[t for t, f in enumerate(row, start=1) if not f] for row in system.lift.rows]
+        assert zeros == [[1, 2], [2, 3, 4], [2, 3]]
+        assert_matches_standalone_builders(system, ideal.ngens + 2)
 
 
 def test_differential_rejects_bases_of_the_wrong_size(three_squares):

@@ -211,8 +211,7 @@ def test_verify_taylor_reuses_a_built_complex(monkeypatch):
         fresh = verify_taylor(taylor_complex(I))
         built = taylor_complex(I)
         monkeypatch.setattr(taylor, "taylor_complex", lambda ideal: pytest.fail("rebuilt"))
-        monkeypatch.setattr(taylor, "_bases", lambda ideal: pytest.fail("rebuilt"))
-        monkeypatch.setattr(taylor, "_differential", lambda *args: pytest.fail("rebuilt"))
+        monkeypatch.setattr(taylor, "LabeledGradedMatrix", lambda *args: pytest.fail("rebuilt"))
         reused = verify_taylor(built)
         monkeypatch.undo()
         assert (reused.passed, reused.details, reused.failure) == (
@@ -260,31 +259,55 @@ def random_gens(rng, nvars, r):
     return gens
 
 
+def assert_matches_standalone_builders(I):
+    """Every basis is the lex list of I.subset labels, and every tau_k entry is the
+    signed lcm quotient its face calls for, found by searching the basis below."""
+    R, r = I.ring, I.ngens
+    cx = taylor_complex(I)
+    assert len(cx.bases) == r + 1
+    for k in range(r + 1):
+        labels = [I.subset(c) for c in combinations(range(1, r + 1), k)]
+        assert list(cx.basis(k)) == labels
+    for k in range(1, r + 1):
+        tau = cx.differential(k)
+        assert tau.rows == cx.basis(k - 1) and tau.cols == cx.basis(k)
+        expected = {}
+        for j, col in enumerate(cx.basis(k)):
+            for pos, s in enumerate(col.indices, start=1):
+                face = I.subset(t for t in col.indices if t != s)
+                quot = tuple(a - b for a, b in zip(col.lcm, face.lcm))
+                assert min(quot) >= 0
+                expected[(cx.basis(k - 1).index(face), j)] = R.term(quot, (-1) ** (k - pos))
+        assert tau.entries == expected
+
+
+BIG = 2**40
+
+# the edges of the packed lcms: one field, one generator, the generator 1 (every exponent
+# 0, fields one bit wide), equal labels, and fields 42 bits wide
+PACKING_EDGES = [
+    ("x", [(2,), (5,), (1,), (3,)]),
+    ("x,y,z", [(1, 2, 0)]),
+    ("x,y", [(0, 0), (1, 0), (0, 3)]),
+    ("x,y", [(0, 0)]),
+    ("x,y,z", [(1, 1, 0), (0, 2, 1), (1, 1, 0), (0, 2, 1), (2, 0, 0)]),
+    ("x,y,z", [(BIG, 0, 0), (0, 1, 0), (BIG - 1, 3, 1), (1, 0, BIG)]),
+    ("x,y", [(BIG, 1), (1, BIG), (BIG, BIG)]),
+]
+
+
 def test_single_pass_complex_matches_standalone_builders():
     rng = random.Random(20261017)
-    for trial in range(24):
-        nvars = rng.randint(1, 4)
-        R = ring(",".join("xyzw"[:nvars]), GF(32003) if trial % 2 else QQ)
-        r = rng.randint(1, 7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            I = monomial_ideal(R, random_gens(rng, nvars, r))
-        cx = taylor_complex(I)
-        assert len(cx.bases) == r + 1
-        for k in range(r + 1):
-            labels = [I.subset(c) for c in combinations(range(1, r + 1), k)]
-            assert list(cx.basis(k)) == labels
-        for k in range(1, r + 1):
-            tau = cx.differential(k)
-            assert tau.rows == cx.basis(k - 1) and tau.cols == cx.basis(k)
-            expected = {}
-            for j, col in enumerate(cx.basis(k)):
-                for pos, s in enumerate(col.indices, start=1):
-                    face = I.subset(t for t in col.indices if t != s)
-                    quot = tuple(a - b for a, b in zip(col.lcm, face.lcm))
-                    assert min(quot) >= 0
-                    expected[(cx.basis(k - 1).index(face), j)] = R.term(quot, (-1) ** (k - pos))
-            assert tau.entries == expected
+    ideals = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for trial in range(24):
+            nvars = rng.randint(1, 4)
+            R = ring(",".join("xyzw"[:nvars]), GF(32003) if trial % 2 else QQ)
+            ideals.append(monomial_ideal(R, random_gens(rng, nvars, rng.randint(1, 7))))
+        ideals += [monomial_ideal(ring(names), gens) for names, gens in PACKING_EDGES]
+    for I in ideals:
+        assert_matches_standalone_builders(I)
 
 
 # ---- construction edge cases -----------------------------------------------
