@@ -98,6 +98,8 @@ def matrix_text(mat, name, rows, cols):
 
     rows and cols are the (label texts, dividers) pairs of ``_axes``.  No label
     is shorter than the "0" of an absent entry, so the labels start the widths.
+    Every row starts from the columns' "0"s, justified once, with the dividers
+    in place, and overwrites only its own entries.
     """
     (row_texts, row_dividers), (col_texts, col_dividers) = rows, cols
     by_row = _entry_texts(mat, str)
@@ -106,18 +108,22 @@ def matrix_text(mat, name, rows, cols):
         for j, text in cells:
             if len(text) > widths[j]:
                 widths[j] = len(text)
-    fields = []
-    for j, width in enumerate(widths):
+    zeros, header, slots = [], [], []  # the "0" row's fields, the labels', column j's place
+    for j, (width, label) in enumerate(zip(widths, col_texts)):
         if j in col_dividers:
-            fields.append("|")
-        fields.append(f"{{:>{width}}}")
-    template = "  ".join(fields)
+            zeros.append("|")
+            header.append("|")
+        slots.append(len(zeros))
+        zeros.append("0".rjust(width))
+        header.append(label.rjust(width))
     row_width = max(map(len, row_texts), default=0)
-    line = f"  {{:>{row_width}}} [ {template} ]\n"
     yield f"{name}:\n"
-    yield " " * (row_width + 5) + template.format(*col_texts) + "\n"
-    for i, values in enumerate(_dense_rows(row_texts, by_row, len(col_texts))):
-        text = line.format(*values)
+    yield " " * (row_width + 5) + "  ".join(header) + "\n"
+    for i, label in enumerate(row_texts):
+        fields = zeros.copy()
+        for j, text in by_row.get(i, ()):
+            fields[slots[j]] = text.rjust(widths[j])
+        text = f"  {label.rjust(row_width)} [ {'  '.join(fields)} ]\n"
         if i in row_dividers:
             yield "  " + "-" * (len(text) - 3) + "\n"
         yield text

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import sub
 
-from .matrix import LabeledGradedMatrix, defect, memo
+from .matrix import LabeledGradedMatrix, defects
 from .poly import Polynomial
 from .report import Report
 from .taylor import MonomialIdeal, taylor_complex
@@ -204,14 +204,20 @@ def average_lifts(lifts, weights):
 class HomotopySystem:
     """Taylor differential plus one homotopy per sequence element, read off the lift."""
 
-    __slots__ = ("ci", "lift", "complex", "_sigma", "_residuals")
+    __slots__ = ("ci", "lift", "complex", "identities", "_sigma", "_residuals")
 
     def __init__(self, lift):
         self.ci = lift.ci
         self.lift = lift
         self.complex = taylor_complex(lift.ci.ideal)
+        r, c = self.ideal.ngens, self.ci.codim
+        # (i, None, k) for (b) on T_k, then (i, j, k) for (c) on T_k, in report order
+        self.identities = (
+            *((i, None, k) for i in range(1, c + 1) for k in range(r + 1)),
+            *((i, j, k) for i in range(1, c + 1) for j in range(i, c + 1) for k in range(r - 1)),
+        )
         self._sigma = {}
-        self._residuals = {}  # memo of homotopy_defect and anticommutator, by operand matrices
+        self._residuals = {}  # operand ids -> (operands, residual); held operands keep ids unique
 
     @property
     def ring(self):
@@ -261,31 +267,46 @@ class HomotopySystem:
         return built
 
     def homotopy_defect(self, i, k):
-        """tau.sigma_i + sigma_i.tau - a_i on T_k, 0 <= k <= r: zero exactly when (b) holds there.
-
-        Computed once per operand matrices, so verify_homotopy_system and the
-        phi.phi certificate share it, and a replaced sigma is checked afresh.
-        """
-        r = self.ideal.ngens
-        pairs = []
-        if k < r:
-            pairs.append((self.sigma_zero(k + 1), self.sigma_e(i, k)))
-        if k >= 1:
-            pairs.append((self.sigma_e(i, k - 1), self.sigma_zero(k)))
-        a = self.ci.sequence[i - 1]
-        diagonal = (((d, d), a) for d in range(len(self.complex.basis(k))))
-        return memo(self._residuals, (*chain(*pairs), a), lambda: defect(pairs, diagonal))
+        """tau.sigma_i + sigma_i.tau - a_i on T_k, 0 <= k <= r: zero exactly when (b) holds there."""
+        return self._residual((i, None, k))
 
     def anticommutator(self, i, j, k):
         """sigma_i.sigma_j + sigma_j.sigma_i on T_k for i < j, sigma_i^2 for i = j,
-        0 <= k <= r - 2: zero exactly when (c) holds there.  Computed once per
-        operand matrices, like homotopy_defect.
+        0 <= k <= r - 2: zero exactly when (c) holds there.
         """
-        left, right = self.sigma_e(i, k + 1), self.sigma_e(j, k)
-        if i == j:  # sigma_i^2 = 0 is a single composition
-            return memo(self._residuals, (left, right), lambda: left.compose(right))
-        pairs = [(left, right), (self.sigma_e(j, k + 1), self.sigma_e(i, k))]
-        return memo(self._residuals, (*chain(*pairs),), lambda: defect(pairs))
+        return self._residual((i, j, k))
+
+    def _identity(self, i, j, k):
+        """(operands, pairs, corrections) of (b) for a_i on T_k if j is None, else
+        of (c) for sigma_i, sigma_j on T_k.  The operands key the residual memo."""
+        if j is None:
+            pairs = [(self.sigma_zero(k + 1), self.sigma_e(i, k))] if k < self.ideal.ngens else []
+            if k >= 1:
+                pairs.append((self.sigma_e(i, k - 1), self.sigma_zero(k)))
+            a = self.ci.sequence[i - 1]
+            diagonal = (((d, d), a) for d in range(len(self.complex.basis(k))))
+            return (*chain(*pairs), a), pairs, diagonal
+        pairs = [(self.sigma_e(i, k + 1), self.sigma_e(j, k))]
+        if i != j:  # sigma_i^2 = 0 is a single composition
+            pairs.append((self.sigma_e(j, k + 1), self.sigma_e(i, k)))
+        return (*chain(*pairs),), pairs, ()
+
+    def _residual(self, key):
+        """One identity's residual; a miss computes it with every other one not yet computed."""
+        hit = self._residuals.get(tuple(map(id, self._identity(*key)[0])))
+        return hit[1] if hit else self.residuals([key, *self.identities])[0]
+
+    def residuals(self, keys):
+        """The residual of each identity (i, j, k) of keys, as _identity names them, kept
+        per operand matrices: verify_homotopy_system and the phi.phi certificate share
+        it and a replaced sigma is checked afresh.  The missing ones take one defects call.
+        """
+        found = [self._identity(*key) for key in keys]
+        order = [tuple(map(id, operands)) for operands, _, _ in found]
+        missing = {ids: f for ids, f in zip(order, found) if ids not in self._residuals}
+        for ids, result in zip(missing, defects([f[1:] for f in missing.values()])):
+            self._residuals[ids] = (missing[ids][0], result)
+        return [self._residuals[ids][1] for ids in order]
 
 
 def homotopy_system(ci, lift="first"):
@@ -302,25 +323,17 @@ def verify_homotopy_system(system):
 
     (b) tau.sigma_i + sigma_i.tau = a_i on every T_k;
     (c) sigma_i.sigma_j + sigma_j.sigma_i = 0 for i < j, and sigma_i^2 = 0.
-    Missing maps at the boundary (k = 0 and k = r) are zero.  tau.tau = 0 is
-    the Taylor complex's own identity, and verify_taylor checks it.
+    Missing maps at the boundary (k = 0 and k = r) are zero.  Every identity
+    not yet computed is computed in one defects call.  tau.tau = 0 is the
+    Taylor complex's own identity, and verify_taylor checks it.
     """
     report = Report("homotopy system")
-    r = system.ideal.ngens
-    c = system.ci.codim
-    for i in range(1, c + 1):
-        for k in range(0, r + 1):
-            report.check(
-                system.homotopy_defect(i, k),
-                f"(b) tau.sigma_{i} + sigma_{i}.tau = a_{i} on T_{k}",
-                f"(b) fails for a_{i} on T_{k} at ({{row}}, {{col}}): defect {{entry}}",
-            )
-    for i in range(1, c + 1):
-        for j in range(i, c + 1):
-            for k in range(0, r - 1):
-                report.check(
-                    system.anticommutator(i, j, k),
-                    f"(c) sigma_{i}, sigma_{j} anticommute on T_{k}",
-                    f"(c) fails for sigma_{i}, sigma_{j} on T_{k} at ({{row}}, {{col}}): {{entry}}",
-                )
+    for (i, j, k), residual in zip(system.identities, system.residuals(system.identities)):
+        if j is None:
+            ok = f"(b) tau.sigma_{i} + sigma_{i}.tau = a_{i} on T_{k}"
+            failure = f"(b) fails for a_{i} on T_{k} at ({{row}}, {{col}}): defect {{entry}}"
+        else:
+            ok = f"(c) sigma_{i}, sigma_{j} anticommute on T_{k}"
+            failure = f"(c) fails for sigma_{i}, sigma_{j} on T_{k} at ({{row}}, {{col}}): {{entry}}"
+        report.check(residual, ok, failure)
     return report

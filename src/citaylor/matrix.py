@@ -5,25 +5,27 @@ degree of the corresponding free summand).  Entries live in a PolyRing; zero
 entries are never stored.  The matrix holds no rendering metadata: block
 boundaries in printed output come from the labels themselves.
 
-``defect`` is the one kernel behind every product of matrices: ``compose``
-is ``defect`` of one pair, and every identity check sums its products and
-subtracts the expected polynomial at each listed cell in one call, so a
-check passes exactly when the result is zero.  It works on integers only:
+``defects`` is the one kernel behind every product of matrices: it returns,
+for each identity of a list, the sum of its products minus its expected
+polynomial at each listed cell, so an identity holds exactly when its
+result is zero.  ``defect`` is one identity and ``compose`` one pair; the
+homotopy system checks all of its identities in one call.  It works on
+integers only:
 
 - Exponent tuples are packed into one ``int``, exponent i in bits
   ``[i * w, (i + 1) * w)``, so multiplying two monomials is one addition.
-  The field width ``w`` is the bit length of ``top_left + top_right`` (or of
-  the largest correction exponent, if that is larger), where each top is the
-  largest exponent among that side's entries.  No exponent of a product
-  reaches ``2**w``, so no sum carries into the next field.  This needs every
-  exponent to be a nonnegative ``int``: ``PolyRing.term``,
-  ``PolyRing.polynomial`` and the parser reject anything else, and
-  products and sums of such polynomials keep it.
+  The width ``w`` is the bit length of twice the call's largest entry
+  exponent (or of its largest correction exponent, if larger), so no sum
+  carries into the next field.  This needs every exponent to be a
+  nonnegative ``int``: ``PolyRing.term``, ``PolyRing.polynomial`` and the
+  parser reject anything else, and products and sums of such polynomials
+  keep it.
 - Coefficients become ``int``s: over GF(p) the representatives, over QQ the
-  numerators scaled to one common denominator for every product and every
-  correction.  Each distinct entry object is lowered once per call and side.
-- One ``{key: int}`` dict accumulates every product and every correction
-  of the call: a key is a term's packed exponents plus its cell's index
+  numerators over the call's common denominator ``den``, so every product
+  and correction is over ``den**2``.  Each distinct entry object is lowered
+  once per call, and each left matrix grouped by column once.
+- One ``{key: int}`` dict per identity accumulates its products and
+  corrections: a key is a term's packed exponents plus its cell's index
   ``row * ncols + col`` shifted above the exponent fields.  A
   ``Polynomial``, ``Fraction`` or ``ModP`` is built only for a key whose
   sum is nonzero, so a passing check builds none.
@@ -104,25 +106,6 @@ class LabeledGradedMatrix:
         return [(rows[i], cols[j], self.entries[(i, j)]) for i, j in bad]
 
 
-def memo(cache, operands, compute):
-    """compute(), run once per tuple of operand objects.
-
-    cache maps the operands' ids to (operands, result).  Holding the operands
-    keeps their ids from being reused while the entry lives, so a new matrix
-    put in an old one's place is always computed afresh.
-    """
-    key = tuple(map(id, operands))
-    hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = (operands, compute())
-    return hit[1]
-
-
-def _distinct(matrices):
-    """id -> entry for each distinct entry object of the matrices."""
-    return {id(p): p for m in matrices for p in m.entries.values()}
-
-
 def _top(polys):
     """Largest exponent among the polynomials' terms, 0 if there is none."""
     return max((max(map(max, p.terms), default=0) for p in polys.values()), default=0)
@@ -153,71 +136,84 @@ def defect(pairs, corrections=()):
     columns, and one ring; every correction needs a cell inside the result.
     The result carries those labels and drops zero entries.
     """
-    pairs = list(pairs)
-    corrections = list(corrections)
-    first_left, first_right = pairs[0]
-    ring, rows, cols = first_left.ring, first_left.rows, first_right.cols
-    for left, right in pairs:
-        if left.ring != ring or right.ring != ring:
-            raise ValueError("matrices from different rings")
-        if left.cols != right.rows:
-            raise ValueError("inner labels do not match")
-        if left.rows != rows or right.cols != cols:
-            raise ValueError("labels do not match")
-    lefts = _distinct(left for left, _ in pairs)
-    rights = _distinct(right for _, right in pairs)
-    fixes = {id(poly): poly for _, poly in corrections}
-    if any(poly.ring != ring for poly in fixes.values()):
-        raise ValueError("correction from a different ring")
+    return defects([(pairs, corrections)])[0]
 
-    width = max(_top(lefts) + _top(rights), _top(fixes)).bit_length()
+
+def defects(identities):
+    """[defect(pairs, corrections) for each (pairs, corrections) of identities], all in one ring."""
+    identities = [(list(pairs), list(corrections)) for pairs, corrections in identities]
+    if not identities:
+        return []
+    ring = identities[0][0][0][0].ring
+    matrices, fixes = {}, {}
+    for pairs, corrections in identities:
+        rows, cols = pairs[0][0].rows, pairs[0][1].cols
+        for left, right in pairs:
+            if left.ring != ring or right.ring != ring:
+                raise ValueError("matrices from different rings")
+            if left.cols != right.rows:
+                raise ValueError("inner labels do not match")
+            if left.rows != rows or right.cols != cols:
+                raise ValueError("labels do not match")
+            matrices[id(left)], matrices[id(right)] = left, right
+        if any(poly.ring != ring for _, poly in corrections):
+            raise ValueError("correction from a different ring")
+        for (i, k), poly in corrections:
+            if not (0 <= i < len(rows) and 0 <= k < len(cols)):
+                raise ValueError(f"correction at ({i}, {k}) outside a {len(rows)}x{len(cols)} matrix")
+            fixes[id(poly)] = poly
+    polys = {id(p): p for m in matrices.values() for p in m.entries.values()}
+
+    width = max(2 * _top(polys), _top(fixes)).bit_length()
     shifts = [width * i for i in range(ring.nvars)]
     cell_shift = width * ring.nvars
     p = ring.field.characteristic
     if p:
-        to_left = to_right = to_fix = attrgetter("value")
+        to_int = to_fix = attrgetter("value")
     else:
-        # a product's coefficient is over (den // den_right) * den_right = den
-        den_right = _denominator(rights)
-        den = lcm(_denominator(lefts) * den_right, _denominator(fixes))
-        to_left, to_right, to_fix = map(_scaled_to, (den // den_right, den_right, den))
-    lower_left = _lowered(lefts, shifts, to_left)
-    lower_right = _lowered(rights, shifts, to_right)
+        # a product of two entries over den is over den**2, and so is each correction
+        den = lcm(_denominator(polys), _denominator(fixes))
+        to_int, to_fix = _scaled_to(den), _scaled_to(den**2)
+    lowered = _lowered(polys, shifts, to_int)
     lower_fix = _lowered(fixes, shifts, to_fix)
 
-    ncols = len(cols)
-    acc = {}
-    get = acc.get
-    for left, right in pairs:
-        by_col = {}
-        for (i, j), poly in left.entries.items():
-            by_col.setdefault(j, []).append((i * ncols << cell_shift, lower_left[id(poly)]))
-        for (j, k), poly in right.entries.items():
-            right_terms = lower_right[id(poly)]
-            col_key = k << cell_shift
-            for row_key, left_terms in by_col.get(j, ()):
-                cell_key = row_key + col_key
-                for e1, c1 in left_terms:
-                    e1 += cell_key
-                    for e2, c2 in right_terms:
-                        e = e1 + e2
-                        acc[e] = get(e, 0) + c1 * c2
-    nrows = len(rows)
-    for (i, k), poly in corrections:
-        if not (0 <= i < nrows and 0 <= k < ncols):
-            raise ValueError(f"correction at ({i}, {k}) outside a {nrows}x{ncols} matrix")
-        cell_key = (i * ncols + k) << cell_shift
-        for e, n in lower_fix[id(poly)]:
-            e += cell_key
-            acc[e] = get(e, 0) - n
-
-    if p:
-        residual = ((key, ModP(n, p)) for key, n in acc.items() if n % p)
-    else:
-        residual = ((key, Fraction(n, den)) for key, n in acc.items() if n)
     mask = (1 << width) - 1
-    cells = {}
-    for key, c in residual:
-        cells.setdefault(key >> cell_shift, {})[tuple(key >> s & mask for s in shifts)] = c
-    entries = {divmod(cell, ncols): Polynomial(ring, terms) for cell, terms in cells.items()}
-    return LabeledGradedMatrix(ring, rows, cols, entries)
+    grouped = {}  # (left id, ncols) -> {column: [(row key, left terms)]}
+    results = []
+    for pairs, corrections in identities:
+        rows, cols = pairs[0][0].rows, pairs[0][1].cols
+        ncols = len(cols)
+        acc = {}
+        get = acc.get
+        for left, right in pairs:
+            by_col = grouped.get((id(left), ncols))
+            if by_col is None:
+                by_col = grouped[(id(left), ncols)] = {}
+                for (i, j), poly in left.entries.items():
+                    by_col.setdefault(j, []).append((i * ncols << cell_shift, lowered[id(poly)]))
+            for (j, k), poly in right.entries.items():
+                right_terms = lowered[id(poly)]
+                col_key = k << cell_shift
+                for row_key, left_terms in by_col.get(j, ()):
+                    cell_key = row_key + col_key
+                    for e1, c1 in left_terms:
+                        e1 += cell_key
+                        for e2, c2 in right_terms:
+                            e = e1 + e2
+                            acc[e] = get(e, 0) + c1 * c2
+        for (i, k), poly in corrections:
+            cell_key = (i * ncols + k) << cell_shift
+            for e, n in lower_fix[id(poly)]:
+                e += cell_key
+                acc[e] = get(e, 0) - n
+
+        if p:
+            residual = ((key, ModP(n, p)) for key, n in acc.items() if n % p)
+        else:
+            residual = ((key, Fraction(n, den**2)) for key, n in acc.items() if n)
+        cells = {}
+        for key, c in residual:
+            cells.setdefault(key >> cell_shift, {})[tuple(key >> s & mask for s in shifts)] = c
+        entries = {divmod(cell, ncols): Polynomial(ring, terms) for cell, terms in cells.items()}
+        results.append(LabeledGradedMatrix(ring, rows, cols, entries))
+    return results

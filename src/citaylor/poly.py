@@ -179,12 +179,17 @@ def GF(p):
 
 def exponents_of_degree(nvars, degree):
     """Every nvars-tuple of nonnegative ints summing to degree, lex descending."""
-    if nvars == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in exponents_of_degree(nvars - 1, degree - first):
-            yield (first, *rest)
+    e = [degree] + [0] * (nvars - 1)
+    while True:
+        yield tuple(e)
+        # one unit of the last nonzero e[i], i < nvars - 1, moves to e[i + 1] with all of e[-1]
+        i = nvars - 2
+        while i >= 0 and not e[i]:
+            i -= 1
+        if i < 0:
+            return
+        e[i] -= 1
+        e[-1], e[i + 1] = 0, e[-1] + 1
 
 
 def grlex(exponents):

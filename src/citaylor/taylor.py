@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
 
-from .matrix import LabeledGradedMatrix, memo
+from .matrix import LabeledGradedMatrix
 from .report import Report
 
 
@@ -122,7 +122,10 @@ class TaylorComplex:
     def square(self, k):
         """tau_k . tau_{k+1}, 1 <= k < r; each pair of matrices is multiplied once."""
         left, right = self.differential(k), self.differential(k + 1)
-        return memo(self._squares, (left, right), lambda: left.compose(right))
+        ids = (id(left), id(right))
+        if ids not in self._squares:  # kept with the product, so the ids are not reused
+            self._squares[ids] = (left, right, left.compose(right))
+        return self._squares[ids][2]
 
 
 def taylor_complex(ideal):

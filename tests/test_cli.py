@@ -646,18 +646,19 @@ SQUARES_CODIM2_ARGS = [*SQUARES_CODIM2_RESOLVE_ARGS, "--max-degree", "8"]
 def test_verify_multiplies_each_operand_pair_once(capsys, monkeypatch):
     """verify shares each identity's product between its reports and the phi.phi
     certificate, and multiplies no phi matrix on a passing run."""
-    from citaylor import homotopy, matrix, shamash
+    from citaylor import homotopy, matrix
 
     pairs = []  # the operands stay alive, so their ids stay unique
-    product = matrix.defect
+    kernel = matrix.defects
 
-    def recording(operands, corrections=()):
-        operands = list(operands)
-        pairs.extend(operands)
-        return product(operands, corrections)
+    def recording(identities):
+        identities = [(list(operands), corrections) for operands, corrections in identities]
+        for operands, _ in identities:
+            pairs.extend(operands)
+        return kernel(identities)
 
-    for module in (matrix, homotopy, shamash):
-        monkeypatch.setattr(module, "defect", recording)
+    for module in (matrix, homotopy):  # shamash's defect calls matrix.defects
+        monkeypatch.setattr(module, "defects", recording)
     code, out, _ = run(capsys, "verify", *SQUARES_CODIM2_RESOLVE_ARGS)
     assert code == 0 and out.endswith("overall: PASS\n")
     keys = [(id(left), id(right)) for left, right in pairs]

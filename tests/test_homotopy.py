@@ -385,24 +385,42 @@ def failures(report):
     return [line[len("FAIL: "):] for line in report.details if line.startswith("FAIL: ")]
 
 
-def test_verify_pins_defects_of_a_corrupted_sigma():
-    """One sigma_1 entry on T_1 off by x: (b) on T_1, T_2 and (c) with i = j and i < j fail."""
-    ci = codim2_ci()
-    R = ci.ring
-    system = homotopy_system(ci, "first")
+CORRUPTED_SIGMA_FAILURES = [
+    "(b) fails for a_1 on T_1 at (1, 1): defect x*y^2",
+    "(b) fails for a_1 on T_2 at (12, 12): defect x*y^2",
+    "(c) fails for sigma_1, sigma_1 on T_0 at (12, {}): x^2",
+    "(c) fails for sigma_1, sigma_2 on T_1 at (123, 1): x*z",
+]
+
+
+def corrupt_sigma_1_on_t_1(system):
+    """Put sigma_1 on T_1 with its first entry in column order off by x into the system."""
+    R = system.ring
     sigma = system.sigma_e(1, 1)
     entries = dict(sigma.entries)
     first = min(entries, key=lambda ij: (ij[1], ij[0]))
     entries[first] = entries[first] + R.parse("x")
     system._sigma[(1, 1)] = LabeledGradedMatrix(R, sigma.rows, sigma.cols, entries)
+
+
+def test_verify_pins_defects_of_a_corrupted_sigma():
+    """One sigma_1 entry on T_1 off by x: (b) on T_1, T_2 and (c) with i = j and i < j fail."""
+    system = homotopy_system(codim2_ci(), "first")
+    corrupt_sigma_1_on_t_1(system)
     report = verify_homotopy_system(system)
     assert report.failure == "(b) fails for a_1 on T_1 at (1, 1): defect x*y^2"
-    assert failures(report) == [
-        "(b) fails for a_1 on T_1 at (1, 1): defect x*y^2",
-        "(b) fails for a_1 on T_2 at (12, 12): defect x*y^2",
-        "(c) fails for sigma_1, sigma_1 on T_0 at (12, {}): x^2",
-        "(c) fails for sigma_1, sigma_2 on T_1 at (123, 1): x*z",
-    ]
+    assert failures(report) == CORRUPTED_SIGMA_FAILURES
+
+
+def test_verify_checks_a_sigma_replaced_after_a_pass_afresh():
+    """The residuals a passing check computed stay with their operands: once sigma_1
+    on T_1 is replaced, the identities that use it fail as if never checked."""
+    system = homotopy_system(codim2_ci(), "first")
+    assert verify_homotopy_system(system).passed
+    corrupt_sigma_1_on_t_1(system)
+    assert failures(verify_homotopy_system(system)) == CORRUPTED_SIGMA_FAILURES
+    assert not system.homotopy_defect(1, 1).is_zero()
+    assert system.homotopy_defect(2, 1).is_zero()
 
 
 def test_sigma_is_linear_in_the_lift():

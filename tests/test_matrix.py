@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from citaylor import GF, QQ, LabeledGradedMatrix
-from citaylor.matrix import defect
+from citaylor.matrix import defect, defects
 
 from conftest import ring
 
@@ -222,3 +222,57 @@ def test_defect_rejects_a_correction_outside_the_matrix(cell):
     identity = LabeledGradedMatrix(R, "uv", "uv", {(0, 0): R.one, (1, 1): R.one})
     with pytest.raises(ValueError, match=rf"correction at \({cell[0]}, {cell[1]}\) outside a 2x2"):
         defect([(a, identity)], [(cell, x)])
+
+
+@pytest.mark.parametrize(
+    "field, pair_coeffs, correction_coeffs",
+    [
+        (QQ, QQ_PAIR_COEFFS, QQ_CORRECTION_COEFFS),
+        (GF(7), [[1, -1, 3, 6, 7]] * 3, [1, 2, -3, 5, 14]),
+        (GF(32003), [GF_COEFFS] * 3, [1, 32002, 777, -5]),
+    ],
+    ids=["QQ", "GF7", "GF32003"],
+)
+def test_defects_matches_defect_one_at_a_time(field, pair_coeffs, correction_coeffs):
+    """One call over identities of different shapes, some with corrections, and a
+    matrix that is the left of identities with different column counts and a right."""
+    rng = random.Random(20261020)
+    R = ring("x,y", field)
+    shared = random_matrix(rng, R, 3, 2, 0.7, pair_coeffs[1])
+    identities = []
+    for trial in range(30):
+        n, p = rng.randint(1, 4), rng.randint(1, 4)
+        density = rng.choice([0.3, 0.7, 1.0])
+        pairs = []
+        if trial % 3 == 0:
+            n = 3
+            pairs.append((shared, random_matrix(rng, R, 2, p, density, pair_coeffs[0])))
+        elif trial % 3 == 1:
+            p = 2
+            pairs.append((random_matrix(rng, R, n, 3, density, pair_coeffs[2]), shared))
+        for coeffs in pair_coeffs[: rng.randint(0 if pairs else 1, 2)]:
+            m = rng.randint(0, 4)
+            left = random_matrix(rng, R, n, m, density, coeffs)
+            pairs.append((left, random_matrix(rng, R, m, p, density, coeffs)))
+        corrections = [
+            ((rng.randrange(n), rng.randrange(p)), random_poly(rng, R, correction_coeffs))
+            for _ in range(rng.randint(1, 4) if trial % 2 else 0)
+        ]
+        identities.append((pairs, corrections))
+    results = defects(identities)
+    assert len(results) == len(identities)
+    for (pairs, corrections), d in zip(identities, results):
+        assert d == defect(pairs, corrections)
+        assert d.entries == reference_defect(pairs, corrections)
+    assert defects([]) == []
+
+
+def test_defects_rejects_a_correction_outside_its_matrix():
+    R = ring("x,y")
+    x = R.variable("x")
+    a = LabeledGradedMatrix(R, "ab", "uv", {(1, 0): x})
+    identity = LabeledGradedMatrix(R, "uv", "uv", {(0, 0): R.one, (1, 1): R.one})
+    column = LabeledGradedMatrix(R, "uv", "s", {(0, 0): x})
+    # (0, 1) lies inside the first identity's 2x2 result, not the second's 2x1
+    with pytest.raises(ValueError, match=r"correction at \(0, 1\) outside a 2x1"):
+        defects([([(a, identity)], [((0, 1), x)]), ([(a, column)], [((0, 1), x)])])

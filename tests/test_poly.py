@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from citaylor import GF, QQ, ParseError, PolyRing
-from citaylor.poly import grlex, is_prime
+from citaylor.poly import exponents_of_degree, grlex, is_prime
 from citaylor.quotient import grevlex
 
 from conftest import ring
@@ -248,3 +248,21 @@ def test_leading_term(ring_xyz):
     assert e == (1, 3, 0) and c == 1
     with pytest.raises(ValueError):
         ring_xyz.zero.leading(grevlex)
+
+
+def recursive_exponents(nvars, degree):
+    """exponents_of_degree by recursion on the first exponent, largest first."""
+    if nvars == 1:
+        yield (degree,)
+        return
+    for first in range(degree, -1, -1):
+        for rest in recursive_exponents(nvars - 1, degree - first):
+            yield (first, *rest)
+
+
+@pytest.mark.parametrize("nvars", range(1, 6))
+def test_exponents_of_degree_matches_the_recursive_enumeration(nvars):
+    for degree in range(9):
+        got = list(exponents_of_degree(nvars, degree))
+        assert got == list(recursive_exponents(nvars, degree))
+        assert got == sorted(set(got), reverse=True)
