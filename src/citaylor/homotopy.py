@@ -112,13 +112,7 @@ def compute_lift(a, ideal, rule="first"):
     if rule not in LIFT_STRATEGIES and not isinstance(rule, dict):
         raise ValueError(f"unknown lift strategy {rule!r}")
     ring = ideal.ring
-    row = [dict() for _ in range(ideal.ngens)]
-
-    def credit(t, exponents, coeff):
-        acc = row[t - 1]
-        prev = acc.get(exponents)
-        acc[exponents] = coeff if prev is None else prev + coeff
-
+    row = [dict() for _ in range(ideal.ngens)]  # term / m_t -> coefficient, one key per term
     for e, c in a.terms.items():
         divisors = {}  # 1-based index of each generator dividing the term -> term / generator
         for t, m in enumerate(ideal.generators, start=1):
@@ -129,7 +123,7 @@ def compute_lift(a, ideal, rule="first"):
             raise NotInIdeal(f"term {ring.term(e, c)} lies outside the ideal")
         if rule == "first":
             t = next(iter(divisors))
-            credit(t, divisors[t], c)
+            row[t - 1][divisors[t]] = c
         elif rule == "average":
             try:
                 share = ring.field.coerce(Fraction(1, len(divisors)))
@@ -139,7 +133,7 @@ def compute_lift(a, ideal, rule="first"):
                     f"characteristic {ring.field.characteristic}"
                 ) from None
             for t, quot in divisors.items():
-                credit(t, quot, c * share)
+                row[t - 1][quot] = c * share
         else:
             t = rule.get(e)
             if t is None:
@@ -150,7 +144,7 @@ def compute_lift(a, ideal, rule="first"):
                 raise ValueError(
                     f"generator {t} does not divide term {ring.format_exponents(e) or '1'}"
                 )
-            credit(t, divisors[t], c)
+            row[t - 1][divisors[t]] = c
     return tuple(Polynomial(ring, terms) for terms in row)
 
 
@@ -266,16 +260,6 @@ class HomotopySystem:
         self._sigma[(i, k)] = built
         return built
 
-    def homotopy_defect(self, i, k):
-        """tau.sigma_i + sigma_i.tau - a_i on T_k, 0 <= k <= r: zero exactly when (b) holds there."""
-        return self._residual((i, None, k))
-
-    def anticommutator(self, i, j, k):
-        """sigma_i.sigma_j + sigma_j.sigma_i on T_k for i < j, sigma_i^2 for i = j,
-        0 <= k <= r - 2: zero exactly when (c) holds there.
-        """
-        return self._residual((i, j, k))
-
     def _identity(self, i, j, k):
         """(operands, pairs, corrections) of (b) for a_i on T_k if j is None, else
         of (c) for sigma_i, sigma_j on T_k.  The operands key the residual memo."""
@@ -291,17 +275,12 @@ class HomotopySystem:
             pairs.append((self.sigma_e(j, k + 1), self.sigma_e(i, k)))
         return (*chain(*pairs),), pairs, ()
 
-    def _residual(self, key):
-        """One identity's residual; a miss computes it with every other one not yet computed."""
-        hit = self._residuals.get(tuple(map(id, self._identity(*key)[0])))
-        return hit[1] if hit else self.residuals([key, *self.identities])[0]
-
-    def residuals(self, keys):
-        """The residual of each identity (i, j, k) of keys, as _identity names them, kept
-        per operand matrices: verify_homotopy_system and the phi.phi certificate share
-        it and a replaced sigma is checked afresh.  The missing ones take one defects call.
+    def residuals(self):
+        """The residual of each identity of ``identities``, in order, kept per operand
+        matrices: verify_homotopy_system and the phi.phi certificate share them, and a
+        replaced sigma is checked afresh.  The missing ones take one defects call.
         """
-        found = [self._identity(*key) for key in keys]
+        found = [self._identity(*key) for key in self.identities]
         order = [tuple(map(id, operands)) for operands, _, _ in found]
         missing = {ids: f for ids, f in zip(order, found) if ids not in self._residuals}
         for ids, result in zip(missing, defects([f[1:] for f in missing.values()])):
@@ -328,7 +307,7 @@ def verify_homotopy_system(system):
     Taylor complex's own identity, and verify_taylor checks it.
     """
     report = Report("homotopy system")
-    for (i, j, k), residual in zip(system.identities, system.residuals(system.identities)):
+    for (i, j, k), residual in zip(system.identities, system.residuals()):
         if j is None:
             ok = f"(b) tau.sigma_{i} + sigma_{i}.tau = a_{i} on T_{k}"
             failure = f"(b) fails for a_{i} on T_{k} at ({{row}}, {{col}}): defect {{entry}}"

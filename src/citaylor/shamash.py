@@ -36,10 +36,11 @@ zero when identity (c) holds).  So step n is proved by two checks:
   is the tau_k entry its labels call for (u' = u, |S'| = |S| - 1) or the
   sigma_j entry (u' = u - e_j, |S'| = |S| + 1), the very object or an equal
   one, and the cells number exactly as many as those entries;
-- every tau.tau, (b) and (c) identity that the blocks of F_{n+1} use.  These
-  are the residuals ``verify_taylor`` and ``verify_homotopy_system`` report,
-  computed once per pair of operand matrices and kept by the complex and the
-  system, so a verify run multiplies each pair once.
+- every identity of the system: tau.tau = 0 on each step, and every (b) and
+  (c) identity.  Together they give the three sums above for every block, at
+  every step.  These are the residuals ``verify_taylor`` and
+  ``verify_homotopy_system`` report, kept by the complex and the system, so a
+  verify run multiplies each pair once, and one verdict serves every step.
 
 The full product (``_phi_defect``) runs only at a step the certificate does
 not prove, and reports the first failing cell in column order.  A correct
@@ -52,7 +53,8 @@ window alone, with no built matrices compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 from math import comb
 from operator import itemgetter, mul
 
@@ -288,7 +290,7 @@ class _PhiCertificate:
     """Proves phi_n . phi_{n+1} = sum_j a_j * shift_j without multiplying phi matrices.
 
     ``holds(n)`` is True when both phi_n and phi_{n+1} pass the placement
-    certificate and every identity their blocks use holds; see the module
+    certificate and every identity of the system holds; see the module
     docstring.  False proves nothing: the caller then computes _phi_defect.
     """
 
@@ -357,27 +359,16 @@ class _PhiCertificate:
         return count == len(phi.entries)
 
     def holds(self, n):
-        """phi_n . phi_{n+1} = sum_j a_j * shift_j is proved, 1 <= n < max_step: once both
-        maps are placed, they share the one F_n, and F_{n+1}'s blocks name the identities used.
-        """
+        """phi_n . phi_{n+1} = sum_j a_j * shift_j is proved, 1 <= n < max_step: both maps
+        are placed, so they share the one F_n, and every identity of the system holds."""
+        return self.placed(n) and self.placed(n + 1) and self._identities_hold
+
+    @cached_property
+    def _identities_hold(self):
+        """tau_k . tau_{k+1} = 0 for 1 <= k < r and every (b) and (c) residual is zero."""
         system = self.system
-        if not (self.placed(n) and self.placed(n + 1)):
-            return False
-        r, c = system.ideal.ngens, system.ci.codim
-        for u, k in self.blocks(self.resolution.differential(n + 1).cols, n + 1):
-            if k >= 2 and not system.complex.square(k - 1).is_zero():
-                return False
-            for i in range(1, c + 1):
-                if not u[i - 1]:
-                    continue
-                if not system.homotopy_defect(i, k).is_zero():
-                    return False
-                if k + 2 > r:  # sigma_i sigma_j lands in T_{k+2} = 0
-                    continue
-                for j in range(i, c + 1):
-                    if u[j - 1] >= 1 + (i == j) and not system.anticommutator(i, j, k).is_zero():
-                        return False
-        return True
+        squares = (system.complex.square(k) for k in range(1, system.ideal.ngens))
+        return all(m.is_zero() for m in chain(squares, system.residuals()))
 
 
 def phi_squared_check(resolution):

@@ -120,12 +120,10 @@ class TaylorComplex:
         return self.differentials[k - 1]
 
     def square(self, k):
-        """tau_k . tau_{k+1}, 1 <= k < r; each pair of matrices is multiplied once."""
-        left, right = self.differential(k), self.differential(k + 1)
-        ids = (id(left), id(right))
-        if ids not in self._squares:  # kept with the product, so the ids are not reused
-            self._squares[ids] = (left, right, left.compose(right))
-        return self._squares[ids][2]
+        """tau_k . tau_{k+1}, 1 <= k < r, multiplied once per k."""
+        if k not in self._squares:
+            self._squares[k] = self.differential(k).compose(self.differential(k + 1))
+        return self._squares[k]
 
 
 def taylor_complex(ideal):

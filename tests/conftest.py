@@ -173,6 +173,16 @@ def reference_sigma(system, i, k):
     return entries
 
 
+def corrupt_sigma_1_on_t_1(system):
+    """Put sigma_1 on T_1 with its first entry in column order off by x into the system."""
+    R = system.ring
+    sigma = system.sigma_e(1, 1)
+    entries = dict(sigma.entries)
+    first = min(entries, key=lambda ij: (ij[1], ij[0]))
+    entries[first] = entries[first] + R.parse("x")
+    system._sigma[(1, 1)] = LabeledGradedMatrix(R, sigma.rows, sigma.cols, entries)
+
+
 # ---- the worked examples -------------------------------------------------
 
 

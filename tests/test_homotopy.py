@@ -8,7 +8,6 @@ from citaylor import (
     GF,
     QQ,
     HomotopySystem,
-    LabeledGradedMatrix,
     LiftMatrix,
     NonHomogeneous,
     NotInIdeal,
@@ -25,6 +24,7 @@ from citaylor.cli import parse_assignments
 from citaylor.homotopy import check_lift
 
 from conftest import (
+    corrupt_sigma_1_on_t_1,
     grid,
     random_ideal,
     random_instance,
@@ -213,6 +213,13 @@ def test_average_lifts_matches_average_strategy():
     assert avg.rows == lift_matrix(ci, "average").rows
 
 
+def test_average_lifts_takes_a_zero_weight():
+    """A weight of 0 is allowed and drops its lift, leaving the first lift exactly."""
+    _, (first, other, _) = variant_lifts()
+    assert first.rows != other.rows
+    assert average_lifts([first, other], [1, 0]).rows == first.rows
+
+
 def test_average_lifts_validation():
     ci, lifts = variant_lifts()
     with pytest.raises(ValueError, match="one weight per lift"):
@@ -393,16 +400,6 @@ CORRUPTED_SIGMA_FAILURES = [
 ]
 
 
-def corrupt_sigma_1_on_t_1(system):
-    """Put sigma_1 on T_1 with its first entry in column order off by x into the system."""
-    R = system.ring
-    sigma = system.sigma_e(1, 1)
-    entries = dict(sigma.entries)
-    first = min(entries, key=lambda ij: (ij[1], ij[0]))
-    entries[first] = entries[first] + R.parse("x")
-    system._sigma[(1, 1)] = LabeledGradedMatrix(R, sigma.rows, sigma.cols, entries)
-
-
 def test_verify_pins_defects_of_a_corrupted_sigma():
     """One sigma_1 entry on T_1 off by x: (b) on T_1, T_2 and (c) with i = j and i < j fail."""
     system = homotopy_system(codim2_ci(), "first")
@@ -419,8 +416,9 @@ def test_verify_checks_a_sigma_replaced_after_a_pass_afresh():
     assert verify_homotopy_system(system).passed
     corrupt_sigma_1_on_t_1(system)
     assert failures(verify_homotopy_system(system)) == CORRUPTED_SIGMA_FAILURES
-    assert not system.homotopy_defect(1, 1).is_zero()
-    assert system.homotopy_defect(2, 1).is_zero()
+    residuals = system.residuals()
+    assert not residuals[system.identities.index((1, None, 1))].is_zero()
+    assert residuals[system.identities.index((2, None, 1))].is_zero()
 
 
 def test_sigma_is_linear_in_the_lift():

@@ -182,6 +182,21 @@ def test_compose_of_empty_matrices(ring_xyz):
     assert product.is_zero() and product.shape == (2, 2)
 
 
+def test_matrices_differing_in_one_entry_or_label_are_unequal(ring_xyz):
+    R = ring_xyz
+    x, y = R.variable("x"), R.variable("y")
+    base = LabeledGradedMatrix(R, "ab", "uv", {(0, 0): x, (1, 1): y})
+    assert base == LabeledGradedMatrix(R, "ab", "uv", {(1, 1): y, (0, 0): x})
+    variants = [
+        LabeledGradedMatrix(R, "ab", "uv", {(0, 0): x, (1, 1): x}),
+        LabeledGradedMatrix(R, "ac", "uv", base.entries),
+        LabeledGradedMatrix(R, "ab", "uw", base.entries),
+    ]
+    for other in variants:
+        assert base != other and other != base
+    assert base != base.entries
+
+
 def test_compose_rejects_mismatched_labels_and_rings():
     R, S = ring("x,y"), ring("x,y", GF(32003))
     a = LabeledGradedMatrix(R, "a", "u", {(0, 0): R.variable("x")})

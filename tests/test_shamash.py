@@ -33,6 +33,7 @@ from conftest import (
     build_monomial_c1,
     build_poly_c1,
     build_tate,
+    corrupt_sigma_1_on_t_1,
     grid,
     random_ideal,
     random_instance,
@@ -757,61 +758,45 @@ def test_certificate_rejects_a_sigma_on_the_top_taylor_module():
     assert phi_squared_check(res).passed
 
 
-def identity_uses(res, n):
-    """The identities the blocks (u, S) of F_{n+1} use, read off their labels."""
-    r, c = res.system.ideal.ngens, res.system.ci.codim
-    used = set()
-    for b in res.basis(n + 1):
-        u, k = b.u, len(b.indices)
-        if k >= 2:
-            used.add(("tau", k - 1))
-        for i in range(1, c + 1):
-            if u[i - 1]:
-                used.add(("b", i, k))
-            for j in range(i, c + 1):
-                if k + 2 <= r and u[i - 1] and u[j - 1] >= 1 + (i == j):
-                    used.add(("c", i, j, k))
-    return used
-
-
-def test_certificate_consults_each_identity_its_blocks_use(monkeypatch):
-    """With one identity made to fail, the certificate refuses exactly the steps whose
-    F_{n+1} blocks use it; the full product then passes those steps."""
+def test_certificate_refuses_every_step_when_any_identity_fails(monkeypatch):
+    """With any one identity made to fail, tau.tau, (b) or (c), the certificate refuses
+    every step, even where no block of the window uses that identity; the full product
+    then passes those steps."""
     from citaylor import HomotopySystem, TaylorComplex
 
-    res = build_codim2(max_step=7)  # F_6 and F_7 use (c) on T_2 = T_{r-2} and on T_1
+    res = build_codim2(max_step=4)  # no block of F_2..F_4 uses (c) on T_1 or T_2
     system = res.system
-    r, c = system.ideal.ngens, system.ci.codim
+    r = system.ideal.ngens
     steps = range(1, res.max_step)
     label = res.basis(0)[0]
     nonzero = LabeledGradedMatrix(system.ring, [label], [label], {(0, 0): system.ring.parse("1")})
-    methods = {
-        "tau": (TaylorComplex, "square"),
-        "b": (HomotopySystem, "homotopy_defect"),
-        "c": (HomotopySystem, "anticommutator"),
-    }
-    identities = [("tau", k) for k in range(1, r)]
-    identities += [("b", i, k) for i in range(1, c + 1) for k in range(r + 1)]
-    identities += [
-        ("c", i, j, k) for i in range(1, c + 1) for j in range(i, c + 1) for k in range(r - 1)
-    ]
-    refused_somewhere = set()
-    for broken in identities:
-        owner, name = methods[broken[0]]
-        real = getattr(owner, name)
+    real_square, real_residuals = TaylorComplex.square, HomotopySystem.residuals
+    real_defect = shamash._phi_defect
+    broken = [("tau", k) for k in range(1, r)]
+    broken += [("residual", x) for x in range(len(system.identities))]  # every (b) and (c)
+    for kind, at in broken:
 
-        def fake(self, *args, real=real, broken=broken):
-            return nonzero if (broken[0], *args) == broken else real(self, *args)
+        def square(self, k, at=at, kind=kind):
+            return nonzero if (kind, k) == ("tau", at) else real_square(self, k)
+
+        def residuals(self, at=at, kind=kind):
+            found = real_residuals(self)
+            return [*found[:at], nonzero, *found[at + 1:]] if kind == "residual" else found
 
         with monkeypatch.context() as patch:
-            patch.setattr(owner, name, fake)
+            patch.setattr(TaylorComplex, "square", square)
+            patch.setattr(HomotopySystem, "residuals", residuals)
+            products = []
+
+            def product(res, n, products=products):
+                products.append(n)
+                return real_defect(res, n)
+
+            patch.setattr(shamash, "_phi_defect", product)
             certificate = shamash._PhiCertificate(res)
-            refused = [n for n in steps if not certificate.holds(n)]
-            assert refused == [n for n in steps if broken in identity_uses(res, n)]
-            assert phi_squared_check(res).passed
-        if refused:
-            refused_somewhere.add(broken[0])
-    assert refused_somewhere == {"tau", "b", "c"}
+            assert not any(certificate.holds(n) for n in steps)
+            assert phi_squared_check(res).passed and products == list(steps)
+    assert all(shamash._PhiCertificate(res).holds(n) for n in steps)
 
 
 def test_a_replaced_sigma_is_checked_afresh():
@@ -820,11 +805,7 @@ def test_a_replaced_sigma_is_checked_afresh():
     res = build_codim2(max_step=4)
     system = res.system
     assert phi_squared_check(res).passed
-    sigma = system.sigma_e(1, 1)
-    entries = dict(sigma.entries)
-    first = first_in_column_order(entries)
-    entries[first] = entries[first] + system.ring.parse("x")
-    system._sigma[(1, 1)] = LabeledGradedMatrix(system.ring, sigma.rows, sigma.cols, entries)
+    corrupt_sigma_1_on_t_1(system)
     bad = shamash_resolution(system, 4)
     report = phi_squared_check(bad)
     assert not report.passed
@@ -832,6 +813,35 @@ def test_a_replaced_sigma_is_checked_afresh():
     row, col, entry = shift_reference_failure(bad, step)
     assert report.failure == f"phi_{step}.phi_{step + 1} defect at ({row}, {col}): {entry}"
 
+
+CORRUPTED_SIGMA_PHI_REPORTS = {
+    "codim2": """\
+[FAIL] phi.phi identity
+  ok: phi_1.phi_2 = sum a_j shift_j
+  FAIL: phi_2.phi_3 defect at (1, y(1,0)*1): x*y^2
+  FAIL: phi_3.phi_4 defect at (12, y(2,0)*{}): x^2
+  FAIL: phi_4.phi_5 defect at (y(0,1)*1, y(1,1)*1): x*y^2
+  FAIL: phi_5.phi_6 defect at (y(0,1)*12, y(2,1)*{}): x^2""",
+    "three-squares": """\
+[FAIL] phi.phi identity
+  ok: phi_1.phi_2 = sum a_j shift_j
+  FAIL: phi_2.phi_3 defect at (1, 1): x*y^2
+  FAIL: phi_3.phi_4 defect at (12, {}): x*z
+  FAIL: phi_4.phi_5 defect at (1, 1): x*y^2
+  FAIL: phi_5.phi_6 defect at (12, {}): x*z""",
+}
+
+
+@pytest.mark.parametrize(
+    "name, build", [("codim2", build_codim2), ("three-squares", build_three_squares)]
+)
+def test_phi_squared_reports_of_a_corrupted_sigma(name, build):
+    """One sigma_1 entry on T_1 off by x: each failing step names the first cell of its
+    full product, and the one step the corruption does not reach passes."""
+    system = build(max_step=6).system
+    corrupt_sigma_1_on_t_1(system)
+    report = phi_squared_check(shamash_resolution(system, 6))
+    assert report.summary() == CORRUPTED_SIGMA_PHI_REPORTS[name]
 
 def test_equal_entries_are_shared_objects():
     # r = 6 squares: tau entries are +-v^2, sigma entries +-(a or b or c or d*e)
