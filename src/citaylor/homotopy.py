@@ -18,7 +18,7 @@ The lift is the one free choice, and a HomotopySystem is built from it alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from operator import sub
@@ -26,7 +26,7 @@ from operator import sub
 from .matrix import LabeledGradedMatrix, defects
 from .poly import Polynomial
 from .report import Report
-from .taylor import MonomialIdeal, taylor_complex
+from .taylor import taylor_complex
 
 LIFT_STRATEGIES = ("first", "average")
 
@@ -39,12 +39,8 @@ class NonHomogeneous(ValueError):
     """Sequence elements must be homogeneous and nonzero."""
 
 
-@dataclass(frozen=True)
-class CompleteIntersectionData:
-    ring: object
-    ideal: MonomialIdeal
-    sequence: tuple[Polynomial, ...]
-    degrees: tuple[int, ...]
+class CompleteIntersectionData(namedtuple("CompleteIntersectionData", "ring ideal sequence degrees")):
+    __slots__ = ()
 
     @property
     def codim(self):
@@ -72,12 +68,10 @@ def complete_intersection(ideal, sequence):
     )
 
 
-@dataclass(frozen=True)
-class LiftMatrix:
+class LiftMatrix(namedtuple("LiftMatrix", "ci rows")):
     """c x r matrix f with sum_j f[i][j] * m_j = a_i for every row i."""
 
-    ci: CompleteIntersectionData
-    rows: tuple[tuple[Polynomial, ...], ...]
+    __slots__ = ()
 
     def entry(self, i, t):
         """f_{i,t} with both indices 1-based."""

@@ -8,7 +8,7 @@ print descending in grlex: total degree first, then lex.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -132,15 +132,17 @@ def is_prime(n):
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(namedtuple("PrimeField", "p")):
     """GF(p) for a prime p."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __new__(cls, p):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return super().__new__(cls, p)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
     @property
     def characteristic(self):
@@ -329,21 +331,22 @@ def _tokenize(src):
     return out
 
 
-@dataclass(frozen=True)
-class PolyRing:
+class PolyRing(namedtuple("PolyRing", "variables field")):
     """Polynomial ring: named variables and a coefficient field."""
 
-    variables: tuple[str, ...]
-    field: object = QQ
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.variables:
+    def __new__(cls, variables, field=QQ):
+        if not variables:
             raise ValueError("ring needs at least one variable")
-        if len(set(self.variables)) != len(self.variables):
+        if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
-        for v in self.variables:
+        for v in variables:
             if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", v):
                 raise ValueError(f"bad variable name {v!r}")
+        return super().__new__(cls, variables, field)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
     @property
     def nvars(self):

@@ -12,7 +12,7 @@ checks of one resolution share, so each piece of that work is done once per run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from operator import add, ge
 
@@ -39,13 +39,10 @@ class BadPrime(ValueError):
     """DEFAULT_PRIME divides a coefficient denominator of a QQ input."""
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(namedtuple("GroebnerBasis", "ring polys leading_exponents")):
     """Reduced basis under grevlex, ascending by leading term, with those leading exponents."""
 
-    ring: PolyRing
-    polys: tuple[Polynomial, ...]
-    leading_exponents: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def _reduce_full(terms, leads, polys):
@@ -152,10 +149,7 @@ def normal_form(poly, gb):
     return Polynomial(gb.ring, _reduce_full(poly.terms, gb.leading_exponents, gb.polys))
 
 
-@dataclass(frozen=True)
-class GradedPieceBasis:
-    degree: int
-    monomials: tuple[tuple[int, ...], ...]
+GradedPieceBasis = namedtuple("GradedPieceBasis", "degree monomials")
 
 
 def graded_piece_basis(gb, degree):

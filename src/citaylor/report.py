@@ -1,14 +1,24 @@
 """Pass/fail reports for the verification entry points."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class Report:
-    title: str
-    details: list[str] = field(default_factory=list)
-    failure: str | None = None
+    """A titled list of ok and FAIL lines, and the first failure; equal by value."""
+
+    __slots__ = ("title", "details", "failure")
+
+    def __init__(self, title, details=None, failure=None):
+        self.title = title
+        self.details = [] if details is None else details
+        self.failure = failure
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.title, self.details, self.failure) == (other.title, other.details, other.failure)
+
+    def __repr__(self):
+        return f"Report(title={self.title!r}, details={self.details!r}, failure={self.failure!r})"
 
     @property
     def passed(self):

@@ -52,7 +52,7 @@ window alone, with no built matrices compared.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import comb
@@ -151,11 +151,10 @@ def shamash_differential(system, n, rows, cols):
     return LabeledGradedMatrix(system.ring, rows, cols, entries)
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
-    minimal: bool
-    unit_taylor_entries: tuple
-    constant_lift_entries: tuple
+class MinimalityReport(
+    namedtuple("MinimalityReport", "minimal unit_taylor_entries constant_lift_entries")
+):
+    __slots__ = ()
 
     def describe(self):
         lines = []
@@ -168,19 +167,14 @@ class MinimalityReport:
         return lines
 
 
-@dataclass(frozen=True)
-class PeriodicityInfo:
-    status: str  # "periodic" | "none" | "not-applicable"
-    start: int | None = None
+# status is "periodic" (from step start), "none" or "not-applicable"
+PeriodicityInfo = namedtuple("PeriodicityInfo", "status start", defaults=(None,))
 
 
-@dataclass(frozen=True)
-class ShamashResolution:
-    system: object
-    bases: tuple
-    differentials: tuple
-    minimality: MinimalityReport
-    periodicity: PeriodicityInfo
+class ShamashResolution(
+    namedtuple("ShamashResolution", "system bases differentials minimality periodicity")
+):
+    __slots__ = ()
 
     @property
     def max_step(self):

@@ -13,25 +13,21 @@ face's row by position, from the order in which T_k extends T_{k-1}.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import chain
-from typing import NamedTuple
 
 from .matrix import LabeledGradedMatrix
 from .report import Report
 
 
-class BasisElement(NamedTuple):
+class BasisElement(namedtuple("BasisElement", "u indices lcm twist")):
     """The summand y^(u) * e_S of a free module, in internal degree twist.
 
     u is the divided-power index over the sequence, () in the Taylor complex;
     indices is S (1-based, strictly increasing) and lcm its lcm exponents.
     """
 
-    u: tuple[int, ...]
-    indices: tuple[int, ...]
-    lcm: tuple[int, ...]
-    twist: int
+    __slots__ = ()
 
     def __str__(self):
         s = self.indices
@@ -46,20 +42,21 @@ class BasisElement(NamedTuple):
         return f"y({','.join(map(str, self.u))})*{text}"
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
-    ring: object
-    generators: tuple[tuple[int, ...], ...]
+class MonomialIdeal(namedtuple("MonomialIdeal", "ring generators")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.generators:
+    def __new__(cls, ring, generators):
+        if not generators:
             raise ValueError("ideal needs at least one generator")
-        n = self.ring.nvars
-        for m in self.generators:
+        n = ring.nvars
+        for m in generators:
             if len(m) != n:
                 raise ValueError("generator does not live in the ring")
-        if len(set(self.generators)) != len(self.generators):
+        if len(set(generators)) != len(generators):
             warnings.warn("duplicate generators make every resolution here nonminimal")
+        return super().__new__(cls, ring, generators)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
     @property
     def ngens(self):
@@ -98,12 +95,28 @@ def monomial_generator(ring, g):
     return ring.monomial(e)
 
 
-@dataclass(frozen=True)
 class TaylorComplex:
-    ideal: MonomialIdeal
-    bases: tuple[tuple[BasisElement, ...], ...]
-    differentials: tuple[LabeledGradedMatrix, ...]
-    _squares: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    """T_0..T_r and tau_1..tau_r, equal by value; immutable but for its memo
+    of squares, which starts empty, so a copy with other differentials
+    multiplies its own."""
+
+    __slots__ = ("ideal", "bases", "differentials", "_squares")
+
+    def __init__(self, ideal, bases, differentials):
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "differentials", differentials)
+        object.__setattr__(self, "_squares", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TaylorComplex is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ideal, self.bases, self.differentials) == (
+            other.ideal, other.bases, other.differentials
+        )
 
     def basis(self, k):
         """T_k; empty outside 0..r, so sigma on T_r has an empty target."""

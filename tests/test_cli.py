@@ -1252,6 +1252,21 @@ def test_package_imports_without_site_packages():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    """They cost start-up time that every run pays. Only the modules the import adds
+    count, so a module the interpreter loads before it, from a .pth file say, does not."""
+    script = (
+        "import sys\nbefore = set(sys.modules)\nimport citaylor, citaylor.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(citaylor.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "citaylor.cli" in added
+    assert {"dataclasses", "inspect"}.isdisjoint(added)
+
+
 def unused_imports(source):
     """(line, name) of each name the module imports and then never reads, or also
     binds by ``def``, assignment or argument, which hides the import where the

@@ -121,6 +121,12 @@ def test_fixed_assignment_validation():
         compute_lift(R.parse("x*y*z"), J, {(1, 1, 1): 2})
     with pytest.raises(ValueError, match="unknown lift strategy"):
         compute_lift(a, I, "nearest")
+    R = ring("x,y")
+    K = monomial_ideal(R, [(0, 0), (1, 0)])  # the constant term prints as 1
+    with pytest.raises(ValueError, match="^no assignment for term 1$"):
+        compute_lift(R.parse("1"), K, {})
+    with pytest.raises(ValueError, match="^generator 2 does not divide term 1$"):
+        compute_lift(R.parse("1"), K, {(0, 0): 2})
 
 
 def test_a_lift_is_one_rule_value():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from citaylor import GF, QQ, ParseError, PolyRing
+from citaylor import GF, QQ, ParseError, PolyRing, PrimeField
 from citaylor.poly import exponents_of_degree, grlex, is_prime
 from citaylor.quotient import grevlex
 
@@ -26,6 +26,10 @@ def test_prime_field_rejects_composites():
         GF(10)
     with pytest.raises(ValueError):
         GF(1)
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        PrimeField(4)
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        GF(7)._replace(p=4)
 
 
 def test_modp_arithmetic():
@@ -139,10 +143,17 @@ def test_parse_empty_string(ring_xyz):
 
 
 def test_ring_validation():
-    with pytest.raises(ValueError):
-        PolyRing(("x", "x"), QQ)
-    with pytest.raises(ValueError):
-        PolyRing((), QQ)
+    """The same message whether the ring is built or replaced from a valid one."""
+    for variables, message in [
+        (("x", "x"), "duplicate variable names"),
+        ((), "ring needs at least one variable"),
+        (("x", "1y"), "bad variable name '1y'"),
+        (("x", "y-z"), "bad variable name 'y-z'"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PolyRing(variables, QQ)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PolyRing(("x",), GF(7))._replace(variables=variables)
 
 
 # exponent tuple in the ring x,y -> the message naming what is wrong with it

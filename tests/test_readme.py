@@ -10,8 +10,13 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_readme_python_example_runs(capsys):
     blocks = README.read_text().split("```python\n")[1:]
     assert len(blocks) == 1
-    exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
+    code, scope = blocks[0].split("```")[0], {}
+    exec(compile(code, "README.md", "exec"), scope)
     assert capsys.readouterr().out.startswith("[PASS] homotopy system")
+    shown = dict(line.split("#", 1) for line in code.splitlines() if "#" in line)
+    shown = {expr.strip(): comment.strip() for expr, comment in shown.items()}
+    for expr in ("I.subset((1, 2))", "res.periodicity"):  # the records' reprs, as printed
+        assert shown[expr] == repr(eval(expr, scope))
 
 
 def test_readme_resolve_example_matches_the_program(capsys):

@@ -1,7 +1,6 @@
 """Assembly of the quotient-ring resolution from a homotopy system."""
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -422,8 +421,6 @@ def test_matrix_factorization_three_squares(three_squares):
 @pytest.mark.parametrize("offset", [0, 2])
 def test_matrix_factorization_rejects_a_broken_identity(three_squares, offset):
     """A corrupted phi_{n0} breaks AB = a at n0; a corrupted phi_{n0+2} breaks BA at n0 + 1."""
-    from dataclasses import replace
-
     from citaylor import LabeledGradedMatrix
 
     n0 = three_squares.periodicity.start
@@ -434,7 +431,7 @@ def test_matrix_factorization_rejects_a_broken_identity(three_squares, offset):
     entries[first] = entries[first] + three_squares.system.ring.parse("y")
     diffs = list(three_squares.differentials)
     diffs[m - 1] = LabeledGradedMatrix(phi.ring, phi.rows, phi.cols, entries)
-    bad = replace(three_squares, differentials=tuple(diffs))
+    bad = three_squares._replace(differentials=tuple(diffs))
     step = n0 + offset // 2
     with pytest.raises(AssertionError, match=rf"^factorization identity fails at step {step}$"):
         matrix_factorization(bad)
@@ -582,7 +579,7 @@ def with_phi(res, n, edit):
     edit(phi, entries)
     diffs = list(res.differentials)
     diffs[n - 1] = LabeledGradedMatrix(phi.ring, phi.rows, phi.cols, entries)
-    return replace(res, differentials=tuple(diffs))
+    return res._replace(differentials=tuple(diffs))
 
 
 def first_in_column_order(cells):
@@ -687,7 +684,7 @@ def test_certificate_rejects_a_relabelled_basis(three_squares):
     diffs[2] = LabeledGradedMatrix(phi3.ring, basis, phi3.cols, rows)
     bases = list(res.bases)
     bases[2] = basis
-    bad = replace(res, bases=tuple(bases), differentials=tuple(diffs))
+    bad = res._replace(bases=tuple(bases), differentials=tuple(diffs))
     assert not shamash._PhiCertificate(bad).holds(1)
     row, col, entry = shamash._phi_defect(bad, 1).first_failure()
     assert phi_squared_check(bad).failure == f"phi_1.phi_2 defect at ({row}, {col}): {entry}"
@@ -716,7 +713,7 @@ def test_certificate_rejects_a_label_of_the_wrong_weight(three_squares):
         diffs[2] = LabeledGradedMatrix(phi3.ring, basis, phi3.cols, phi3.entries)
         bases = list(res.bases)
         bases[2] = basis
-        bad = replace(res, bases=tuple(bases), differentials=tuple(diffs))
+        bad = res._replace(bases=tuple(bases), differentials=tuple(diffs))
         certificate = shamash._PhiCertificate(bad)
         assert not any(certificate.holds(n) for n in (1, 2, 3)), label
         assert phi_squared_check(bad).details == phi_squared_check(res).details

@@ -1,4 +1,5 @@
 """Taylor complex: bases, differentials, and the d^2 = 0 identity."""
+import functools
 import math
 import random
 import warnings
@@ -10,7 +11,13 @@ from citaylor import (
     GF,
     QQ,
     MonomialIdeal,
+    buchberger,
+    complete_intersection,
+    graded_piece_basis,
+    homotopy_system,
+    lift_matrix,
     monomial_ideal,
+    shamash_resolution,
     taylor_complex,
     verify_taylor,
 )
@@ -52,6 +59,61 @@ def test_basis_element_is_immutable_and_hashes_by_value(ring_xyz):
     with pytest.raises(TypeError):
         element[0] = (1,)
     assert element.twist == 3
+
+
+def _ideal(n):
+    return monomial_ideal(ring("x,y"), ["x^2", ("y^2", "x*y")[n]])
+
+
+def _ci(n):
+    return complete_intersection(_ideal(n), [("x^2 + y^2", "x^2*y + x*y^2")[n]])
+
+
+@functools.lru_cache
+def _system(n):
+    """One system per n: a resolution holds its system, which compares by identity."""
+    return homotopy_system(_ci(n))
+
+
+def _resolution(n):
+    return shamash_resolution(_system(n), 3 + n)
+
+
+# record -> (build from n, whose two builds are equal and differ from the other n's;
+#            a field; whether it hashes, which no record holding a matrix does)
+RECORDS = {
+    "PrimeField": (lambda n: GF((7, 11)[n]), "p", True),
+    "PolyRing": (lambda n: ring(("x,y", "x,z")[n]), "variables", True),
+    "MonomialIdeal": (_ideal, "generators", True),
+    "TaylorComplex": (lambda n: taylor_complex(_ideal(n)), "differentials", False),
+    "CompleteIntersectionData": (_ci, "sequence", True),
+    "LiftMatrix": (lambda n: lift_matrix(_ci(n)), "rows", True),
+    "GroebnerBasis": (lambda n: buchberger(_ci(n).sequence), "polys", True),
+    "GradedPieceBasis": (
+        lambda n: graded_piece_basis(buchberger(_ci(0).sequence), 3 + n), "monomials", True
+    ),
+    "MinimalityReport": (lambda n: _resolution(n).minimality, "minimal", True),
+    "PeriodicityInfo": (lambda n: _resolution(n).periodicity, "status", True),
+    "ShamashResolution": (_resolution, "bases", False),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_and_compare_by_value(name):
+    build, field, hashable = RECORDS[name]
+    record, again, other = build(0), build(0), build(1)
+    assert type(record).__name__ == name
+    assert record is not again and record == again and record != other
+    if hashable:
+        assert hash(record) == hash(again)
+        assert len({record, again, other}) == 2
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+    for attribute in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, getattr(other, field))
+    assert record == again
 
 
 def test_compact_label_widens_past_nine():
@@ -135,19 +197,19 @@ def test_differentials_are_homogeneous():
 
 def test_verify_taylor_reports_a_corrupted_complex():
     """A negated tau_2 entry breaks tau.tau = 0; an inhomogeneous tau_3 entry is named."""
-    from dataclasses import replace
-
-    from citaylor import LabeledGradedMatrix
+    from citaylor import LabeledGradedMatrix, TaylorComplex
 
     cx = build_squarefree_taylor()
+    assert verify_taylor(cx).passed  # every square is now kept by cx, and by no copy of it
     tau1, tau2, tau3 = cx.differentials
     negated = dict(tau2.entries)
     negated[(0, 0)] = -negated[(0, 0)]
     ungraded = dict(tau3.entries)
     ungraded[(0, 0)] = tau3.ring.parse("x^2 + y")
-    broken = replace(
-        cx,
-        differentials=(
+    broken = TaylorComplex(
+        cx.ideal,
+        cx.bases,
+        (
             tau1,
             LabeledGradedMatrix(tau2.ring, tau2.rows, tau2.cols, negated),
             LabeledGradedMatrix(tau3.ring, tau3.rows, tau3.cols, ungraded),
@@ -161,14 +223,15 @@ def test_verify_taylor_reports_a_corrupted_complex():
         "FAIL: tau_3 entry (12, 123) = x^2 + y is not homogeneous",
     ]
     assert report.failure == "tau_1.tau_2 nonzero at ({}, 12): -2*x*y*z"
+    assert verify_taylor(broken) == report != verify_taylor(cx)  # reports compare by value
+    with pytest.raises(TypeError):
+        hash(report)
 
 
 def test_homogeneity_checks_a_shared_entry_at_each_cell():
     """One entry object at cells of different expected degree: only the wrong cells
     are named, in (row, col) order, with the witness verify_taylor prints."""
-    from dataclasses import replace
-
-    from citaylor import LabeledGradedMatrix
+    from citaylor import LabeledGradedMatrix, TaylorComplex
 
     R = ring("x,y")
     cx = taylor_complex(monomial_ideal(R, ["x^2", "y"]))
@@ -178,7 +241,7 @@ def test_homogeneity_checks_a_shared_entry_at_each_cell():
     assert [b.twist for b in tau1.rows] == [0] and [b.twist for b in tau1.cols] == [2, 1]
     shared = LabeledGradedMatrix(R, tau1.rows, tau1.cols, {(0, 1): square, (0, 0): square})
     assert shared.homogeneity_violations() == [(tau1.rows[0], tau1.cols[1], square)]
-    report = verify_taylor(replace(cx, differentials=(shared, tau2)))
+    report = verify_taylor(TaylorComplex(cx.ideal, cx.bases, (shared, tau2)))
     assert [line for line in report.details if "homogeneous" in line] == [
         "FAIL: tau_1 entry ({}, 2) = x^2 is not homogeneous"
     ]
@@ -314,8 +377,11 @@ def test_single_pass_complex_matches_standalone_builders():
 
 
 def test_duplicate_generators_warn(ring_xyz):
-    with pytest.warns(UserWarning):
-        monomial_ideal(ring_xyz, ["x*y", "x*y"])
+    message = "^duplicate generators make every resolution here nonminimal$"
+    with pytest.warns(UserWarning, match=message):
+        I = monomial_ideal(ring_xyz, ["x*y", "x*y"])
+    with pytest.warns(UserWarning, match=message):
+        assert I._replace() == I
 
 
 def test_nonmonomial_generator_rejected(ring_xyz):
@@ -326,8 +392,10 @@ def test_nonmonomial_generator_rejected(ring_xyz):
 
 
 def test_empty_ideal_rejected(ring_xyz):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ideal needs at least one generator$"):
         monomial_ideal(ring_xyz, [])
+    with pytest.raises(ValueError, match="^ideal needs at least one generator$"):
+        monomial_ideal(ring_xyz, ["x"])._replace(generators=())
 
 
 def test_wrong_arity_generator_rejected(ring_xyz):
@@ -337,3 +405,7 @@ def test_wrong_arity_generator_rejected(ring_xyz):
         monomial_ideal(ring_xyz, [(1, -1, 0)])
     with pytest.raises(ValueError, match="^generator does not live in the ring$"):
         MonomialIdeal(ring("x,y"), ((1,),))
+    with pytest.raises(ValueError, match="^generator does not live in the ring$"):
+        monomial_ideal(ring("x,y"), ["x"])._replace(generators=((1,),))
+    with pytest.raises(ValueError, match="^generator does not live in the ring$"):
+        monomial_ideal(ring("x,y"), ["x"])._replace(ring=ring_xyz)
