@@ -192,7 +192,9 @@ def average_lifts(lifts, weights):
 class HomotopySystem:
     """Taylor differential plus one homotopy per sequence element, read off the lift."""
 
-    __slots__ = ("ci", "lift", "complex", "identities", "_sigma", "_residuals")
+    __slots__ = (
+        "ci", "lift", "complex", "identities", "_sigma", "_products", "_residuals", "_steps"
+    )
 
     def __init__(self, lift):
         self.ci = lift.ci
@@ -205,7 +207,9 @@ class HomotopySystem:
             *((i, j, k) for i in range(1, c + 1) for j in range(i, c + 1) for k in range(r - 1)),
         )
         self._sigma = {}
+        self._products = {}  # (i, t, id(tau entry)) -> sigma entry; the complex holds each tau entry
         self._residuals = {}  # operand ids -> (operands, residual); held operands keep ids unique
+        self._steps = {}  # n -> shamash's (blocks, rank, basis) of F_n, built on first use
 
     @property
     def ring(self):
@@ -225,15 +229,17 @@ class HomotopySystem:
         Valid for 0 <= k <= r; at k = r the target module is zero.  tau_{k+1}
         lists column S + t's entries in face order, so the p-th is at (S, S + t)
         for the t at position p; an entry is built only where f_it is nonzero.
+        Each product f_it * x^(m_t - q) is built once per system: the tau_k
+        share their entries, so one (i, t, tau entry) recurs across cells and k.
         """
+        cached = self._sigma.get((i, k))
+        if cached is not None:
+            return cached
         if not 1 <= i <= self.ci.codim:
             raise ValueError(f"sequence index {i} out of range 1..{self.ci.codim}")
         r = self.ideal.ngens
         if not 0 <= k <= r:
             raise ValueError(f"homological degree {k} out of range 0..{r}")
-        cached = self._sigma.get((i, k))
-        if cached is not None:
-            return cached
         rows, cols = self.complex.basis(k + 1), self.complex.basis(k)
         gens = self.ideal.generators
         lift = self.lift.rows[i - 1]
@@ -241,18 +247,17 @@ class HomotopySystem:
         tau = self.complex.differential(k + 1).entries if k < r else {}
         ts = chain.from_iterable(label.indices for label in rows)  # each tau entry's t, in order
         entries = {}
-        shared = {}  # (t, tau entry) -> the one sigma entry they all refer to
+        products = self._products
         for ((s, st), p), t in zip(tau.items(), ts):  # sign * x^q at (S, S + t)
             if t in nonzero:
-                poly = shared.get((t, id(p)))
+                poly = products.get((i, t, id(p)))
                 if poly is None:
                     (q, sign), = p.terms.items()
                     m_over_q = tuple(map(sub, gens[t - 1], q))
-                    poly = shared[(t, id(p))] = lift[t - 1].mul_term(m_over_q, sign)
+                    poly = products[(i, t, id(p))] = lift[t - 1].mul_term(m_over_q, sign)
                 entries[(st, s)] = poly
-        built = LabeledGradedMatrix(self.ring, rows, cols, entries)
-        self._sigma[(i, k)] = built
-        return built
+        sigma = self._sigma[(i, k)] = LabeledGradedMatrix._trusted(self.ring, rows, cols, entries)
+        return sigma
 
     def _identity(self, i, j, k):
         """(operands, pairs, corrections) of (b) for a_i on T_k if j is None, else

@@ -256,8 +256,7 @@ def resolution_from_json(doc):
         if dmat.get("to") != dmat["from"] - 1 or type(dmat["to"]) is not int:
             raise ValueError(f"stored differential {dmat['from']} maps to step {dmat.get('to')}")
         entries = res.differential(dmat["from"]).entries
-        text_of = {id(p): str(p) for p in {id(p): p for p in entries.values()}.values()}
-        canonical = {cell: text_of[id(p)] for cell, p in entries.items()}
+        canonical = {cell: str(p) for cell, p in entries.items()}  # a polynomial keeps its text
         try:  # checked as it is read, like the modules
             stored = {(e["row"], e["col"]): e["poly"] for e in dmat["entries"]}
             if not _ints(chain.from_iterable(stored)):

@@ -3,7 +3,12 @@
 Labels are arbitrary hashable objects exposing a ``twist`` attribute (internal
 degree of the corresponding free summand).  Entries live in a PolyRing; zero
 entries are never stored.  The matrix holds no rendering metadata: block
-boundaries in printed output come from the labels themselves.
+boundaries in printed output come from the labels themselves.  The public
+constructor copies its entries and drops zeros; a matrix the library builds
+itself (tau_k, sigma, phi and each ``defects`` result) is wrapped around its
+fresh dict of nonzero entries and tuple labels by ``_trusted``, without a
+copy, and the homotopy system builds each step basis, layout and sigma
+product once.
 
 ``defects`` is the one kernel behind every product of matrices: it returns,
 for each identity of a list, the sum of its products minus its expected
@@ -50,6 +55,16 @@ class LabeledGradedMatrix:
         if not all(map(attrgetter("terms"), entries.values())):
             entries = {k: p for k, p in entries.items() if p.terms}
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _trusted(cls, ring, rows, cols, entries):
+        """The matrix of a dict the caller built for it alone, nonzero entries and tuple labels."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledGradedMatrix is immutable")
@@ -215,5 +230,5 @@ def defects(identities):
         for key, c in residual:
             cells.setdefault(key >> cell_shift, {})[tuple(key >> s & mask for s in shifts)] = c
         entries = {divmod(cell, ncols): Polynomial(ring, terms) for cell, terms in cells.items()}
-        results.append(LabeledGradedMatrix(ring, rows, cols, entries))
+        results.append(LabeledGradedMatrix._trusted(ring, rows, cols, entries))
     return results

@@ -337,6 +337,7 @@ class PolyRing(namedtuple("PolyRing", "variables field")):
     __slots__ = ()
 
     def __new__(cls, variables, field=QQ):
+        variables = tuple(variables)  # a list of names is the same ring, and hashes
         if not variables:
             raise ValueError("ring needs at least one variable")
         if len(set(variables)) != len(variables):

@@ -75,31 +75,31 @@ def _weights(q, c):
 
 
 def _layout(system, n):
-    """The blocks of F_n in basis order, {k: (offset, us)}, and rank F_n.
+    """The blocks of F_n in basis order, {k: (offset, us)}, rank F_n and the basis
+    tuple, built once per system.
 
     Block k holds the pairs (u, S) with |S| = k and u of weight (n - k) / 2,
     S-major: (u, S) sits at offset + (index of S in T_k) * len(us) + (index of u).
+    The basis runs |S| ascending, then S lexicographic, then u lexicographic.
     """
-    blocks = {}
-    offset = 0
-    c = system.ci.codim
-    for k in range(n % 2, min(n, system.ideal.ngens) + 1, 2):
-        us = _weights((n - k) // 2, c)
-        blocks[k] = (offset, us)
-        offset += len(system.complex.basis(k)) * len(us)
-    return blocks, offset
+    step = system._steps.get(n)
+    if step is None:
+        blocks, basis = {}, []
+        c, degrees = system.ci.codim, system.ci.degrees
+        for k in range(n % 2, min(n, system.ideal.ngens) + 1, 2):
+            us = _weights((n - k) // 2, c)
+            blocks[k] = (len(basis), us)
+            shifted = [(u, sum(map(mul, u, degrees))) for u in us]
+            for e_s in system.complex.basis(k):
+                for u, d in shifted:
+                    basis.append(BasisElement(u, e_s.indices, e_s.lcm, e_s.twist + d))
+        step = system._steps[n] = (blocks, len(basis), tuple(basis))
+    return step
 
 
 def shamash_basis(system, n):
     """Basis of step n: |S| ascending, then S lexicographic, then u lexicographic."""
-    degrees = system.ci.degrees
-    out = []
-    for k, (_, us) in _layout(system, n)[0].items():
-        shifted = [(u, sum(map(mul, u, degrees))) for u in us]
-        for e_s in system.complex.basis(k):
-            for u, d in shifted:
-                out.append(BasisElement(u, e_s.indices, e_s.lcm, e_s.twist + d))
-    return out
+    return list(_layout(system, n)[2])
 
 
 def _place(cells, source, target, j):
@@ -133,8 +133,8 @@ def shamash_differential(system, n, rows, cols):
     Each tau and sigma entry is placed by assignment, once per u, into a cell
     nothing else writes; every cell is found from the block offsets.
     """
-    row_blocks, nrows = _layout(system, n - 1)
-    col_blocks, ncols = _layout(system, n)
+    row_blocks, nrows, _ = _layout(system, n - 1)
+    col_blocks, ncols, _ = _layout(system, n)
     if (len(rows), len(cols)) != (nrows, ncols):
         raise ValueError(
             f"phi_{n} needs {nrows} rows and {ncols} columns, got {len(rows)} and {len(cols)}"
@@ -148,7 +148,7 @@ def shamash_differential(system, n, rows, cols):
             for j in range(1, system.ci.codim + 1):
                 sigma = system.sigma_e(j, k).entries.items()
                 entries.update(_place(sigma, block, row_blocks[k + 1], j))
-    return LabeledGradedMatrix(system.ring, rows, cols, entries)
+    return LabeledGradedMatrix._trusted(system.ring, tuple(rows), tuple(cols), entries)
 
 
 class MinimalityReport(
@@ -243,7 +243,7 @@ def shamash_resolution(system, max_step):
     """Assemble F_0..F_N with differentials phi_1..phi_N."""
     if max_step < 0:
         raise ValueError("max_step must be >= 0")
-    bases = tuple(tuple(shamash_basis(system, n)) for n in range(max_step + 1))
+    bases = tuple(_layout(system, n)[2] for n in range(max_step + 1))
     diffs = tuple(
         shamash_differential(system, n, bases[n - 1], bases[n])
         for n in range(1, max_step + 1)
@@ -295,9 +295,10 @@ class _PhiCertificate:
         self._placed = {}  # n -> placement verdict of phi_n
 
     def blocks(self, basis, n):
-        """{(u, k): [position of (u, S) for each S of T_k in order]} read off the labels of F_n.
+        """{(u, k): range of the positions of (u, S) for each S of T_k in order} of F_n.
 
-        None unless basis is shamash_basis(system, n), field for field: the one
+        Read off the step's layout, and None unless basis is
+        shamash_basis(system, n), field for field: the one
         basis of step n, in the order shift_j positions are computed in.  The
         verdict is kept with the basis object it was reached for, so F_n, the
         columns of phi_n and the rows of phi_{n+1}, is compared once; another
@@ -308,8 +309,10 @@ class _PhiCertificate:
             blocks = None
             if basis == tuple(shamash_basis(self.system, n)):
                 blocks = {}
-                for pos, b in enumerate(basis):
-                    blocks.setdefault((b.u, len(b.indices)), []).append(pos)
+                for k, (offset, us) in _layout(self.system, n)[0].items():
+                    end = offset + len(self.system.complex.basis(k)) * len(us)
+                    for x, u in enumerate(us):
+                        blocks[(u, k)] = range(offset + x, end, len(us))
             kept = self._blocks[n] = (basis, blocks)
         return kept[1]
 

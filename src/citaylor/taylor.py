@@ -185,7 +185,8 @@ def taylor_complex(ideal):
             shared[key] = ring.term(exponents, -1 if key & 1 else 1)
         cells = [(i, j) for j, rows in enumerate(face_rows) for i in rows]
         labels = tuple(labels)  # T_k, and the columns of tau_k
-        diffs.append(LabeledGradedMatrix(ring, level, labels, zip(cells, map(shared.get, keys))))
+        tau = dict(zip(cells, map(shared.get, keys)))
+        diffs.append(LabeledGradedMatrix._trusted(ring, level, labels, tau))
         level, packed, faces, first = labels, lcms, face_rows, firsts
         bases.append(level)
     return TaylorComplex(ideal, tuple(bases), tuple(diffs))

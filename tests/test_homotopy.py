@@ -1,5 +1,6 @@
 """Lifts and the higher homotopies on the Taylor complex."""
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -341,6 +342,43 @@ def test_sigma_matches_the_formula_on_every_taylor_module(field, codim):
             for k in range(r + 1):
                 assert system.sigma_e(i, k).entries == reference_sigma(system, i, k), (i, k)
             assert system.sigma_e(i, r).entries == {}
+
+
+SIGMA_RANGE_ERRORS = {
+    (0, 0): "sequence index 0 out of range 1..2",
+    (3, 0): "sequence index 3 out of range 1..2",
+    (1, -1): "homological degree -1 out of range 0..4",
+    (1, 5): "homological degree 5 out of range 0..4",
+}
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["fresh", "after-every-sigma"])
+def test_sigma_rejects_indices_out_of_range(built):
+    """i = 0, i = c + 1, k = -1 and k = r + 1 are refused by name, whether or not
+    every valid sigma_e(i, k) has been built and kept."""
+    system = homotopy_system(codim2_ci(), "first")
+    if built:
+        for i in (1, 2):
+            for k in range(5):
+                system.sigma_e(i, k)
+    for (i, k), message in SIGMA_RANGE_ERRORS.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            system.sigma_e(i, k)
+
+
+def test_sigma_products_are_kept_per_sequence_element():
+    """f = ((x, y), (y, y)) differ at generator 1: sigma_1 and sigma_2 read the same tau
+    entry there, so on T_0 and on T_1 they hold different entries at one cell."""
+    R = ring("x,y")
+    ci = complete_intersection(monomial_ideal(R, ["x^2", "y^2"]), ["x^3 + y^3", "x^2*y + y^3"])
+    system = homotopy_system(ci, "first")
+    assert [[str(f) for f in row] for row in system.lift.rows] == [["x", "y"], ["y", "y"]]
+    sigmas = {(i, k): system.sigma_e(i, k) for i in (1, 2) for k in range(3)}
+    for (i, k), sigma in sigmas.items():
+        assert sigma.entries == reference_sigma(system, i, k), (i, k)
+    for k, cell, first, second in [(0, (0, 0), "x", "y"), (1, (0, 1), "-x", "-y")]:
+        assert sigmas[(1, k)].entries[cell] == R.parse(first)
+        assert sigmas[(2, k)].entries[cell] == R.parse(second)
 
 
 def test_sigma_entries_homogeneous_of_forced_degree():

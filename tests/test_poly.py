@@ -156,6 +156,21 @@ def test_ring_validation():
             PolyRing(("x",), GF(7))._replace(variables=variables)
 
 
+def test_ring_from_a_list_of_names_is_the_ring_of_the_tuple():
+    """Variables given as a list make the same ring as the tuple: equal, hashable to the same
+    value, and its polynomials add to the tuple ring's; _replace with a list does too."""
+    from_list, from_tuple = PolyRing(["x", "y"]), PolyRing(("x", "y"))
+    assert from_list.variables == ("x", "y")
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert len({from_list, from_tuple}) == 1
+    total = from_list.parse("x") + from_tuple.parse("y")
+    assert total == from_tuple.parse("x + y") and total.ring == from_tuple
+    assert from_tuple.parse("x*y") == from_list.parse("x") * from_tuple.parse("y")
+    replaced = PolyRing(("a",), GF(7))._replace(variables=["x", "y"])
+    assert replaced.variables == ("x", "y") and replaced == PolyRing(("x", "y"), GF(7))
+    assert hash(replaced) == hash(PolyRing(("x", "y"), GF(7)))
+
+
 # exponent tuple in the ring x,y -> the message naming what is wrong with it
 BAD_EXPONENTS = {
     (-1, 0): "exponent tuple (-1, 0): negative exponent",

@@ -103,6 +103,37 @@ def test_compact_element_names(codim2, three_squares):
     assert str(three_squares.basis(2)[0]) == "{}"
 
 
+# ---- matrices the library builds for itself -----------------------------------
+
+
+def build_codim3_fractions(max_step=6):
+    """x,y,z,w; I = squares, xy and zw; a = (x^3 - 1/2*y^3, z^3 + 2/3*w^3, x^2*z^2), averaged."""
+    R = ring("x,y,z,w")
+    I = monomial_ideal(R, ["x^2", "y^2", "z^2", "w^2", "x*y", "z*w"])
+    ci = complete_intersection(I, ["x^3 - 1/2*y^3", "z^3 + 2/3*w^3", "x^2*z^2"])
+    return shamash_resolution(homotopy_system(ci, "average"), max_step)
+
+
+@pytest.mark.parametrize("build", [build_three_squares, build_codim2, build_codim3_fractions])
+def test_built_matrices_equal_their_public_construction(build):
+    """Every tau_k, sigma_e(i, k), phi_n and residual, each wrapped around its own dict
+    without a copy, is what the public constructor makes of it: tuple labels and no zero
+    entry.  The residuals are also taken with sigma_1 on T_1 corrupted, so some are nonzero."""
+    res = build()
+    corrupted = build().system
+    corrupt_sigma_1_on_t_1(corrupted)
+    system = res.system
+    r, c = system.ideal.ngens, system.ci.codim
+    built = [system.sigma_zero(k) for k in range(1, r + 1)]
+    built += [system.sigma_e(i, k) for i in range(1, c + 1) for k in range(r + 1)]
+    built += [*res.differentials, *system.residuals(), *corrupted.residuals()]
+    assert any(m.entries for m in corrupted.residuals())
+    for m in built:
+        assert m == LabeledGradedMatrix(m.ring, m.rows, m.cols, m.entries)
+        assert type(m.rows) is tuple and type(m.cols) is tuple
+        assert all(p.terms for p in m.entries.values())
+
+
 # ---- golden differentials: the c = 1 polynomial sequence example ------------
 
 
