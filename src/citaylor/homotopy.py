@@ -209,7 +209,7 @@ class HomotopySystem:
         self._sigma = {}
         self._products = {}  # (i, t, id(tau entry)) -> sigma entry; the complex holds each tau entry
         self._residuals = {}  # operand ids -> (operands, residual); held operands keep ids unique
-        self._steps = {}  # n -> shamash's (blocks, rank, basis) of F_n, built on first use
+        self._steps = {}  # n -> shamash's ({(u, k): positions}, basis) of F_n, built on first use
 
     @property
     def ring(self):

@@ -10,15 +10,16 @@ each entry of tau_k once for every u of weight (n - k) / 2, and each entry of
 sigma_j on T_k once for every such u with u_j >= 1.  No two of them land in
 one cell: tau keeps u and shrinks S, while sigma_j lowers u_j and grows S.
 
-The basis order is a block layout, and every position is read from it.  F_n
-is a run of blocks, one per |S| = k of the parity of n, k ascending; block k
-holds each S of T_k in order, and for each S every u of weight (n - k) / 2
-in lex order.  One rule, ``_place``, puts every block's cells: a map T_k -> T_k'
-with entry (i, s) sends column (u, s) of block k of F_n, at
-col offset + s * #u + (index of u), to row (u', i) of block k' of F_m, with
-u' = u for tau and u' = u - e_j for sigma_j and for the phi.phi shift_j
-(the identity on T_k), which skip each u with u_j = 0.  No cell is found by
-looking up a (u, S) pair.
+The basis order is a block layout, and ``_layout`` is the one place that
+knows it.  F_n is a run of blocks, one per |S| = k of the parity of n, k
+ascending; block k holds each S of T_k in order, and for each S every u of
+weight (n - k) / 2 in lex order.  The layout lists, for each (u, k), the
+position of (u, S) in F_n for each S of T_k in order.  A map T_k -> T_k' with
+entry (i, s) puts it at (rows[i], cols[s]), where cols lists the positions of
+(u, k) in F_n and rows those of (u', k') in F_m: u' = u for tau, and
+u' = u - e_j for sigma_j and for the phi.phi shift_j (the identity on T_k),
+which skip each u with u_j = 0.  No cell is found by looking up a (u, S)
+pair.
 
 Composing two consecutive differentials gives sum_j a_j * shift_j on the
 nose, where shift_j lowers u_j; over the quotient ring the a_j vanish, so
@@ -30,12 +31,13 @@ tau.sigma_j + sigma_j.tau (u_j lowered; a_j exactly when identity (b)
 holds), and sigma_i.sigma_j + sigma_j.sigma_i or sigma_i^2 (two lowerings;
 zero when identity (c) holds).  So step n is proved by two checks:
 
-- placement, by labels: the labels of phi_n and phi_{n+1} equal
-  ``shamash_basis`` of their step, field for field, so the shift_j cells sit
+- placement, by labels: the labels of phi_n and phi_{n+1} equal the
+  layout's bases of their steps, field for field, so the shift_j cells sit
   where the full defect puts them, and every nonzero cell (u', S') <- (u, S)
   is the tau_k entry its labels call for (u' = u, |S'| = |S| - 1) or the
   sigma_j entry (u' = u - e_j, |S'| = |S| + 1), the very object or an equal
-  one, and the cells number exactly as many as those entries;
+  one, found at the layout's positions, and the cells number exactly as many
+  as those entries;
 - every identity of the system: tau.tau = 0 on each step, and every (b) and
   (c) identity.  Together they give the three sums above for every block, at
   every step.  These are the residuals ``verify_taylor`` and
@@ -74,81 +76,61 @@ def _weights(q, c):
     return tuple(exponents_of_degree(c, q))[::-1]
 
 
-def _layout(system, n):
-    """The blocks of F_n in basis order, {k: (offset, us)}, rank F_n and the basis
-    tuple, built once per system.
+def _lowered(u, j):
+    """u - e_j, for 1 <= j <= len(u) and u_j >= 1."""
+    return u[: j - 1] + (u[j - 1] - 1,) + u[j:]
 
-    Block k holds the pairs (u, S) with |S| = k and u of weight (n - k) / 2,
-    S-major: (u, S) sits at offset + (index of S in T_k) * len(us) + (index of u).
-    The basis runs |S| ascending, then S lexicographic, then u lexicographic.
+
+def _layout(system, n):
+    """The positions and the basis of F_n, ({(u, k): positions}, basis), built once per system.
+
+    positions[s] is the index in F_n of (u, S_s), S_s the s-th subset of T_k and u
+    of weight (n - k) / 2.  The basis runs |S| ascending, then S lexicographic,
+    then u lexicographic, so positions step by the number of such u.
     """
     step = system._steps.get(n)
     if step is None:
-        blocks, basis = {}, []
+        positions, basis = {}, []
         c, degrees = system.ci.codim, system.ci.degrees
         for k in range(n % 2, min(n, system.ideal.ngens) + 1, 2):
             us = _weights((n - k) // 2, c)
-            blocks[k] = (len(basis), us)
+            subsets = system.complex.basis(k)
+            end = len(basis) + len(subsets) * len(us)
+            for x, u in enumerate(us):
+                positions[(u, k)] = list(range(len(basis) + x, end, len(us)))
             shifted = [(u, sum(map(mul, u, degrees))) for u in us]
-            for e_s in system.complex.basis(k):
+            for e_s in subsets:
                 for u, d in shifted:
                     basis.append(BasisElement(u, e_s.indices, e_s.lcm, e_s.twist + d))
-        step = system._steps[n] = (blocks, len(basis), tuple(basis))
+        step = system._steps[n] = (positions, tuple(basis))
     return step
 
 
 def shamash_basis(system, n):
     """Basis of step n: |S| ascending, then S lexicographic, then u lexicographic."""
-    return list(_layout(system, n)[2])
+    return list(_layout(system, n)[1])
 
 
-def _place(cells, source, target, j):
-    """Put a map T_k -> T_k' into phi: cells are its ((i, s), value) entries,
-    source = (offset, us) is block k of F_n and target block k' of F_m.
-
-    Column (u, s) lands in row (u, i) when j = 0, and in row (u - e_j, i)
-    when j >= 1 and u_j >= 1.  Returns {(row, col): value} from one dict
-    comprehension, u by u in lex order; each position is block arithmetic.
-    """
-    (col_off, us), (row_off, target_us) = source, target
-    if j:
-        at = {u: x for x, u in enumerate(target_us)}
-        shifts = [
-            (at[u[: j - 1] + (u[j - 1] - 1,) + u[j:]], x) for x, u in enumerate(us) if u[j - 1]
-        ]
-    else:
-        shifts = [(x, x) for x in range(len(us))]
-    m, lm = len(us), len(target_us)
-    return {
-        (row_off + lx + i * lm, col_off + x + s * m): value
-        for lx, x in shifts
-        for (i, s), value in cells
-    }
-
-
-def shamash_differential(system, n, rows, cols):
-    """The assembled map F_n -> F_{n-1}, n >= 1, with rows = shamash_basis(system, n - 1)
-    and cols = shamash_basis(system, n).
+def shamash_differential(system, n):
+    """The assembled map F_n -> F_{n-1}, n >= 1, labelled by the bases of the two steps.
 
     Each tau and sigma entry is placed by assignment, once per u, into a cell
-    nothing else writes; every cell is found from the block offsets.
+    nothing else writes; every cell is read off the layout's positions.
     """
-    row_blocks, nrows, _ = _layout(system, n - 1)
-    col_blocks, ncols, _ = _layout(system, n)
-    if (len(rows), len(cols)) != (nrows, ncols):
-        raise ValueError(
-            f"phi_{n} needs {nrows} rows and {ncols} columns, got {len(rows)} and {len(cols)}"
-        )
-    entries = {}
-    for k, block in col_blocks.items():
-        if k - 1 in row_blocks:
-            tau = system.sigma_zero(k).entries.items()
-            entries.update(_place(tau, block, row_blocks[k - 1], 0))
-        if k + 1 in row_blocks:  # none at k = n (u = 0 only) or k = r (T_{r+1} = 0)
-            for j in range(1, system.ci.codim + 1):
-                sigma = system.sigma_e(j, k).entries.items()
-                entries.update(_place(sigma, block, row_blocks[k + 1], j))
-    return LabeledGradedMatrix._trusted(system.ring, tuple(rows), tuple(cols), entries)
+    row_at, rows = _layout(system, n - 1)
+    col_at, cols = _layout(system, n)
+    blocks = []  # (row positions, column positions, map) of each placed block
+    for (u, k), col in col_at.items():
+        if k:
+            blocks.append((row_at[(u, k - 1)], col, system.sigma_zero(k)))
+        for j in range(1, len(u) + 1):
+            row = u[j - 1] and row_at.get((_lowered(u, j), k + 1))
+            if row:  # none where u_j = 0, or at k = r: T_{r+1} = 0
+                blocks.append((row, col, system.sigma_e(j, k)))
+    entries = {
+        (row[i], col[s]): p for row, col, mat in blocks for (i, s), p in mat.entries.items()
+    }
+    return LabeledGradedMatrix._trusted(system.ring, rows, cols, entries)
 
 
 class MinimalityReport(
@@ -243,11 +225,8 @@ def shamash_resolution(system, max_step):
     """Assemble F_0..F_N with differentials phi_1..phi_N."""
     if max_step < 0:
         raise ValueError("max_step must be >= 0")
-    bases = tuple(_layout(system, n)[2] for n in range(max_step + 1))
-    diffs = tuple(
-        shamash_differential(system, n, bases[n - 1], bases[n])
-        for n in range(1, max_step + 1)
-    )
+    bases = tuple(_layout(system, n)[1] for n in range(max_step + 1))
+    diffs = tuple(shamash_differential(system, n) for n in range(1, max_step + 1))
     return ShamashResolution(
         system,
         bases,
@@ -262,11 +241,13 @@ def _shift_positions(resolution, n, j):
     in column order.
     """
     system = resolution.system
-    row_blocks = _layout(system, n - 1)[0]
-    for k, block in _layout(system, n + 1)[0].items():
-        if k in row_blocks:  # F_{n-1} has no block n + 1
-            identity = [((s, s), None) for s in range(len(system.complex.basis(k)))]
-            yield from sorted(_place(identity, block, row_blocks[k], j), key=itemgetter(1))
+    row_at = _layout(system, n - 1)[0]
+    pairs = (
+        zip(row_at[(_lowered(u, j), k)], col)
+        for (u, k), col in _layout(system, n + 1)[0].items()
+        if u[j - 1]
+    )
+    return sorted(chain.from_iterable(pairs), key=itemgetter(1))
 
 
 def _phi_defect(resolution, n):
@@ -291,30 +272,7 @@ class _PhiCertificate:
     def __init__(self, resolution):
         self.resolution = resolution
         self.system = resolution.system
-        self._blocks = {}  # n -> (basis of F_n last compared, its blocks or None)
         self._placed = {}  # n -> placement verdict of phi_n
-
-    def blocks(self, basis, n):
-        """{(u, k): range of the positions of (u, S) for each S of T_k in order} of F_n.
-
-        Read off the step's layout, and None unless basis is
-        shamash_basis(system, n), field for field: the one
-        basis of step n, in the order shift_j positions are computed in.  The
-        verdict is kept with the basis object it was reached for, so F_n, the
-        columns of phi_n and the rows of phi_{n+1}, is compared once; another
-        object for step n is compared again.
-        """
-        kept = self._blocks.get(n)
-        if kept is None or kept[0] is not basis:
-            blocks = None
-            if basis == tuple(shamash_basis(self.system, n)):
-                blocks = {}
-                for k, (offset, us) in _layout(self.system, n)[0].items():
-                    end = offset + len(self.system.complex.basis(k)) * len(us)
-                    for x, u in enumerate(us):
-                        blocks[(u, k)] = range(offset + x, end, len(us))
-            kept = self._blocks[n] = (basis, blocks)
-        return kept[1]
 
     def placed(self, n):
         """Every nonzero cell of phi_n is the entry its labels call for, and no entry is missing.
@@ -331,17 +289,17 @@ class _PhiCertificate:
     def _placement(self, n):
         system = self.system
         phi = self.resolution.differential(n)
-        rows, cols = self.blocks(phi.rows, n - 1), self.blocks(phi.cols, n)
-        if rows is None or cols is None or phi.ring != system.ring:
+        rows, row_basis = _layout(system, n - 1)
+        cols, col_basis = _layout(system, n)
+        if (phi.rows, phi.cols) != (row_basis, col_basis) or phi.ring != system.ring:
             return False
         get = phi.entries.get
         count = 0
         for (u, k), col_at in cols.items():
             maps = [((u, k - 1), system.sigma_zero(k))] if k else []
-            for j, uj in enumerate(u):
-                if uj:
-                    lowered = u[:j] + (uj - 1,) + u[j + 1:]
-                    maps.append(((lowered, k + 1), system.sigma_e(j + 1, k)))
+            for j in range(1, len(u) + 1):
+                if u[j - 1]:
+                    maps.append(((_lowered(u, j), k + 1), system.sigma_e(j, k)))
             for block, mat in maps:
                 row_at = rows.get(block)
                 if row_at is None:

@@ -1,6 +1,8 @@
 """Assembly of the quotient-ring resolution from a homotopy system."""
 import math
 import random
+from functools import partial
+from itertools import chain
 
 import pytest
 
@@ -660,15 +662,18 @@ def flipped_sigma(build):
 
 
 def place_off_by_one_row(monkeypatch, build):
-    """A fresh resolution assembled while _place puts every cell one row up (row 0 stays)."""
+    """A fresh resolution assembled while every cell of each phi_n moves one row up (row 0
+    stays)."""
     system = build(max_step=4).system
-    place = shamash._place
+    assemble = shamash.shamash_differential
+
+    def moved(system, n):
+        phi = assemble(system, n)
+        entries = {(max(i - 1, 0), j): p for (i, j), p in phi.entries.items()}
+        return LabeledGradedMatrix(phi.ring, phi.rows, phi.cols, entries)
+
     with monkeypatch.context() as patch:
-        patch.setattr(
-            shamash,
-            "_place",
-            lambda *args: {(max(i - 1, 0), j): p for (i, j), p in place(*args).items()},
-        )
+        patch.setattr(shamash, "shamash_differential", moved)
         return shamash_resolution(system, 4)
 
 
@@ -750,24 +755,32 @@ def test_certificate_rejects_a_label_of_the_wrong_weight(three_squares):
         assert phi_squared_check(bad).details == phi_squared_check(res).details
 
 
-def test_certificate_compares_each_step_basis_once(monkeypatch, three_squares):
-    """F_n is the columns of phi_n and the rows of phi_{n+1}, one object: the certificate
-    compares it with shamash_basis once, and again only when another object stands for it."""
+def test_certificate_accepts_equal_copies_of_its_labels_and_entries(monkeypatch, three_squares):
+    """The certificate compares the labels of each phi_n with the layout's bases, field for
+    field, and each cell with its tau or sigma entry by value, and calls shamash_basis never:
+    a resolution whose labels and entries are equal copies, object by object, passes every
+    step as the assembled one does, without a full product."""
     res = three_squares
     real = shamash.shamash_basis
-    compared = []
+    calls = []
     monkeypatch.setattr(
-        shamash, "shamash_basis", lambda system, n: compared.append(n) or real(system, n)
+        shamash, "shamash_basis", lambda system, n: calls.append(n) or real(system, n)
     )
-    certificate = shamash._PhiCertificate(res)
-    assert all(certificate.holds(n) for n in range(1, res.max_step))
-    assert compared == list(range(res.max_step + 1))
-    # an equal copy is compared afresh, and so is the original after it
-    copy = tuple(list(res.basis(1)))
-    assert copy is not res.basis(1)
-    blocks = certificate.blocks(copy, 1)
-    assert blocks is not None and certificate.blocks(res.basis(1), 1) == blocks
-    assert compared[res.max_step + 1:] == [1, 1]
+    monkeypatch.setattr(shamash, "_phi_defect", None)
+    steps = range(1, res.max_step)
+    assert all(shamash._PhiCertificate(res).holds(n) for n in steps)
+    copies = [tuple(label._replace() for label in basis) for basis in res.bases]
+    assert copies[1] == res.basis(1) and copies[1][0] is not res.basis(1)[0]
+    diffs = []
+    for n, phi in enumerate(res.differentials, start=1):
+        entries = {cell: phi.ring.parse(str(p)) for cell, p in phi.entries.items()}
+        diffs.append(LabeledGradedMatrix(phi.ring, copies[n - 1], copies[n], entries))
+    cell, p = next(iter(res.differential(1).entries.items()))
+    assert diffs[0].entries[cell] == p and diffs[0].entries[cell] is not p
+    copied = res._replace(bases=tuple(copies), differentials=tuple(diffs))
+    assert all(shamash._PhiCertificate(copied).holds(n) for n in steps)
+    assert phi_squared_check(copied).passed
+    assert calls == []
 
 
 def test_certificate_rejects_a_sigma_on_the_top_taylor_module():
@@ -966,10 +979,9 @@ def assert_matches_standalone_builders(system, top):
     assert phi_squared_check(res).passed
 
 
-@pytest.mark.parametrize("codim", [1, 2, 3])
-def test_resolution_matches_standalone_builders(codim):
+def window_systems(codim):
+    """(system, N) of each seeded WINDOWS case with a sequence of length codim."""
     rng = random.Random(20261017 + codim)
-    short = tall = 0
     for max_gens, window in WINDOWS:
         if codim < 3 and max_gens == 3:
             continue
@@ -977,11 +989,33 @@ def test_resolution_matches_standalone_builders(codim):
             field = GF(32003) if trial % 2 else QQ
             ideal = random_ideal(rng, max_vars=3, max_gens=max_gens, field=field)
             ci = complete_intersection(ideal, random_sequence(rng, ideal, codim))
-            system = homotopy_system(ci, "average" if trial >= 2 else "first")
-            top = window(ideal.ngens)
-            short += top < ideal.ngens
-            tall += top >= ideal.ngens + 2
-            assert_matches_standalone_builders(system, top)
+            yield homotopy_system(ci, "average" if trial >= 2 else "first"), window(ideal.ngens)
+
+
+@pytest.mark.parametrize("codim", [1, 2, 3])
+def test_layout_positions_split_each_step(codim):
+    """Each step's position lists split range(rank F_n) exactly, and position s of (u, k)
+    holds the label with that u and the indices of the s-th subset of T_k."""
+    tall = 0
+    for system, top in window_systems(codim):
+        tall += top >= system.ideal.ngens + 2
+        for n in range(top + 1):
+            positions, basis = shamash._layout(system, n)
+            assert sorted(chain.from_iterable(positions.values())) == list(range(len(basis)))
+            for (u, k), at in positions.items():
+                labels = [(basis[x].u, basis[x].indices) for x in at]
+                assert labels == [(u, e.indices) for e in system.complex.basis(k)]
+    assert tall > 0
+
+
+@pytest.mark.parametrize("codim", [1, 2, 3])
+def test_resolution_matches_standalone_builders(codim):
+    short = tall = 0
+    for system, top in window_systems(codim):
+        r = system.ideal.ngens
+        short += top < r
+        tall += top >= r + 2
+        assert_matches_standalone_builders(system, top)
     assert short > 0
     assert tall >= (4 if codim == 3 else 1)
     if codim == 3:
@@ -1001,15 +1035,22 @@ def test_resolution_matches_standalone_builders(codim):
         assert_matches_standalone_builders(system, ideal.ngens + 2)
 
 
-def test_differential_rejects_bases_of_the_wrong_size(three_squares):
-    system = three_squares.system
-    rows, cols = three_squares.basis(2), three_squares.basis(3)
-    assert shamash_differential(system, 3, rows, cols) == three_squares.differential(3)
-    for bad_rows, bad_cols in ((rows[:-1], cols), (rows, cols[1:]), (rows + rows, cols)):
-        with pytest.raises(ValueError, match=r"^phi_3 needs 4 rows and 4 columns, got \d+ and \d+$"):
-            shamash_differential(system, 3, bad_rows, bad_cols)
-    with pytest.raises(ValueError, match=r"^phi_3 needs 4 rows"):
-        shamash_differential(system, 3, three_squares.basis(1), cols)
+@pytest.mark.parametrize(
+    "build",
+    [build_three_squares, build_codim2, partial(build_codim3_fractions, max_step=8)],
+    ids=["three-squares", "codim2", "codim3-to-r+2"],
+)
+def test_differential_takes_its_labels_from_the_layout(build):
+    """phi_n is assembled from the system and n alone: it equals the resolution's phi_n, its
+    labels are the resolution's very bases of steps n - 1 and n, and it is homogeneous.
+    The codim-3 window runs to N = r + 2, where sigma on T_r meets no target block."""
+    res = build()
+    system = res.system
+    for n in range(1, res.max_step + 1):
+        phi = shamash_differential(system, n)
+        assert phi == res.differential(n)
+        assert phi.rows is res.basis(n - 1) and phi.cols is res.basis(n)
+        assert phi.homogeneity_violations() == []
 
 
 def test_accessors_reject_steps_outside_the_window(three_squares):
