@@ -434,6 +434,12 @@ def cmd_resolve(args):
     return _write(args, res, resolution_lines, resolution_tex, iterdump_resolution)
 
 
+def _check_window(args):
+    """Refuse an exactness check with no window phi_n, phi_{n+1}, before anything is resolved."""
+    if args.max_step < 2:
+        raise ValueError("--max-step must be at least 2 so one window exists")
+
+
 def _exactness_reports(res, args):
     """check_exactness at steps 1..N-1, all sharing one engine."""
     engine = GradedExactness(res)
@@ -452,6 +458,8 @@ def _emit_reports(args, res, reports):
 
 
 def cmd_verify(args):
+    if args.max_degree is not None:
+        _check_window(args)
     res = _build_resolution(args)
     system = res.system
     reports = [
@@ -491,9 +499,8 @@ def cmd_export_dot(args):
 
 
 def cmd_check_exactness(args):
+    _check_window(args)
     res = _build_resolution(args)
-    if res.max_step < 2:
-        raise ValueError("--max-step must be at least 2 so one window exists")
     return _emit_reports(args, res, _exactness_reports(res, args))
 
 

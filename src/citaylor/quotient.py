@@ -9,12 +9,19 @@ normal form, so only the monomials that a leading term divides are divided,
 each once.  The resolution fixes p: its own characteristic over GF(p), and
 ``DEFAULT_PRIME`` over QQ.  A ``GradedExactness`` engine holds what the
 checks of one resolution share, so each piece of that work is done once per run.
+
+The engine packs each monomial into one int, as ``matrix.defects`` does, so
+a product of monomials is one addition; its field width covers every
+exponent the degrees asked for can reach and grows, re-packing its tables,
+when a higher degree needs more.  Matrix values stay plain ints: ``rank_mod_p``
+reduces a value mod p, to its signed residue, only when it becomes a row's
+lead or joins a pivot.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from operator import add, ge
+from operator import add, ge, lshift
 
 from .poly import Polynomial, PolyRing, PrimeField, exponents_of_degree
 from .report import Report
@@ -167,6 +174,12 @@ def graded_piece_basis(gb, degree):
     return GradedPieceBasis(degree, tuple(out))
 
 
+def _signed_residue(value, p):
+    """The residue of value mod p nearest 0, in [-(p // 2), p // 2]."""
+    value %= p
+    return value - p if value > p // 2 else value
+
+
 def rank_mod_p(rows, p):
     """Rank over GF(p) of a sparse integer matrix given as a list of {column: value} rows.
 
@@ -175,20 +188,37 @@ def rank_mod_p(rows, p):
     (Faugere-Lachartre 2010); a row left nonzero becomes a new pivot.  A pivot
     is kept as its tail: the row without its lead, scaled so that the lead is
     1, so a reduction step pops the row's lead and never visits that cell.
+
+    A row is worked on as a plain copy of its integers.  A value is reduced
+    mod p, to its signed residue, only when it becomes the row's lead, where a
+    lead that is 0 mod p is dropped, or when it joins a pivot tail, which keeps
+    no value that is 0 mod p.  Signed residues keep -1 as -1, so over entries
+    of +-1, as the exactness engine's mostly are, a cancellation is an exact
+    0 and leaves the row at once.
     """
+    half = p // 2
     pivots = {}
     for row in rows:
-        row = {c: v % p for c, v in row.items() if v % p}
+        row = dict(row)
+        get = row.get
         while row:
             lead = min(row)
-            factor = row.pop(lead)
+            factor = row.pop(lead) % p
+            if not factor:
+                continue
+            if factor > half:
+                factor -= p
             tail = pivots.get(lead)
             if tail is None:
                 inv = pow(factor, -1, p)
-                pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                tail = pivots[lead] = {}
+                for c, v in row.items():
+                    r = v * inv % p
+                    if r:
+                        tail[c] = r - p if r > half else r
                 break
             for c, v in tail.items():
-                value = (row.get(c, 0) - factor * v) % p
+                value = get(c, 0) - factor * v
                 if value:
                     row[c] = value
                 else:
@@ -204,6 +234,18 @@ class GradedExactness:
     of w * f, so one table of monomial normal forms serves every map; steps n
     and n + 1 share the (dim, rank) of (phi_{n + 1})_d.  The Groebner basis is
     built on first use.
+
+    The tables hold each monomial as one int, exponent i in bits
+    ``[i * w, (i + 1) * w)``, so the product of a standard monomial and an
+    entry term is one addition and its normal form one dict lookup.  No field
+    may carry into the next, so before ``rank(k, d)`` packs anything it bounds
+    every exponent the call can meet by max(d, T) - t, T and t the largest
+    and smallest twist of F_{k-1} and F_k: a standard monomial or a product
+    in a block of twist t' has degree d - t', and an entry of phi_k has degree
+    col.twist - row.twist.  If the bound needs more than w bits, w becomes
+    the bit length of twice the bound and every table is re-packed at that
+    width, so the width grows with the degrees asked for and no exponent is
+    ever wrapped.  Coefficients are kept as signed residues mod p.
     """
 
     def __init__(self, resolution):
@@ -211,9 +253,11 @@ class GradedExactness:
         ring = resolution.system.ring
         self.p = ring.field.characteristic or DEFAULT_PRIME
         self.ring = PolyRing(ring.variables, PrimeField(self.p))
-        self._columns = {}  # k -> {column j: [(row i, [(exponents, int)])]} of phi_k
-        self._normal_forms = {}  # exponents -> [(position in its degree, int)], [] when zero
-        self._standard = {}  # degree -> {standard monomial: position}, in basis order
+        self._shifts = [0] * ring.nvars  # exponent i sits at bit shifts[i], in fields of width w
+        self._width = 0
+        self._columns = {}  # k -> {column j: [(row i, [(packed exponents, residue)])]} of phi_k
+        self._normal_forms = {}  # packed exponents -> [(position in its degree, residue)], [] if 0
+        self._standard = {}  # degree -> {packed standard monomial: position}, in basis order
         self._ranks = {}  # (k, d) -> (dim (F_k)_d, rank (phi_k)_d)
 
     def _over_field(self, poly):
@@ -228,6 +272,37 @@ class GradedExactness:
         sequence = [self._over_field(a) for a in self.resolution.system.ci.sequence]
         return buchberger(sequence)
 
+    def _pack(self, exponents):
+        return sum(map(lshift, exponents, self._shifts))
+
+    def _unpack(self, m):
+        mask = (1 << self._width) - 1
+        return tuple(m >> s & mask for s in self._shifts)
+
+    def _fit(self, top):
+        """Make every exponent up to top fit its field, re-packing the tables if it does not."""
+        if not top >> self._width:
+            return
+        old_shifts, mask = self._shifts, (1 << self._width) - 1
+        self._width = (2 * top).bit_length()
+        self._shifts = [self._width * i for i in range(len(old_shifts))]
+
+        def repack(m):
+            return self._pack([m >> s & mask for s in old_shifts])
+
+        self._standard = {
+            degree: {repack(m): x for m, x in index.items()}
+            for degree, index in self._standard.items()
+        }
+        self._normal_forms = {repack(m): nf for m, nf in self._normal_forms.items()}
+        self._columns = {
+            k: {
+                j: [(i, [(repack(e), c) for e, c in terms]) for i, terms in entries]
+                for j, entries in by_col.items()
+            }
+            for k, by_col in self._columns.items()
+        }
+
     def _entries_by_column(self, k):
         if k not in self._columns:
             phi = self.resolution.differential(k)
@@ -240,7 +315,10 @@ class GradedExactness:
                 )
             by_col = {}
             for (i, j), poly in phi.entries.items():
-                terms = [(e, c.value) for e, c in self._over_field(poly).terms.items()]
+                terms = [
+                    (self._pack(e), _signed_residue(c.value, self.p))
+                    for e, c in self._over_field(poly).terms.items()
+                ]
                 by_col.setdefault(j, []).append((i, terms))
             self._columns[k] = by_col
         return self._columns[k]
@@ -248,20 +326,22 @@ class GradedExactness:
     def _monomials(self, degree):
         if degree not in self._standard:
             monomials = graded_piece_basis(self.gb, degree).monomials
-            self._standard[degree] = {e: x for x, e in enumerate(monomials)}
+            self._standard[degree] = {self._pack(e): x for x, e in enumerate(monomials)}
         return self._standard[degree]
 
-    def _normal_form(self, exponents):
-        """NF(x^exponents) as [(position among the standard monomials of its degree, int)],
-        kept in the table; a standard monomial is its own normal form and is not divided.
+    def _normal_form(self, m):
+        """NF of the monomial packed as m, as [(position among the standard monomials of its
+        degree, signed residue)], kept in the table; a standard monomial is its own normal
+        form and is not divided.
         """
+        exponents = self._unpack(m)
         index = self._monomials(sum(exponents))
-        if exponents in index:
-            nf = [(index[exponents], 1)]
+        if m in index:
+            nf = [(index[m], 1)]
         else:
             terms = normal_form(self.ring.term(exponents), self.gb).terms
-            nf = [(index[e], c.value) for e, c in terms.items()]
-        self._normal_forms[exponents] = nf
+            nf = [(index[self._pack(e)], _signed_residue(c.value, self.p)) for e, c in terms.items()]
+        self._normal_forms[m] = nf
         return nf
 
     def rank(self, k, d):
@@ -271,30 +351,36 @@ class GradedExactness:
         Row block i of (F_{k-1})_d starts at offset_i, the running sum of the
         dimensions of the blocks before it, and an image cell is offset_i plus
         the position that the normal-form table stores for its standard
-        monomial.  Only the non-standard monomials of w * entry are divided.
+        monomial.  The product of w and an entry term is of degree d minus the
+        row block's twist.  Only the non-standard monomials of w * entry are
+        divided.
         """
         if (k, d) not in self._ranks:
             res = self.resolution
+            rows, cols = res.basis(k - 1), res.basis(k)
+            twists = [b.twist for b in rows + cols]
+            self._fit(max(d, *twists) - min(twists))
             offsets, start = [], 0
-            for b in res.basis(k - 1):
+            for b in rows:
                 offsets.append(start)
                 start += len(self._monomials(d - b.twist))
             by_col = self._entries_by_column(k)
             table = self._normal_forms
             images = []
-            for j, b in enumerate(res.basis(k)):
+            for j, b in enumerate(cols):
                 entries = [(offsets[i], terms) for i, terms in by_col.get(j, ())]
                 for w in self._monomials(d - b.twist):
                     image = {}
+                    get = image.get
                     for offset, terms in entries:
                         for e, c in terms:
-                            m = tuple(map(add, e, w))
+                            m = e + w
                             nf = table.get(m)
                             if nf is None:
                                 nf = self._normal_form(m)
                             for x, v in nf:
                                 pos = offset + x
-                                image[pos] = image.get(pos, 0) + c * v
+                                image[pos] = get(pos, 0) + c * v
                     images.append(image)
             self._ranks[(k, d)] = (len(images), rank_mod_p(images, self.p))
         return self._ranks[(k, d)]

@@ -1001,6 +1001,25 @@ def test_input_errors_exit_two(capsys, argv):
         assert bad_value in message
 
 
+@pytest.mark.parametrize("command", ["check-exactness", "verify"])
+def test_an_exactness_check_without_a_window_exits_two_before_resolving(
+    capsys, monkeypatch, command
+):
+    def resolve(*args):
+        raise AssertionError("the window is refused before anything is resolved")
+
+    monkeypatch.setattr(citaylor.cli, "shamash_resolution", resolve)
+    code, out, err = run(capsys, command, *THREE_SQUARES_ARGS, "--max-step", "1", "--max-degree", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: --max-step must be at least 2 so one window exists\n"
+
+
+def test_verify_without_an_exactness_check_takes_one_step(capsys):
+    code, out, _ = run(capsys, "verify", *THREE_SQUARES_ARGS, "--max-step", "1")
+    assert code == 0
+    assert out.endswith("overall: PASS\n") and "exactness" not in out
+
+
 def test_average_lift_in_bad_characteristic_exits_two(capsys):
     code, _, err = run(
         capsys,

@@ -391,6 +391,36 @@ def test_engine_ranks_match_dense_reference(lift):
                 assert engine.rank(k, d) == expected, ([str(a) for a in ci.sequence], k, d)
 
 
+@pytest.mark.parametrize(
+    "sequence, steps, degrees",
+    [
+        # Q = k[x, y]/(y^2): x^d and x^(d-1)*y are standard, so exponents grow with d
+        (["y^2"], 4, (3, 4, 300, 1100, 5000)),
+        # Q = k[x, y]/(x^257, y^2): phi_k has entries of degree 257 at every k
+        (["x^257", "y^2"], 6, (3, 4, 300, 515, 517, 1028)),
+    ],
+    ids=["growing-exponents", "large-entries"],
+)
+def test_packed_exponents_never_carry_into_the_next_field(sequence, steps, degrees):
+    """Exponents of 257 and more: the engine ranks at d = 3 first, then at degrees of 300
+    and more, past the fields that the degrees before them needed, and every rank matches
+    the dense reference, so the width covers the entries and grows with the degrees asked
+    for, and no exponent spills into its neighbour's field."""
+    R = ring("x,y", GF(32003))
+    ci = complete_intersection(monomial_ideal(R, ["x^257", "y^2"]), sequence)
+    res = shamash_resolution(homotopy_system(ci, "first"), steps)
+    engine = GradedExactness(res)
+    gb = buchberger([engine.ring.polynomial(a.terms) for a in ci.sequence])
+    ranked = set()
+    for d in degrees:
+        for k in range(1, steps + 1):
+            expected = dense_graded_rank(res, gb, k, d)
+            assert engine.rank(k, d) == expected, (k, d)
+            if expected[1]:
+                ranked.add(d)
+    assert ranked == set(degrees)  # each degree has a map of nonzero rank to get wrong
+
+
 def test_engine_belongs_to_one_resolution_and_prime():
     # the engine carries the resolution and takes the prime from it, so a check cannot mix them
     for field, p in ((GF(7), 7), (QQ, 32003)):
