@@ -2,8 +2,8 @@
 
 Subcommands: taylor, resolve, verify, betti, export-dot, check-exactness.
 Exit codes: 0 success, 1 a verification reported failure, 2 bad input,
-3 a computation cap was exceeded, 141 (128 + SIGPIPE) the reader of stdout
-closed the pipe.
+3 a computation cap was exceeded or memory ran out, 141 (128 + SIGPIPE)
+the reader of stdout closed the pipe.
 
 Polynomials print in grlex (degree, then lex); ``jsondoc`` reads and writes
 the JSON format.
@@ -442,8 +442,8 @@ def _check_window(args):
 
 def _exactness_reports(res, args):
     """check_exactness at steps 1..N-1, all sharing one engine."""
-    engine = GradedExactness(res)
-    return [check_exactness(engine, n, args.max_degree) for n in range(1, res.max_step)]
+    engine = GradedExactness(res, args.max_degree)
+    return [check_exactness(engine, n) for n in range(1, res.max_step)]
 
 
 def _emit_reports(args, res, reports):
@@ -614,6 +614,9 @@ def main(argv=None):
         return EXIT_PIPE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAP
     except (ParseError, BadPrime, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

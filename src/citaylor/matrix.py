@@ -17,14 +17,10 @@ result is zero.  ``defect`` is one identity and ``compose`` one pair; the
 homotopy system checks all of its identities in one call.  It works on
 integers only:
 
-- Exponent tuples are packed into one ``int``, exponent i in bits
-  ``[i * w, (i + 1) * w)``, so multiplying two monomials is one addition.
-  The width ``w`` is the bit length of twice the call's largest entry
-  exponent (or of its largest correction exponent, if larger), so no sum
-  carries into the next field.  This needs every exponent to be a
-  nonnegative ``int``: ``PolyRing.term``, ``PolyRing.polynomial`` and the
-  parser reject anything else, and products and sums of such polynomials
-  keep it.
+- Exponent tuples are packed into one ``int`` by ``poly.MonomialPacking``,
+  so multiplying two monomials is one addition.  Its fields hold twice the
+  call's largest entry exponent (or its largest correction exponent, if
+  larger), so no sum carries into the next field.
 - Coefficients become ``int``s: over GF(p) the representatives, over QQ the
   numerators over the call's common denominator ``den``, so every product
   and correction is over ``den**2``.  Each distinct entry object is lowered
@@ -39,9 +35,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter, lshift
+from operator import attrgetter
 
-from .poly import ModP, Polynomial
+from .poly import ModP, MonomialPacking, Polynomial
 
 
 class LabeledGradedMatrix:
@@ -130,12 +126,9 @@ def _denominator(polys):
     return lcm(*(c.denominator for p in polys.values() for c in p.terms.values()))
 
 
-def _lowered(polys, shifts, to_int):
-    """id -> [(packed exponents, to_int(coefficient))] for each polynomial."""
-    return {
-        key: [(sum(map(lshift, e, shifts)), to_int(c)) for e, c in p.terms.items()]
-        for key, p in polys.items()
-    }
+def _lowered(polys, pack, to_int):
+    """id -> [(pack(exponents), to_int(coefficient))] for each polynomial."""
+    return {key: [(pack(e), to_int(c)) for e, c in p.terms.items()] for key, p in polys.items()}
 
 
 def _scaled_to(den):
@@ -179,9 +172,8 @@ def defects(identities):
             fixes[id(poly)] = poly
     polys = {id(p): p for m in matrices.values() for p in m.entries.values()}
 
-    width = max(2 * _top(polys), _top(fixes)).bit_length()
-    shifts = [width * i for i in range(ring.nvars)]
-    cell_shift = width * ring.nvars
+    packing = MonomialPacking(ring.nvars, max(2 * _top(polys), _top(fixes)))
+    cell_shift = packing.size
     p = ring.field.characteristic
     if p:
         to_int = to_fix = attrgetter("value")
@@ -189,10 +181,9 @@ def defects(identities):
         # a product of two entries over den is over den**2, and so is each correction
         den = lcm(_denominator(polys), _denominator(fixes))
         to_int, to_fix = _scaled_to(den), _scaled_to(den**2)
-    lowered = _lowered(polys, shifts, to_int)
-    lower_fix = _lowered(fixes, shifts, to_fix)
+    lowered = _lowered(polys, packing.pack, to_int)
+    lower_fix = _lowered(fixes, packing.pack, to_fix)
 
-    mask = (1 << width) - 1
     grouped = {}  # (left id, ncols) -> {column: [(row key, left terms)]}
     results = []
     for pairs, corrections in identities:
@@ -228,7 +219,7 @@ def defects(identities):
             residual = ((key, Fraction(n, den**2)) for key, n in acc.items() if n)
         cells = {}
         for key, c in residual:
-            cells.setdefault(key >> cell_shift, {})[tuple(key >> s & mask for s in shifts)] = c
+            cells.setdefault(key >> cell_shift, {})[packing.unpack(key)] = c
         entries = {divmod(cell, ncols): Polynomial(ring, terms) for cell, terms in cells.items()}
         results.append(LabeledGradedMatrix._trusted(ring, rows, cols, entries))
     return results

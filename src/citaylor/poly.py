@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
+from operator import lshift
 
 
 class ParseError(ValueError):
@@ -192,6 +193,31 @@ def exponents_of_degree(nvars, degree):
             return
         e[i] -= 1
         e[-1], e[i + 1] = 0, e[-1] + 1
+
+
+class MonomialPacking:
+    """Nonnegative exponent tuples packed into one int, exponent i in bits
+    ``[i * width, (i + 1) * width)``, so a product of monomials is one addition
+    (Monagan and Pearce 2007).  ``width`` is the bit length of ``top``, the
+    largest value the caller says any field must hold, so a sum that stays
+    <= top in every field never carries.  Bits from ``size`` up are the caller's.
+    """
+
+    __slots__ = ("shifts", "mask", "size")
+
+    def __init__(self, nvars, top):
+        width = top.bit_length()
+        self.shifts = [width * i for i in range(nvars)]
+        self.mask = (1 << width) - 1
+        self.size = width * nvars
+
+    def pack(self, exponents):
+        return sum(map(lshift, exponents, self.shifts))
+
+    def unpack(self, m):
+        """The exponents packed in m; bits from size up are ignored."""
+        mask = self.mask
+        return tuple(m >> s & mask for s in self.shifts)
 
 
 def grlex(exponents):

@@ -10,20 +10,19 @@ each once.  The resolution fixes p: its own characteristic over GF(p), and
 ``DEFAULT_PRIME`` over QQ.  A ``GradedExactness`` engine holds what the
 checks of one resolution share, so each piece of that work is done once per run.
 
-The engine packs each monomial into one int, as ``matrix.defects`` does, so
-a product of monomials is one addition; its field width covers every
-exponent the degrees asked for can reach and grows, re-packing its tables,
-when a higher degree needs more.  Matrix values stay plain ints: ``rank_mod_p``
-reduces a value mod p, to its signed residue, only when it becomes a row's
-lead or joins a pivot.
+The engine packs each monomial into one int with ``poly.MonomialPacking``, as
+``matrix.defects`` does, so a product of monomials is one addition; its
+fields are sized once, for every exponent its degree window can reach.
+Matrix values stay plain ints: ``rank_mod_p`` reduces a value mod p, to its
+signed residue, only when it becomes a row's lead or joins a pivot.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from operator import add, ge, lshift
+from operator import add, ge
 
-from .poly import Polynomial, PolyRing, PrimeField, exponents_of_degree
+from .poly import MonomialPacking, Polynomial, PolyRing, PrimeField, exponents_of_degree
 from .report import Report
 
 DEFAULT_PRIME = 32003  # the field of the exactness checks when the input is over QQ
@@ -227,7 +226,8 @@ def rank_mod_p(rows, p):
 
 
 class GradedExactness:
-    """What the exactness checks of one resolution share, each computed once.
+    """What the exactness checks of one resolution share, each computed once,
+    in every internal degree up to max_internal_degree.
 
     They run over GF(p), p the resolution's characteristic, or DEFAULT_PRIME
     when that is 0.  NF(w * f) is linear in the normal forms of the monomials
@@ -235,26 +235,27 @@ class GradedExactness:
     and n + 1 share the (dim, rank) of (phi_{n + 1})_d.  The Groebner basis is
     built on first use.
 
-    The tables hold each monomial as one int, exponent i in bits
-    ``[i * w, (i + 1) * w)``, so the product of a standard monomial and an
-    entry term is one addition and its normal form one dict lookup.  No field
-    may carry into the next, so before ``rank(k, d)`` packs anything it bounds
-    every exponent the call can meet by max(d, T) - t, T and t the largest
-    and smallest twist of F_{k-1} and F_k: a standard monomial or a product
-    in a block of twist t' has degree d - t', and an entry of phi_k has degree
-    col.twist - row.twist.  If the bound needs more than w bits, w becomes
-    the bit length of twice the bound and every table is re-packed at that
-    width, so the width grows with the degrees asked for and no exponent is
-    ever wrapped.  Coefficients are kept as signed residues mod p.
+    The tables hold each monomial packed into one int, so the product of a
+    standard monomial and an entry term is one addition and its normal form
+    one dict lookup.  The packing is sized once, for every ``rank(k, d)``
+    with d <= D = max_internal_degree: F_0 has twist 0 and no twist is
+    negative, so a standard monomial or a product in a block of twist t has
+    degree d - t <= D, and an entry of phi_k, checked homogeneous before it
+    is packed, has degree col.twist - row.twist <= T, the largest twist of
+    the resolution.  Fields hold 2 * max(D, T), so no exponent ever wraps.
+    Coefficients are kept as signed residues mod p.
     """
 
-    def __init__(self, resolution):
+    def __init__(self, resolution, max_internal_degree):
+        if max_internal_degree < 0:
+            raise ValueError(f"max_internal_degree must be >= 0, got {max_internal_degree}")
         self.resolution = resolution
+        self.max_internal_degree = max_internal_degree
         ring = resolution.system.ring
         self.p = ring.field.characteristic or DEFAULT_PRIME
         self.ring = PolyRing(ring.variables, PrimeField(self.p))
-        self._shifts = [0] * ring.nvars  # exponent i sits at bit shifts[i], in fields of width w
-        self._width = 0
+        twist = max(b.twist for k in range(resolution.max_step + 1) for b in resolution.basis(k))
+        self._packing = MonomialPacking(ring.nvars, 2 * max(max_internal_degree, twist))
         self._columns = {}  # k -> {column j: [(row i, [(packed exponents, residue)])]} of phi_k
         self._normal_forms = {}  # packed exponents -> [(position in its degree, residue)], [] if 0
         self._standard = {}  # degree -> {packed standard monomial: position}, in basis order
@@ -272,37 +273,6 @@ class GradedExactness:
         sequence = [self._over_field(a) for a in self.resolution.system.ci.sequence]
         return buchberger(sequence)
 
-    def _pack(self, exponents):
-        return sum(map(lshift, exponents, self._shifts))
-
-    def _unpack(self, m):
-        mask = (1 << self._width) - 1
-        return tuple(m >> s & mask for s in self._shifts)
-
-    def _fit(self, top):
-        """Make every exponent up to top fit its field, re-packing the tables if it does not."""
-        if not top >> self._width:
-            return
-        old_shifts, mask = self._shifts, (1 << self._width) - 1
-        self._width = (2 * top).bit_length()
-        self._shifts = [self._width * i for i in range(len(old_shifts))]
-
-        def repack(m):
-            return self._pack([m >> s & mask for s in old_shifts])
-
-        self._standard = {
-            degree: {repack(m): x for m, x in index.items()}
-            for degree, index in self._standard.items()
-        }
-        self._normal_forms = {repack(m): nf for m, nf in self._normal_forms.items()}
-        self._columns = {
-            k: {
-                j: [(i, [(repack(e), c) for e, c in terms]) for i, terms in entries]
-                for j, entries in by_col.items()
-            }
-            for k, by_col in self._columns.items()
-        }
-
     def _entries_by_column(self, k):
         if k not in self._columns:
             phi = self.resolution.differential(k)
@@ -316,7 +286,7 @@ class GradedExactness:
             by_col = {}
             for (i, j), poly in phi.entries.items():
                 terms = [
-                    (self._pack(e), _signed_residue(c.value, self.p))
+                    (self._packing.pack(e), _signed_residue(c.value, self.p))
                     for e, c in self._over_field(poly).terms.items()
                 ]
                 by_col.setdefault(j, []).append((i, terms))
@@ -326,7 +296,7 @@ class GradedExactness:
     def _monomials(self, degree):
         if degree not in self._standard:
             monomials = graded_piece_basis(self.gb, degree).monomials
-            self._standard[degree] = {self._pack(e): x for x, e in enumerate(monomials)}
+            self._standard[degree] = {self._packing.pack(e): x for x, e in enumerate(monomials)}
         return self._standard[degree]
 
     def _normal_form(self, m):
@@ -334,13 +304,14 @@ class GradedExactness:
         degree, signed residue)], kept in the table; a standard monomial is its own normal
         form and is not divided.
         """
-        exponents = self._unpack(m)
+        exponents = self._packing.unpack(m)
         index = self._monomials(sum(exponents))
         if m in index:
             nf = [(index[m], 1)]
         else:
             terms = normal_form(self.ring.term(exponents), self.gb).terms
-            nf = [(index[self._pack(e)], _signed_residue(c.value, self.p)) for e, c in terms.items()]
+            pack = self._packing.pack
+            nf = [(index[pack(e)], _signed_residue(c.value, self.p)) for e, c in terms.items()]
         self._normal_forms[m] = nf
         return nf
 
@@ -355,11 +326,13 @@ class GradedExactness:
         row block's twist.  Only the non-standard monomials of w * entry are
         divided.
         """
+        if d > self.max_internal_degree:
+            raise ValueError(
+                f"degree {d} is past the engine's max_internal_degree={self.max_internal_degree}"
+            )
         if (k, d) not in self._ranks:
             res = self.resolution
             rows, cols = res.basis(k - 1), res.basis(k)
-            twists = [b.twist for b in rows + cols]
-            self._fit(max(d, *twists) - min(twists))
             offsets, start = [], 0
             for b in rows:
                 offsets.append(start)
@@ -386,9 +359,9 @@ class GradedExactness:
         return self._ranks[(k, d)]
 
 
-def check_exactness(engine, n, max_internal_degree):
+def check_exactness(engine, n):
     """Verify zero homology at F_n of engine.resolution in all internal degrees
-    <= the cap, over GF(engine.p).
+    <= engine.max_internal_degree, over GF(engine.p).
 
     For each degree d the check is
     dim (F_n)_d - rank (phi_n)_d == rank (phi_{n+1})_d.
@@ -398,11 +371,9 @@ def check_exactness(engine, n, max_internal_degree):
     top = engine.resolution.max_step - 1
     if not 1 <= n <= top:
         raise ValueError(f"need 1 <= n <= {top} so that phi_{n + 1} exists")
-    if max_internal_degree < 0:
-        raise ValueError(f"max_internal_degree must be >= 0, got {max_internal_degree}")
 
     report = Report(f"exactness at step {n} over GF({engine.p})")
-    for d in range(max_internal_degree + 1):
+    for d in range(engine.max_internal_degree + 1):
         dim_n, rank_n = engine.rank(n, d)
         _, rank_next = engine.rank(n + 1, d)
         kernel = dim_n - rank_n

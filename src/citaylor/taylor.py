@@ -17,6 +17,7 @@ from collections import namedtuple
 from itertools import chain
 
 from .matrix import LabeledGradedMatrix
+from .poly import MonomialPacking
 from .report import Report
 
 
@@ -145,15 +146,14 @@ def taylor_complex(ideal):
     T_k lists the children P + t (t past P's last index) of each label P of
     T_{k-1} in turn, P + t at first[P] + t.  S = P + t has the faces Q + t,
     Q a face of P, then P: rows first[Q] + t and P's, one addition each.
-    Equal entries are one object, keyed by the packed lcm difference and sign
-    bit; fields are one bit wider than the largest generator exponent, and
-    lcm(S) >= lcm(face) fieldwise, so no difference borrows.
+    Equal entries are one object, keyed by the lcm difference, packed by
+    ``poly.MonomialPacking``, and a sign bit; lcm(S) >= lcm(face) fieldwise,
+    so no difference borrows.
     """
     ring, gens = ideal.ring, ideal.generators
-    width = max(chain.from_iterable(gens), default=0).bit_length() + 1
-    shifts = [width * v for v in range(ring.nvars)]
-    shared, mask = {}, (1 << width) - 1  # key -> the one entry with that key
-    support = [[(v, e, shifts[v]) for v, e in enumerate(m) if e] for m in gens]
+    packing = MonomialPacking(ring.nvars, 2 * max(chain.from_iterable(gens), default=0))
+    shared = {}  # key -> the one entry with that key
+    support = [[(v, e, packing.shifts[v]) for v, e in enumerate(m) if e] for m in gens]
     level = (BasisElement((), (), (0,) * ring.nvars, 0),)  # T_{k-1}
     packed, faces = [0], [()]  # per label of T_{k-1}: packed lcm, face rows in T_{k-2}
     first = []  # per label Q of T_{k-2}: Q + t sits at first[Q] + t in T_{k-1}
@@ -181,8 +181,7 @@ def taylor_complex(ideal):
             for top, rows in zip(lcms, face_rows) for i, bit in zip(rows, bits)
         ]
         for key in set(keys).difference(shared):  # a new entry +-x^exponents
-            exponents = tuple(key >> 1 >> s & mask for s in shifts)
-            shared[key] = ring.term(exponents, -1 if key & 1 else 1)
+            shared[key] = ring.term(packing.unpack(key >> 1), -1 if key & 1 else 1)
         cells = [(i, j) for j, rows in enumerate(face_rows) for i in rows]
         labels = tuple(labels)  # T_k, and the columns of tau_k
         tau = dict(zip(cells, map(shared.get, keys)))

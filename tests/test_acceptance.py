@@ -344,9 +344,9 @@ def test_criterion_7_exactness_spot_check():
     with criterion(7, "exactness over GF(32003) in degrees 1..4, internal <= 10"):
         started = time.perf_counter()
         for build in (build_three_squares, build_poly_c1):
-            engine = GradedExactness(build(max_step=5))
+            engine = GradedExactness(build(max_step=5), max_internal_degree=10)
             for n in range(1, 5):
-                report = check_exactness(engine, n, max_internal_degree=10)
+                report = check_exactness(engine, n)
                 assert report.passed, report.summary()
         elapsed = time.perf_counter() - started
         assert elapsed < 120.0, f"took {elapsed:.1f}s, budget is 120s"

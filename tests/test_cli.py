@@ -634,6 +634,16 @@ def test_check_exactness_cap_exit(capsys):
     assert "max_degree" in err
 
 
+def test_out_of_memory_exits_three_with_one_line(capsys, monkeypatch):
+    def resolve(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(citaylor.cli, "shamash_resolution", resolve)
+    code, out, err = run(capsys, "resolve", *THREE_SQUARES_ARGS, "--max-step", "3")
+    assert (code, out) == (3, "")
+    assert err == "error: out of memory\n"
+
+
 SQUARES_CODIM2_SYSTEM_ARGS = [
     "--vars", "x,y,z,w",
     "--ideal", "x^2,y^2,z^2,w^2",

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from citaylor import GF, QQ, ParseError, PolyRing, PrimeField
-from citaylor.poly import exponents_of_degree, grlex, is_prime
+from citaylor.poly import MonomialPacking, exponents_of_degree, grlex, is_prime
 from citaylor.quotient import grevlex
 
 from conftest import ring
@@ -292,3 +292,36 @@ def test_exponents_of_degree_matches_the_recursive_enumeration(nvars):
         got = list(exponents_of_degree(nvars, degree))
         assert got == list(recursive_exponents(nvars, degree))
         assert got == sorted(set(got), reverse=True)
+
+
+# ---- packed monomials --------------------------------------------------------
+
+
+def test_packing_round_trips_seeded_exponents():
+    rng = random.Random(11)
+    for _ in range(200):
+        nvars, top = rng.randint(1, 6), rng.choice([1, 2, 7, 255, 256, 1000, 5000])
+        packing = MonomialPacking(nvars, top)
+        e = tuple(rng.randint(0, top) for _ in range(nvars))
+        assert packing.size == nvars * top.bit_length()
+        assert packing.unpack(packing.pack(e)) == e
+        assert packing.pack(e) >> packing.size == 0
+        assert packing.unpack(packing.pack(e) + (rng.randint(1, 9) << packing.size)) == e
+
+
+@pytest.mark.parametrize("top", [0, 1, 256, 257, 600, 1028])
+def test_packed_sums_are_sums_of_exponents_up_to_the_bound(top):
+    """pack(a) + pack(b) == pack(a + b) whenever a + b stays <= top in every field; at
+    top 0 every field has width 0 and every monomial packs to 0."""
+    rng = random.Random(top)
+    for nvars in (1, 2, 5):
+        packing = MonomialPacking(nvars, top)
+        for _ in range(50):
+            total = [rng.randint(0, top) for _ in range(nvars)]
+            total[rng.randrange(nvars)] = top  # one field at the bound itself
+            a = tuple(rng.randint(0, t) for t in total)
+            b = tuple(t - x for t, x in zip(total, a))
+            assert packing.pack(a) + packing.pack(b) == packing.pack(tuple(total))
+            assert packing.unpack(packing.pack(a) + packing.pack(b)) == tuple(total)
+    if not top:
+        assert packing.size == 0

@@ -1,5 +1,6 @@
 """Groebner bases, normal forms, and the graded exactness check."""
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -89,6 +90,47 @@ def test_cap_spares_coprime_pairs(monkeypatch):
     R = ring("x,y")
     gb = buchberger([R.parse("x^30"), R.parse("y^30")])
     assert len(gb.polys) == 2
+
+
+def test_gb_matches_sympy_groebner():
+    """buchberger's reduced basis, as a set of polynomials, is sympy's reduced grevlex
+    basis over QQ, GF(32003) and GF(7), on the classic example and on seeded draws, both
+    regular and of codim 1-3 with no such guarantee.  Polynomials cross over as
+    {exponents: coefficient} dicts, coefficients as plain ints or Fractions."""
+    sympy = pytest.importorskip("sympy")
+    rng = seeded_rng()
+    for field in (QQ, GF(32003), GF(7)):
+        p = field.characteristic
+        R = ring("x,y", field)
+        cases = [[R.parse("x^2 + y^2"), R.parse("x*y")]]
+        cases += [regular_instance(rng, field)[1].sequence for _ in range(2)]
+        for codim in (1, 2, 3, 3):
+            ideal = random_ideal(rng, max_vars=3, max_gens=4, field=field)
+            cases.append(random_sequence(rng, ideal, codim))
+        for sequence in cases:
+            gens = sympy.symbols(sequence[0].ring.variables)
+            polys = [
+                sympy.Poly.from_dict(
+                    {e: c.value if p else sympy.Rational(c.numerator, c.denominator)
+                     for e, c in a.terms.items()},
+                    *gens,
+                )
+                for a in sequence
+            ]
+            over = {"modulus": p} if p else {"domain": sympy.QQ}  # over ZZ sympy clears denominators
+            theirs = sympy.groebner(polys, *gens, order="grevlex", **over)
+            expected = {
+                frozenset(
+                    (e, int(c) % p if p else Fraction(int(c.p), int(c.q)))
+                    for e, c in sympy.Poly(g, *gens).as_dict().items()
+                )
+                for g in theirs.exprs
+            }
+            got = {
+                frozenset((e, c.value if p else c) for e, c in g.terms.items())
+                for g in buchberger(sequence).polys
+            }
+            assert got == expected, (field, [str(a) for a in sequence])
 
 
 # ---- normal forms --------------------------------------------------------------
@@ -218,24 +260,24 @@ def test_sparse_rank_leaves_its_input_alone():
 
 
 def test_exactness_three_squares():
-    engine = GradedExactness(build_three_squares(max_step=3))
+    engine = GradedExactness(build_three_squares(max_step=3), 8)
     for n in (1, 2):
-        report = check_exactness(engine, n, 8)
+        report = check_exactness(engine, n)
         assert report.passed, report.failure
         assert all("homology 0" in line for line in report.details)
 
 
 def test_exactness_poly_example():
-    report = check_exactness(GradedExactness(build_poly_c1(max_step=3)), 1, 8)
+    report = check_exactness(GradedExactness(build_poly_c1(max_step=3), 8), 1)
     assert report.passed, report.failure
 
 
 def test_exactness_window_validation():
-    engine = GradedExactness(build_three_squares(max_step=3))
+    engine = GradedExactness(build_three_squares(max_step=3), 5)
     with pytest.raises(ValueError):
-        check_exactness(engine, 0, 5)
+        check_exactness(engine, 0)
     with pytest.raises(ValueError):
-        check_exactness(engine, 3, 5)
+        check_exactness(engine, 3)
 
 
 def test_exactness_prime_dividing_denominator_rejected():
@@ -244,20 +286,20 @@ def test_exactness_prime_dividing_denominator_rejected():
     ci = complete_intersection(I, ["1/32003*x^2*z + x*y^2"])
     res = shamash_resolution(homotopy_system(ci, "first"), 3)
     with pytest.raises(BadPrime, match=r"^32003 divides a denominator of 1/32003\*x\^2\*z \+ x\*y\^2$"):
-        check_exactness(GradedExactness(res), 1, 5)
+        check_exactness(GradedExactness(res, 5), 1)
     # the average lift (entries 1/3*z etc.) is checked over its own GF(5)
     I = monomial_ideal(ring("x,y,z", GF(5)), ["x*y", "x*z", "y*z"])
     ci = complete_intersection(I, ["x*y*z"])
     res = shamash_resolution(homotopy_system(ci, "average"), 3)
-    report = check_exactness(GradedExactness(res), 1, 6)
+    report = check_exactness(GradedExactness(res, 6), 1)
     assert report.passed, report.failure
 
 
 def test_exactness_over_the_resolutions_own_prime_field():
     res = build_three_squares(max_step=4, field=GF(7))
-    engine = GradedExactness(res)
+    engine = GradedExactness(res, 6)
     for n in (1, 2, 3):
-        report = check_exactness(engine, n, 6)
+        report = check_exactness(engine, n)
         assert report.passed, report.failure
         assert report.title == f"exactness at step {n} over GF(7)"
 
@@ -272,14 +314,14 @@ def test_exactness_detects_a_broken_map():
 
     broken = LabeledGradedMatrix(phi2.ring, phi2.rows, phi2.cols, entries)
     corrupted = res._replace(differentials=(res.differentials[0], broken, res.differentials[2]))
-    report = check_exactness(GradedExactness(corrupted), 1, 8)
+    report = check_exactness(GradedExactness(corrupted, 8), 1)
     assert not report.passed
 
 
 def test_exactness_rejects_a_negative_degree_cap():
-    engine = GradedExactness(build_three_squares(max_step=3))
+    res = build_three_squares(max_step=3)
     with pytest.raises(ValueError, match="max_internal_degree"):
-        check_exactness(engine, 1, -1)
+        GradedExactness(res, -1)
 
 
 def test_exactness_names_a_misgraded_entry():
@@ -296,7 +338,7 @@ def test_exactness_names_a_misgraded_entry():
     with pytest.raises(
         ValueError, match=r"^phi_2 entry \(1, \{\}\) = x\^5 is not homogeneous of degree 1$"
     ):
-        check_exactness(GradedExactness(corrupted), 1, 6)
+        check_exactness(GradedExactness(corrupted, 6), 1)
 
 
 def test_shared_engine_matches_fresh_checks(monkeypatch):
@@ -306,10 +348,10 @@ def test_shared_engine_matches_fresh_checks(monkeypatch):
     rank = quotient.rank_mod_p
     monkeypatch.setattr(quotient, "rank_mod_p", lambda rows, p: calls.append(p) or rank(rows, p))
     res = build_three_squares(max_step=5)
-    engine = GradedExactness(res)
-    shared = [check_exactness(engine, n, 9) for n in range(1, 5)]
+    engine = GradedExactness(res, 9)
+    shared = [check_exactness(engine, n) for n in range(1, 5)]
     assert len(calls) == 5 * 10  # each (phi_k, d), k = 1..5, ranked once
-    fresh = [check_exactness(GradedExactness(res), n, 9) for n in range(1, 5)]
+    fresh = [check_exactness(GradedExactness(res, 9), n) for n in range(1, 5)]
     assert len(calls) == 50 + 4 * 2 * 10
     assert [(r.title, r.passed, r.details) for r in shared] == [
         (r.title, r.passed, r.details) for r in fresh
@@ -328,9 +370,9 @@ def test_engine_divides_only_nonstandard_monomials_each_once(monkeypatch):
     )
     R = ring("x,y,z", GF(32003))
     ci = complete_intersection(monomial_ideal(R, ["x^2", "y^2", "z^2"]), ["x^2"])
-    engine = GradedExactness(shamash_resolution(homotopy_system(ci, "first"), 4))
+    engine = GradedExactness(shamash_resolution(homotopy_system(ci, "first"), 4), 7)
     for n in range(1, 4):
-        assert check_exactness(engine, n, 7).passed
+        assert check_exactness(engine, n).passed
     assert divided and len(set(divided)) == len(divided)
     assert all(e[0] >= 2 for e in divided)  # x^2 is the one leading term
 
@@ -382,7 +424,7 @@ def reference_instances():
 def test_engine_ranks_match_dense_reference(lift):
     for ci in reference_instances():
         res = shamash_resolution(homotopy_system(ci, lift), 4)
-        engine = GradedExactness(res)
+        engine = GradedExactness(res, 7)
         assert engine.p == (ci.ring.field.characteristic or DEFAULT_PRIME)
         gb = buchberger([engine.ring.polynomial(a.terms) for a in ci.sequence])
         for k in range(1, 5):
@@ -402,14 +444,14 @@ def test_engine_ranks_match_dense_reference(lift):
     ids=["growing-exponents", "large-entries"],
 )
 def test_packed_exponents_never_carry_into_the_next_field(sequence, steps, degrees):
-    """Exponents of 257 and more: the engine ranks at d = 3 first, then at degrees of 300
-    and more, past the fields that the degrees before them needed, and every rank matches
-    the dense reference, so the width covers the entries and grows with the degrees asked
-    for, and no exponent spills into its neighbour's field."""
+    """Exponents of 257 and more: the engine, sized once for its largest degree, ranks at
+    d = 3 first, then at degrees of 300 and more, and every rank matches the dense
+    reference, so the width covers the entries and the whole window, and no exponent
+    spills into its neighbour's field."""
     R = ring("x,y", GF(32003))
     ci = complete_intersection(monomial_ideal(R, ["x^257", "y^2"]), sequence)
     res = shamash_resolution(homotopy_system(ci, "first"), steps)
-    engine = GradedExactness(res)
+    engine = GradedExactness(res, max(degrees))
     gb = buchberger([engine.ring.polynomial(a.terms) for a in ci.sequence])
     ranked = set()
     for d in degrees:
@@ -421,12 +463,19 @@ def test_packed_exponents_never_carry_into_the_next_field(sequence, steps, degre
     assert ranked == set(degrees)  # each degree has a map of nonzero rank to get wrong
 
 
+def test_engine_ranks_only_inside_its_window():
+    engine = GradedExactness(build_three_squares(max_step=3), 5)
+    engine.rank(1, 5)  # the window's last degree
+    with pytest.raises(ValueError, match=r"^degree 6 is past the engine's max_internal_degree=5$"):
+        engine.rank(1, 6)
+
+
 def test_engine_belongs_to_one_resolution_and_prime():
     # the engine carries the resolution and takes the prime from it, so a check cannot mix them
     for field, p in ((GF(7), 7), (QQ, 32003)):
         res = build_three_squares(max_step=3, field=field)
-        engine = GradedExactness(res)
-        report = check_exactness(engine, 1, 4)
+        engine = GradedExactness(res, 4)
+        report = check_exactness(engine, 1)
         assert engine.p == p
         assert report.title == f"exactness at step 1 over GF({p})"
         assert engine.resolution is res and engine.ring.field.characteristic == p
@@ -450,9 +499,9 @@ def test_a_regular_sequence_gives_an_exact_resolution():
     for ci in regular_sequences():
         for lift in ("first", "average"):
             res = shamash_resolution(homotopy_system(ci, lift), REGULAR_STEPS)
-            engine = GradedExactness(res)
+            engine = GradedExactness(res, REGULAR_DEGREE)
             for n in range(1, REGULAR_STEPS):
-                report = check_exactness(engine, n, REGULAR_DEGREE)
+                report = check_exactness(engine, n)
                 assert report.passed, ([str(a) for a in ci.sequence], lift, report.failure)
 
 
