@@ -243,8 +243,8 @@ def label_tex(label):
 def matrix_tex(mat, name, rows, cols, texts):
     """A LaTeX array, one line per row; texts maps id(entry) to its TeX, filled as entries appear.
 
-    The document's matrices hold every entry for as long as texts is used, so
-    no id is reused while it is a key.
+    Every entry is a tau or sigma entry that the homotopy system holds for as
+    long as texts is used, so no id is reused while it is a key.
     """
     (row_texts, row_dividers), (col_texts, col_dividers) = rows, cols
 
@@ -382,11 +382,18 @@ def emit(args, pieces):
     """Write the text pieces as they come, to --out or to stdout.
 
     The file is opened here, once the object to print is built, so input that
-    fails to build leaves no file behind.
+    fails to build leaves no file behind.  A resolution assembles each phi as
+    it is written, so a run can still fail partway, out of memory say; the
+    file is then removed.
     """
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+        fh = open(args.out, "w", encoding="utf-8")
+        try:
+            with fh:
+                fh.writelines(pieces)
+        except BaseException:
+            os.remove(args.out)
+            raise
     else:
         sys.stdout.writelines(pieces)
 

@@ -114,13 +114,14 @@ def iterdump_taylor(cx):
 def iterdump_sections(head, cx, reports):
     """The text of ``dump({**head, **sections_json(cx), "reports": reports})``, built from cx.
 
-    cx is anything with bases and differentials, sequences that it holds
-    while the text is read.  Each member of head, and reports, is one
-    ``json.dumps`` piece.  The modules and differentials are read from cx
+    cx is anything with bases and differentials; a resolution assembles
+    each differential as it is read.  Each member of head, and reports, is
+    one ``json.dumps`` piece.  The modules and differentials are read from cx
     itself: each basis element and each entry record is one f-string and one
     piece, so no document of cx is built and no piece holds more than one
     record.  An entry object that fills many cells is encoded once; its text
-    is kept under its id, which no other object takes while cx holds it.
+    is kept under its id, which no other object takes while the Taylor
+    complex or the homotopy system that cx reads it from holds it.
     """
     sep = "{\n  "
     for key, value in head.items():

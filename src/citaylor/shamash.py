@@ -25,28 +25,25 @@ Composing two consecutive differentials gives sum_j a_j * shift_j on the
 nose, where shift_j lowers u_j; over the quotient ring the a_j vanish, so
 the assembled maps square to zero there.
 
+A resolution stores no cell.  It is its system and its window: ``basis(n)``
+is the layout's basis, and ``differential(n)`` assembles phi_n afresh on every
+call, so each of its cells is the tau or sigma entry the layout puts there,
+the very object the system holds, and nothing else can be.
+
 ``phi_squared_check`` proves that identity without multiplying phi matrices.
 Each block of phi_n . phi_{n+1} is one of three sums: tau.tau (u kept),
 tau.sigma_j + sigma_j.tau (u_j lowered; a_j exactly when identity (b)
 holds), and sigma_i.sigma_j + sigma_j.sigma_i or sigma_i^2 (two lowerings;
-zero when identity (c) holds).  So step n is proved by two checks:
+zero when identity (c) holds).  Assembly places each entry by construction,
+so every step is proved by the identities of the system: tau.tau = 0 on
+each step, and every (b) and (c) identity.  These are the residuals
+``verify_taylor`` and ``verify_homotopy_system`` report, kept by the complex
+and the system, so a verify run multiplies each pair once, assembles no phi,
+and one verdict serves every step.
 
-- placement, by labels: the labels of phi_n and phi_{n+1} equal the
-  layout's bases of their steps, field for field, so the shift_j cells sit
-  where the full defect puts them, and every nonzero cell (u', S') <- (u, S)
-  is the tau_k entry its labels call for (u' = u, |S'| = |S| - 1) or the
-  sigma_j entry (u' = u - e_j, |S'| = |S| + 1), the very object or an equal
-  one, found at the layout's positions, and the cells number exactly as many
-  as those entries;
-- every identity of the system: tau.tau = 0 on each step, and every (b) and
-  (c) identity.  Together they give the three sums above for every block, at
-  every step.  These are the residuals ``verify_taylor`` and
-  ``verify_homotopy_system`` report, kept by the complex and the system, so a
-  verify run multiplies each pair once, and one verdict serves every step.
-
-The full product (``_phi_defect``) runs only at a step the certificate does
-not prove, and reports the first failing cell in column order.  A correct
-resolution never gets there.
+The full product (``_phi_defect``) runs, at every step, only when some
+identity fails, and reports the first failing cell in column order.  A
+correct resolution never gets there.
 
 For a length-one sequence the tail is 2-periodic from step r on (Eisenbud's
 matrix factorizations), so the periodicity report follows from r and the
@@ -55,7 +52,7 @@ window alone, with no built matrices compared.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from math import comb
 from operator import itemgetter, mul
@@ -153,27 +150,32 @@ class MinimalityReport(
 PeriodicityInfo = namedtuple("PeriodicityInfo", "status start", defaults=(None,))
 
 
-class ShamashResolution(
-    namedtuple("ShamashResolution", "system bases differentials minimality periodicity")
-):
+class ShamashResolution(namedtuple("ShamashResolution", "system max_step minimality periodicity")):
+    """F_0..F_N over the system, N = max_step; it holds no basis and no cell of its own."""
+
     __slots__ = ()
 
     @property
-    def max_step(self):
-        """N, the last step: F_0..F_N are built."""
-        return len(self.bases) - 1
+    def bases(self):
+        """F_0..F_N, the layout's own tuples."""
+        return tuple(map(self.basis, range(self.max_step + 1)))
+
+    @property
+    def differentials(self):
+        """phi_1..phi_N, each assembled as the iterator reaches it, so only its reader holds it."""
+        return map(self.differential, range(1, self.max_step + 1))
 
     def basis(self, n):
         """F_n, 0 <= n <= max_step."""
         if not 0 <= n <= self.max_step:
             raise ValueError(f"no module at step {n}: steps run 0..{self.max_step}")
-        return self.bases[n]
+        return _layout(self.system, n)[1]
 
     def differential(self, n):
-        """phi_n: F_n -> F_{n-1}, 1 <= n <= max_step."""
+        """phi_n: F_n -> F_{n-1}, 1 <= n <= max_step, assembled afresh on every call."""
         if not 1 <= n <= self.max_step:
             raise ValueError(f"no differential at step {n}: steps run 1..{self.max_step}")
-        return self.differentials[n - 1]
+        return shamash_differential(self.system, n)
 
     def rank(self, n):
         return len(self.basis(n))
@@ -222,18 +224,10 @@ def _periodicity(system, max_step):
 
 
 def shamash_resolution(system, max_step):
-    """Assemble F_0..F_N with differentials phi_1..phi_N."""
+    """F_0..F_N with differentials phi_1..phi_N; each is built when it is read."""
     if max_step < 0:
         raise ValueError("max_step must be >= 0")
-    bases = tuple(_layout(system, n)[1] for n in range(max_step + 1))
-    diffs = tuple(shamash_differential(system, n) for n in range(1, max_step + 1))
-    return ShamashResolution(
-        system,
-        bases,
-        diffs,
-        _minimality(system),
-        _periodicity(system, max_step),
-    )
+    return ShamashResolution(system, max_step, _minimality(system), _periodicity(system, max_step))
 
 
 def _shift_positions(resolution, n, j):
@@ -261,82 +255,25 @@ def _phi_defect(resolution, n):
     return defect([pair], shifts)
 
 
-class _PhiCertificate:
-    """Proves phi_n . phi_{n+1} = sum_j a_j * shift_j without multiplying phi matrices.
-
-    ``holds(n)`` is True when both phi_n and phi_{n+1} pass the placement
-    certificate and every identity of the system holds; see the module
-    docstring.  False proves nothing: the caller then computes _phi_defect.
-    """
-
-    def __init__(self, resolution):
-        self.resolution = resolution
-        self.system = resolution.system
-        self._placed = {}  # n -> placement verdict of phi_n
-
-    def placed(self, n):
-        """Every nonzero cell of phi_n is the entry its labels call for, and no entry is missing.
-
-        Column (u, S) with |S| = k holds tau_k's entry (S', S) at row (u, S')
-        and sigma_j's entry on T_k at row (u - e_j, S') for each u_j >= 1; no
-        two of them share a cell, so phi_n is exactly these when each is found
-        and the counts agree.
-        """
-        if n not in self._placed:
-            self._placed[n] = self._placement(n)
-        return self._placed[n]
-
-    def _placement(self, n):
-        system = self.system
-        phi = self.resolution.differential(n)
-        rows, row_basis = _layout(system, n - 1)
-        cols, col_basis = _layout(system, n)
-        if (phi.rows, phi.cols) != (row_basis, col_basis) or phi.ring != system.ring:
-            return False
-        get = phi.entries.get
-        count = 0
-        for (u, k), col_at in cols.items():
-            maps = [((u, k - 1), system.sigma_zero(k))] if k else []
-            for j in range(1, len(u) + 1):
-                if u[j - 1]:
-                    maps.append(((_lowered(u, j), k + 1), system.sigma_e(j, k)))
-            for block, mat in maps:
-                row_at = rows.get(block)
-                if row_at is None:
-                    if mat.entries:
-                        return False
-                    continue
-                for (i, s), p in mat.entries.items():
-                    q = get((row_at[i], col_at[s]))
-                    if q is not p and q != p:
-                        return False
-                count += len(mat.entries)
-        return count == len(phi.entries)
-
-    def holds(self, n):
-        """phi_n . phi_{n+1} = sum_j a_j * shift_j is proved, 1 <= n < max_step: both maps
-        are placed, so they share the one F_n, and every identity of the system holds."""
-        return self.placed(n) and self.placed(n + 1) and self._identities_hold
-
-    @cached_property
-    def _identities_hold(self):
-        """tau_k . tau_{k+1} = 0 for 1 <= k < r and every (b) and (c) residual is zero."""
-        system = self.system
-        squares = (system.complex.square(k) for k in range(1, system.ideal.ngens))
-        return all(m.is_zero() for m in chain(squares, system.residuals()))
+def _identities_hold(system):
+    """tau_k . tau_{k+1} = 0 for 1 <= k < r and every (b) and (c) residual is zero: then
+    phi_n . phi_{n+1} = sum_j a_j * shift_j at every step; see the module docstring."""
+    squares = (system.complex.square(k) for k in range(1, system.ideal.ngens))
+    return all(m.is_zero() for m in chain(squares, system.residuals()))
 
 
 def phi_squared_check(resolution):
     """phi_n . phi_{n+1} = sum_j a_j * shift_j, exactly, for every window step.
 
-    A step the certificate proves multiplies no phi matrix; any other step is
-    reported from the full product, so a failure names the same first cell.
+    When every identity of the system holds, no phi matrix is built or
+    multiplied; otherwise each step is reported from the full product, so a
+    failure names the same first cell.
     """
     report = Report("phi.phi identity")
-    certificate = _PhiCertificate(resolution)
+    proved = resolution.max_step > 1 and _identities_hold(resolution.system)
     for n in range(1, resolution.max_step):
         ok = f"phi_{n}.phi_{n + 1} = sum a_j shift_j"
-        if certificate.holds(n):
+        if proved:
             report.note(ok)
         else:
             failure = f"phi_{n}.phi_{n + 1} defect at ({{row}}, {{col}}): {{entry}}"
@@ -364,7 +301,7 @@ def matrix_factorization(resolution):
     """The stable pair (A, B) = (phi_n0, phi_n0+1); asserts AB = BA = a * id.
 
     Each product is checked as phi_squared_check checks it: by the
-    certificate, and by the full defect only when that fails.
+    identities of the system, and by the full defect only when one fails.
 
     Only defined for a length-one sequence with a periodic tail inside the
     computed window.
@@ -376,8 +313,8 @@ def matrix_factorization(resolution):
     if info.status != "periodic":
         raise NoStableTail(f"no shift-stable tail through step {resolution.max_step}")
     n0 = info.start
-    certificate = _PhiCertificate(resolution)
+    proved = _identities_hold(system)
     for n in (n0, n0 + 1):
-        if not certificate.holds(n) and not _phi_defect(resolution, n).is_zero():
+        if not proved and not _phi_defect(resolution, n).is_zero():
             raise AssertionError(f"factorization identity fails at step {n}")
     return resolution.differential(n0), resolution.differential(n0 + 1)

@@ -126,7 +126,7 @@ def assert_round_trip_exact(res):
     back = resolution_from_json(json.loads(text))
     assert back.system.ring == res.system.ring
     assert back.bases == res.bases
-    assert back.differentials == res.differentials
+    assert list(back.differentials) == list(res.differentials)
     assert cli._dump(cli.resolution_json(back)) == text
 
 
@@ -642,6 +642,26 @@ def test_out_of_memory_exits_three_with_one_line(capsys, monkeypatch):
     code, out, err = run(capsys, "resolve", *THREE_SQUARES_ARGS, "--max-step", "3")
     assert (code, out) == (3, "")
     assert err == "error: out of memory\n"
+
+
+def test_a_run_out_of_memory_while_writing_leaves_no_file(capsys, monkeypatch, tmp_path):
+    """phi_n is assembled as the writer reaches it, after --out is opened: a run that runs out
+    of memory there exits 3 and removes what it wrote."""
+    assemble = citaylor.shamash.shamash_differential
+
+    def resolve(system, n):
+        if n == 3:
+            raise MemoryError
+        return assemble(system, n)
+
+    monkeypatch.setattr(citaylor.shamash, "shamash_differential", resolve)
+    target = tmp_path / "out.json"
+    code, out, err = run(
+        capsys, "resolve", *THREE_SQUARES_ARGS, "--max-step", "3", "--format", "json",
+        "--out", str(target),
+    )
+    assert (code, out, err) == (3, "", "error: out of memory\n")
+    assert not target.exists()
 
 
 SQUARES_CODIM2_SYSTEM_ARGS = [

@@ -7,7 +7,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from citaylor import GF, QQ, LabeledGradedMatrix, cli, homotopy_system, jsondoc
+from citaylor import (
+    GF,
+    QQ,
+    LabeledGradedMatrix,
+    PolyRing,
+    cli,
+    homotopy_system,
+    jsondoc,
+    monomial_ideal,
+    shamash,
+)
 from citaylor.homotopy import complete_intersection
 from citaylor.jsondoc import (
     dump,
@@ -51,7 +61,7 @@ def test_streamed_text_is_the_documents_text(field, codim, lift):
 
 def test_streamed_text_of_empty_modules_and_matrices():
     res = build_three_squares(max_step=0)
-    assert res.differentials == ()
+    assert list(res.differentials) == []
     assert "".join(iterdump_resolution(res)) == dump(resolution_json(res))
     ring = res.system.ring
     bases = build_three_squares(max_step=1).bases
@@ -138,3 +148,27 @@ def test_cli_json_builds_no_document_and_writes_one_matrix_at_a_time(monkeypatch
         records = [offset + m.start() for m in re.finditer('"row": ', piece)]
         assert len({bisect(starts, at) for at in records}) <= 1
         offset += len(piece)
+
+
+def test_loader_checks_each_module_before_assembling_any_map(monkeypatch):
+    """A c = 3 document in 4 variables with a thousand extra empty modules is refused at the
+    first of them: each module is checked against its step's basis as it is read, and no
+    differential is assembled, nor any later basis built, before that."""
+    R = PolyRing(("x", "y", "z", "w"), QQ)
+    ideal = monomial_ideal(R, ["x^2", "y^2", "z^2", "w^2", "x*y", "z*w"])
+    ci = complete_intersection(ideal, ["x^3 - 1/2*y^3", "z^3 + 2/3*w^3", "x^2*z^2"])
+    doc = resolution_json(shamash_resolution(homotopy_system(ci), 1))
+    doc["modules"] += [[] for _ in range(1000)]
+    layout = shamash._layout
+
+    def assemble(system, n):
+        raise AssertionError(f"phi_{n} was assembled")
+
+    def layout_to_step_2(system, n):
+        assert n <= 2, f"the basis of step {n} was built"
+        return layout(system, n)
+
+    monkeypatch.setattr(shamash, "shamash_differential", assemble)
+    monkeypatch.setattr(shamash, "_layout", layout_to_step_2)
+    with pytest.raises(ValueError, match=r"^stored basis at step 2 does not match the data$"):
+        jsondoc.resolution_from_json(doc)

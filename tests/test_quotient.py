@@ -10,6 +10,7 @@ from citaylor import (
     CapExceeded,
     GF,
     QQ,
+    LabeledGradedMatrix,
     buchberger,
     check_exactness,
     complete_intersection,
@@ -304,17 +305,22 @@ def test_exactness_over_the_resolutions_own_prime_field():
         assert report.title == f"exactness at step {n} over GF(7)"
 
 
+def set_sigma_on_t_0(res, cell, text):
+    """Put text at cell of sigma_1 on T_0 into res's system; phi_2 holds that block at the
+    same cells, since F_1 is T_1 and column 0 of F_2 is y^(1) * e_{}."""
+    system = res.system
+    sigma = system.sigma_e(1, 0)
+    entries = {**sigma.entries, cell: system.ring.parse(text)}
+    system._sigma[(1, 0)] = LabeledGradedMatrix(sigma.ring, sigma.rows, sigma.cols, entries)
+    assert res.differential(2).entries[cell] is entries[cell]
+
+
 def test_exactness_detects_a_broken_map():
     # resolve, then corrupt one differential entry and watch degree-wise ranks clash
     res = build_three_squares(max_step=3)
-    phi2 = res.differential(2)
-    entries = dict(phi2.entries)
-    entries[(2, 0)] = res.system.ring.parse("y")
-    from citaylor import LabeledGradedMatrix
-
-    broken = LabeledGradedMatrix(phi2.ring, phi2.rows, phi2.cols, entries)
-    corrupted = res._replace(differentials=(res.differentials[0], broken, res.differentials[2]))
-    report = check_exactness(GradedExactness(corrupted, 8), 1)
+    assert res.differential(2).entry(2, 0).is_zero()
+    set_sigma_on_t_0(res, (2, 0), "y")
+    report = check_exactness(GradedExactness(res, 8), 1)
     assert not report.passed
 
 
@@ -325,20 +331,13 @@ def test_exactness_rejects_a_negative_degree_cap():
 
 
 def test_exactness_names_a_misgraded_entry():
-    from citaylor import LabeledGradedMatrix
-
     res = build_three_squares(max_step=4)
-    phi2 = res.differential(2)
-    assert str(phi2.entries[(0, 0)]) == "z"
-    entries = dict(phi2.entries)
-    entries[(0, 0)] = res.system.ring.parse("x^5")
-    broken = LabeledGradedMatrix(phi2.ring, phi2.rows, phi2.cols, entries)
-    diffs = res.differentials
-    corrupted = res._replace(differentials=(diffs[0], broken, *diffs[2:]))
+    assert str(res.differential(2).entries[(0, 0)]) == "z"
+    set_sigma_on_t_0(res, (0, 0), "x^5")
     with pytest.raises(
         ValueError, match=r"^phi_2 entry \(1, \{\}\) = x\^5 is not homogeneous of degree 1$"
     ):
-        check_exactness(GradedExactness(corrupted, 6), 1)
+        check_exactness(GradedExactness(res, 6), 1)
 
 
 def test_shared_engine_matches_fresh_checks(monkeypatch):

@@ -1,6 +1,8 @@
 """Assembly of the quotient-ring resolution from a homotopy system."""
+import gc
 import math
 import random
+import weakref
 from functools import partial
 from itertools import chain
 
@@ -12,6 +14,7 @@ from citaylor import (
     LabeledGradedMatrix,
     NoStableTail,
     PolyRing,
+    TaylorComplex,
     homotopy_system,
     lift_matrix,
     matrix_factorization,
@@ -452,22 +455,33 @@ def test_matrix_factorization_three_squares(three_squares):
 
 
 @pytest.mark.parametrize("offset", [0, 2])
-def test_matrix_factorization_rejects_a_broken_identity(three_squares, offset):
-    """A corrupted phi_{n0} breaks AB = a at n0; a corrupted phi_{n0+2} breaks BA at n0 + 1."""
-    from citaylor import LabeledGradedMatrix
-
+def test_matrix_factorization_rejects_a_broken_identity(monkeypatch, three_squares, offset):
+    """Once the identities do not prove the pair, each product is taken in full: a corrupted
+    phi_{n0} breaks AB = a at n0, and a corrupted phi_{n0+2} breaks BA at n0 + 1."""
     n0 = three_squares.periodicity.start
     m = n0 + offset
-    phi = three_squares.differential(m)
-    entries = dict(phi.entries)
-    first = min(entries, key=lambda ij: (ij[1], ij[0]))
-    entries[first] = entries[first] + three_squares.system.ring.parse("y")
-    diffs = list(three_squares.differentials)
-    diffs[m - 1] = LabeledGradedMatrix(phi.ring, phi.rows, phi.cols, entries)
-    bad = three_squares._replace(differentials=tuple(diffs))
+    assemble = shamash.shamash_differential
+
+    def corrupted(system, n):
+        phi = assemble(system, n)
+        return edited(phi, set_first("y")) if n == m else phi
+
+    monkeypatch.setattr(shamash, "shamash_differential", corrupted)
+    monkeypatch.setattr(shamash, "_identities_hold", lambda system: False)
     step = n0 + offset // 2
     with pytest.raises(AssertionError, match=rf"^factorization identity fails at step {step}$"):
-        matrix_factorization(bad)
+        matrix_factorization(three_squares)
+    monkeypatch.undo()
+    assert matrix_factorization(three_squares)
+
+
+def test_matrix_factorization_rejects_a_corrupted_sigma():
+    """sigma_1 on T_1 off by x fails an identity, and the tail's first product then fails
+    in full at n0 = r."""
+    system = build_three_squares(max_step=6).system
+    corrupt_sigma_1_on_t_1(system)
+    with pytest.raises(AssertionError, match=r"^factorization identity fails at step 3$"):
+        matrix_factorization(shamash_resolution(system, 6))
 
 
 def test_matrix_factorization_requires_stable_tail(codim2):
@@ -605,98 +619,71 @@ def shift_reference_failure(res, n):
     return rows[ii], cols[jj], entries[(ii, jj)]
 
 
-def with_phi(res, n, edit):
-    """res with phi_n replaced by a copy whose entries dict edit has changed."""
-    phi = res.differential(n)
-    entries = dict(phi.entries)
-    edit(phi, entries)
-    diffs = list(res.differentials)
-    diffs[n - 1] = LabeledGradedMatrix(phi.ring, phi.rows, phi.cols, entries)
-    return res._replace(differentials=tuple(diffs))
-
-
 def first_in_column_order(cells):
     return min(cells, key=lambda ij: (ij[1], ij[0]))
 
 
 def set_first(text):
-    def edit(phi, entries):
+    def edit(mat, entries):
         first = first_in_column_order(entries)
         if text is None:
             del entries[first]
         else:
-            entries[first] = phi.ring.parse(text)
+            entries[first] = mat.ring.parse(text)
 
     return edit
 
 
-def add_extra(phi, entries):
-    """y in the first empty cell, in column order."""
-    nrows, ncols = phi.shape
-    empty = [(i, j) for j in range(ncols) for i in range(nrows) if (i, j) not in entries]
-    entries[first_in_column_order(empty)] = phi.ring.parse("y")
-
-
-def move_to_another_u(phi, entries):
-    """Move the first tau cell (u, S') <- (u, S) to row (u'', S') of another u'', same column."""
-    for (i, j) in sorted(entries, key=lambda ij: (ij[1], ij[0])):
-        row, col = phi.rows[i], phi.cols[j]
-        if row.u != col.u:
-            continue
-        for other, label in enumerate(phi.rows):
-            if label.indices == row.indices and label.u != row.u:
-                entries[(other, j)] = entries.pop((i, j))
-                return
-    raise AssertionError("no tau cell has a row of another u")
-
-
-def flipped_sigma(build):
-    """A fresh resolution assembled after one sigma_1 entry on T_1 changed sign."""
-    system = build(max_step=4).system
-    sigma = system.sigma_e(1, 1)
-    entries = dict(sigma.entries)
+def negate_first(mat, entries):
     first = first_in_column_order(entries)
     entries[first] = -entries[first]
-    system._sigma[(1, 1)] = LabeledGradedMatrix(sigma.ring, sigma.rows, sigma.cols, entries)
+
+
+def add_extra(mat, entries):
+    """y in the first empty cell, in column order."""
+    nrows, ncols = mat.shape
+    empty = [(i, j) for j in range(ncols) for i in range(nrows) if (i, j) not in entries]
+    entries[first_in_column_order(empty)] = mat.ring.parse("y")
+
+
+def edited(mat, edit):
+    entries = dict(mat.entries)
+    edit(mat, entries)
+    return LabeledGradedMatrix(mat.ring, mat.rows, mat.cols, entries)
+
+
+def with_sigma(build, i, k, edit):
+    """A fresh resolution whose system holds sigma_i on T_k with its entries dict edited."""
+    system = build(max_step=4).system
+    system._sigma[(i, k)] = edited(system.sigma_e(i, k), edit)
     return shamash_resolution(system, 4)
 
 
-def place_off_by_one_row(monkeypatch, build):
-    """A fresh resolution assembled while every cell of each phi_n moves one row up (row 0
-    stays)."""
+def with_tau(build, k, edit):
+    """A fresh resolution whose system's Taylor complex holds tau_k with its entries dict
+    edited, put in before any sigma is built from it."""
     system = build(max_step=4).system
-    assemble = shamash.shamash_differential
-
-    def moved(system, n):
-        phi = assemble(system, n)
-        entries = {(max(i - 1, 0), j): p for (i, j), p in phi.entries.items()}
-        return LabeledGradedMatrix(phi.ring, phi.rows, phi.cols, entries)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(shamash, "shamash_differential", moved)
-        return shamash_resolution(system, 4)
+    cx = system.complex
+    taus = list(cx.differentials)
+    taus[k - 1] = edited(taus[k - 1], edit)
+    system.complex = TaylorComplex(cx.ideal, cx.bases, tuple(taus))
+    return shamash_resolution(system, 4)
 
 
 @pytest.mark.parametrize("build", [build_three_squares, build_codim2])
-def test_phi_squared_defect_matches_shift_reference(build, monkeypatch):
-    """Every mutation fails the certificate at each step whose defect is nonzero, and
-    phi_squared_check names the reference's first failing cell."""
-    res = build(max_step=4)
-    broken = [
-        with_phi(res, n, edit)
-        for n in (1, 2, 3)
-        for edit in (set_first(None), set_first("y"), set_first("-2*x^2"))
-    ]
-    broken += [with_phi(res, n, add_extra) for n in (2, 3)]  # phi_1 has no empty cell
-    if res.system.ci.codim > 1:
-        broken.append(with_phi(res, 3, move_to_another_u))
-    broken.append(flipped_sigma(build))
-    broken.append(place_off_by_one_row(monkeypatch, build))
+def test_phi_squared_defect_matches_shift_reference(build):
+    """Every corruption of a tau or a sigma in the system breaks an identity at each step
+    whose defect is nonzero, and phi_squared_check names the reference's first failing
+    cell."""
+    c = build(max_step=4).system.ci.codim
+    edits = (set_first(None), set_first("x*y*z"), set_first("-2*x^2"), negate_first)
+    broken = [with_sigma(build, i, k, e) for i in range(1, c + 1) for k in (0, 1) for e in edits]
+    broken += [with_sigma(build, 1, k, add_extra) for k in (0, 1)]
+    broken += [with_tau(build, k, e) for k in (1, 2) for e in edits[1:]]
     for bad in broken:
         failing = [m for m in (1, 2, 3) if shift_reference_failure(bad, m)]
         assert failing
-        certificate = shamash._PhiCertificate(bad)
-        assert not any(certificate.holds(m) for m in failing)
+        assert not shamash._identities_hold(bad.system)
         report = phi_squared_check(bad)
         assert not report.passed
         row, col, entry = shift_reference_failure(bad, failing[0])
@@ -704,106 +691,28 @@ def test_phi_squared_defect_matches_shift_reference(build, monkeypatch):
         assert report.failure == f"phi_{step}.phi_{step + 1} defect at ({row}, {col}): {entry}"
 
 
-def test_certificate_rejects_a_relabelled_basis(three_squares):
-    """Swapping two labels of F_2, with phi_2's columns and phi_3's rows swapped alike,
-    keeps every cell where its labels call for it; but the shift cells move off the
-    positions the full defect subtracts a_j at, so the certificate must refuse the order."""
-    res = three_squares
-    swap = {0: 1, 1: 0}
-    labels = res.basis(2)
-    basis = tuple(labels[swap.get(x, x)] for x in range(len(labels)))
-    phi2, phi3 = res.differential(2), res.differential(3)
-    cols = {(i, swap.get(j, j)): p for (i, j), p in phi2.entries.items()}
-    rows = {(swap.get(i, i), j): p for (i, j), p in phi3.entries.items()}
-    diffs = list(res.differentials)
-    diffs[1] = LabeledGradedMatrix(phi2.ring, phi2.rows, basis, cols)
-    diffs[2] = LabeledGradedMatrix(phi3.ring, basis, phi3.cols, rows)
-    bases = list(res.bases)
-    bases[2] = basis
-    bad = res._replace(bases=tuple(bases), differentials=tuple(diffs))
-    assert not shamash._PhiCertificate(bad).holds(1)
-    row, col, entry = shamash._phi_defect(bad, 1).first_failure()
-    assert phi_squared_check(bad).failure == f"phi_1.phi_2 defect at ({row}, {col}): {entry}"
-
-
-def test_certificate_rejects_a_label_of_the_wrong_weight(three_squares):
-    """F_2's first label (u=(1,), S={}) relabelled u=(2,) in the basis, phi_2's columns
-    and phi_3's rows: no cell moves, so the full product still passes, but a label of
-    weight 2 does not belong to step 2 and the certificate refuses every step it touches.
-    So it does for the second label (u=(0,), S={1,2}) with its twist one higher, or with
-    the lcm of the third: a basis passes only when it is the step's basis, field for field."""
-    res = three_squares
-    labels = res.basis(2)
-    assert [(b.u, b.indices) for b in labels[:3]] == [((1,), ()), ((0,), (1, 2)), ((0,), (1, 3))]
-    second = labels[1]
-    relabelled = [
-        (0, labels[0]._replace(u=(2,))),
-        (1, second._replace(twist=second.twist + 1)),
-        (1, second._replace(lcm=labels[2].lcm)),
-    ]
-    phi2, phi3 = res.differential(2), res.differential(3)
-    for at, label in relabelled:
-        basis = (*labels[:at], label, *labels[at + 1:])
-        diffs = list(res.differentials)
-        diffs[1] = LabeledGradedMatrix(phi2.ring, phi2.rows, basis, phi2.entries)
-        diffs[2] = LabeledGradedMatrix(phi3.ring, basis, phi3.cols, phi3.entries)
-        bases = list(res.bases)
-        bases[2] = basis
-        bad = res._replace(bases=tuple(bases), differentials=tuple(diffs))
-        certificate = shamash._PhiCertificate(bad)
-        assert not any(certificate.holds(n) for n in (1, 2, 3)), label
-        assert phi_squared_check(bad).details == phi_squared_check(res).details
-
-
-def test_certificate_accepts_equal_copies_of_its_labels_and_entries(monkeypatch, three_squares):
-    """The certificate compares the labels of each phi_n with the layout's bases, field for
-    field, and each cell with its tau or sigma entry by value, and calls shamash_basis never:
-    a resolution whose labels and entries are equal copies, object by object, passes every
-    step as the assembled one does, without a full product."""
-    res = three_squares
-    real = shamash.shamash_basis
-    calls = []
-    monkeypatch.setattr(
-        shamash, "shamash_basis", lambda system, n: calls.append(n) or real(system, n)
-    )
-    monkeypatch.setattr(shamash, "_phi_defect", None)
-    steps = range(1, res.max_step)
-    assert all(shamash._PhiCertificate(res).holds(n) for n in steps)
-    copies = [tuple(label._replace() for label in basis) for basis in res.bases]
-    assert copies[1] == res.basis(1) and copies[1][0] is not res.basis(1)[0]
-    diffs = []
-    for n, phi in enumerate(res.differentials, start=1):
-        entries = {cell: phi.ring.parse(str(p)) for cell, p in phi.entries.items()}
-        diffs.append(LabeledGradedMatrix(phi.ring, copies[n - 1], copies[n], entries))
-    cell, p = next(iter(res.differential(1).entries.items()))
-    assert diffs[0].entries[cell] == p and diffs[0].entries[cell] is not p
-    copied = res._replace(bases=tuple(copies), differentials=tuple(diffs))
-    assert all(shamash._PhiCertificate(copied).holds(n) for n in steps)
-    assert phi_squared_check(copied).passed
-    assert calls == []
-
-
-def test_certificate_rejects_a_sigma_on_the_top_taylor_module():
-    """sigma_1 on T_r lands in T_{r+1} = 0, so assembly never places it; an entry put
-    there makes the certificate refuse the steps whose blocks would need it, while the
-    full product, which never sees it, still passes."""
+def test_certificate_rejects_a_sigma_on_the_top_taylor_module(monkeypatch):
+    """sigma_1 on T_r lands in T_{r+1} = 0, so assembly never places it and no identity
+    reads it: an entry put there reaches no phi, and the identities still prove every
+    step without a full product, as the full product agrees."""
     system = build_three_squares(max_step=6).system
     r = system.ideal.ngens
     sigma = system.sigma_e(1, r)
     assert sigma.is_zero()
-    entries = {(0, 0): system.ring.parse("x")}
-    system._sigma[(1, r)] = LabeledGradedMatrix(system.ring, sigma.rows, sigma.cols, entries)
+    entry = system.ring.parse("x")
+    system._sigma[(1, r)] = LabeledGradedMatrix(sigma.ring, sigma.rows, sigma.cols, {(0, 0): entry})
     res = shamash_resolution(system, 6)
-    certificate = shamash._PhiCertificate(res)
-    assert [n for n in range(1, 6) if not certificate.holds(n)] == [4, 5]
-    assert phi_squared_check(res).passed
+    assert all(p is not entry for phi in res.differentials for p in phi.entries.values())
+    assert all(shamash._phi_defect(res, n).is_zero() for n in range(1, 6))
+    monkeypatch.setattr(shamash, "_phi_defect", None)
+    assert shamash._identities_hold(system) and phi_squared_check(res).passed
 
 
 def test_certificate_refuses_every_step_when_any_identity_fails(monkeypatch):
     """With any one identity made to fail, tau.tau, (b) or (c), the certificate refuses
     every step, even where no block of the window uses that identity; the full product
     then passes those steps."""
-    from citaylor import HomotopySystem, TaylorComplex
+    from citaylor import HomotopySystem
 
     res = build_codim2(max_step=4)  # no block of F_2..F_4 uses (c) on T_1 or T_2
     system = res.system
@@ -834,10 +743,9 @@ def test_certificate_refuses_every_step_when_any_identity_fails(monkeypatch):
                 return real_defect(res, n)
 
             patch.setattr(shamash, "_phi_defect", product)
-            certificate = shamash._PhiCertificate(res)
-            assert not any(certificate.holds(n) for n in steps)
+            assert not shamash._identities_hold(system)
             assert phi_squared_check(res).passed and products == list(steps)
-    assert all(shamash._PhiCertificate(res).holds(n) for n in steps)
+    assert shamash._identities_hold(system)
 
 
 def test_a_replaced_sigma_is_checked_afresh():
@@ -902,11 +810,27 @@ def test_equal_entries_are_shared_objects():
             for p in system.sigma_e(i, k).entries.values():
                 assert sigma_entries.setdefault(p, p) is p, f"sigma_{i} on T_{k}: {p} is a copy"
             sigma_ids.update(map(id, sigma_entries.values()))
-    # phi_n places those very objects, without copying them
+    # phi_n places those very objects, without copying them: the system holds every entry
+    # of every phi, so the writers' text memos keyed by id(entry) stay sound
     placed = set(map(id, taylor_entries.values())) | sigma_ids
     for n in range(1, 7):
         entries = res.differential(n).entries.values()
         assert entries and all(id(p) in placed for p in entries)
+
+
+def test_nothing_holds_a_phi():
+    """The resolution holds no phi: once its differentials have moved past phi_n, phi_n is
+    gone, and each call assembles a new matrix."""
+    res = build_codim2(max_step=5)
+    maps = res.differentials
+    passed = weakref.ref(next(maps))
+    for phi in maps:
+        gc.collect()
+        assert passed() is None
+        passed = weakref.ref(phi)
+    for n in range(1, res.max_step + 1):
+        first, second = res.differential(n), res.differential(n)
+        assert first == second and first is not second and first.entries is not second.entries
 
 
 def reference_differential(system, rows, cols):
@@ -1078,4 +1002,4 @@ def test_window_validation(three_squares):
     with pytest.raises(ValueError):
         three_squares.differential(0)
     tiny = shamash_resolution(three_squares.system, 0)
-    assert tiny.rank(0) == 1 and tiny.differentials == ()
+    assert tiny.rank(0) == 1 and list(tiny.differentials) == []

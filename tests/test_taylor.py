@@ -94,7 +94,7 @@ RECORDS = {
     ),
     "MinimalityReport": (lambda n: _resolution(n).minimality, "minimal", True),
     "PeriodicityInfo": (lambda n: _resolution(n).periodicity, "status", True),
-    "ShamashResolution": (_resolution, "bases", False),
+    "ShamashResolution": (_resolution, "max_step", True),
 }
 
 
