@@ -20,6 +20,7 @@ import json
 import os
 import re
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -383,8 +384,8 @@ def emit(args, pieces):
 
     The file is opened here, once the object to print is built, so input that
     fails to build leaves no file behind.  A resolution assembles each phi as
-    it is written, so a run can still fail partway, out of memory say; the
-    file is then removed.
+    it is written, so a run can still fail partway, out of memory say.  The
+    file is then removed if it is a regular file, not a link, device or pipe.
     """
     if getattr(args, "out", None):
         fh = open(args.out, "w", encoding="utf-8")
@@ -392,7 +393,9 @@ def emit(args, pieces):
             with fh:
                 fh.writelines(pieces)
         except BaseException:
-            os.remove(args.out)
+            with suppress(OSError):  # the error that stopped the run is the one to report
+                if os.path.isfile(args.out) and not os.path.islink(args.out):
+                    os.remove(args.out)
             raise
     else:
         sys.stdout.writelines(pieces)

@@ -41,7 +41,7 @@ from .poly import ModP, MonomialPacking, Polynomial
 
 
 class LabeledGradedMatrix:
-    __slots__ = ("ring", "rows", "cols", "entries", "__weakref__")
+    __slots__ = ("ring", "rows", "cols", "entries")
 
     def __init__(self, ring, rows, cols, entries):
         object.__setattr__(self, "ring", ring)

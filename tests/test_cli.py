@@ -664,6 +664,54 @@ def test_a_run_out_of_memory_while_writing_leaves_no_file(capsys, monkeypatch, t
     assert not target.exists()
 
 
+@pytest.mark.parametrize("kind", ["link", "fifo"])
+def test_a_run_out_of_memory_while_writing_keeps_what_is_not_a_regular_file(
+    capsys, monkeypatch, tmp_path, kind
+):
+    """Only a regular file that --out names itself is removed after a failed write: a link to
+    /dev/null and a named pipe stay, and the run still exits 3 for the out-of-memory error."""
+    def resolve(system, n):
+        raise MemoryError
+
+    monkeypatch.setattr(citaylor.shamash, "shamash_differential", resolve)
+    target = tmp_path / "out"
+    if kind == "link":
+        target.symlink_to(os.devnull)
+    else:
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes on this platform")
+        os.mkfifo(target)
+        reader = os.open(target, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write does not block
+    try:
+        code, out, err = run(
+            capsys, "resolve", *THREE_SQUARES_ARGS, "--max-step", "3", "--format", "json",
+            "--out", str(target),
+        )
+    finally:
+        if kind == "fifo":
+            os.close(reader)
+    assert (code, out, err) == (3, "", "error: out of memory\n")
+    assert os.path.lexists(target)
+    if kind == "link":
+        assert os.readlink(target) == os.devnull
+
+
+def test_a_file_that_cannot_be_removed_does_not_hide_the_error(capsys, monkeypatch, tmp_path):
+    def resolve(system, n):
+        raise MemoryError
+
+    def remove(path):
+        raise PermissionError(f"cannot remove {path}")
+
+    monkeypatch.setattr(citaylor.shamash, "shamash_differential", resolve)
+    monkeypatch.setattr(citaylor.cli.os, "remove", remove)
+    code, out, err = run(
+        capsys, "resolve", *THREE_SQUARES_ARGS, "--max-step", "3", "--format", "json",
+        "--out", str(tmp_path / "out.json"),
+    )
+    assert (code, out, err) == (3, "", "error: out of memory\n")
+
+
 SQUARES_CODIM2_SYSTEM_ARGS = [
     "--vars", "x,y,z,w",
     "--ideal", "x^2,y^2,z^2,w^2",

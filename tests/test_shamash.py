@@ -818,9 +818,18 @@ def test_equal_entries_are_shared_objects():
         assert entries and all(id(p) in placed for p in entries)
 
 
-def test_nothing_holds_a_phi():
+def test_nothing_holds_a_phi(monkeypatch):
     """The resolution holds no phi: once its differentials have moved past phi_n, phi_n is
     gone, and each call assembles a new matrix."""
+    class Watched(LabeledGradedMatrix):
+        __slots__ = ("__weakref__",)
+
+    def watched(system, n):
+        phi = assemble(system, n)
+        return Watched._trusted(phi.ring, phi.rows, phi.cols, phi.entries)
+
+    assemble = shamash.shamash_differential
+    monkeypatch.setattr(shamash, "shamash_differential", watched)
     res = build_codim2(max_step=5)
     maps = res.differentials
     passed = weakref.ref(next(maps))
