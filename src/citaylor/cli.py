@@ -498,7 +498,7 @@ def cmd_betti(args):
 
 
 def cmd_export_dot(args):
-    if args.ci:
+    if args.ci is not None:
         system = _build_system(args, _build_ci(args))
         emit(args, dot_text(system.complex, system))
     elif args.lift is not None:

@@ -15,6 +15,8 @@ with sigma_0 = tau these satisfy the homotopy conditions checked by
 verify_homotopy_system; all higher sigma_u (|u| >= 2) vanish for this family.
 
 The lift is the one free choice, and a HomotopySystem is built from it alone.
+A ``LiftMatrix`` checks itself when it is made, ``_replace`` included, so every
+sigma entry f_it * x^(m_t - q) is graded and nothing downstream checks it again.
 """
 from __future__ import annotations
 
@@ -69,31 +71,35 @@ def complete_intersection(ideal, sequence):
 
 
 class LiftMatrix(namedtuple("LiftMatrix", "ci rows")):
-    """c x r matrix f with sum_j f[i][j] * m_j = a_i for every row i."""
+    """c x r matrix f with sum_j f[i][j] * m_j = a_i for every row i, each nonzero f[i][j]
+    homogeneous of degree deg a_i - deg m_j; the constructor and ``_replace`` check both."""
 
     __slots__ = ()
+
+    def __new__(cls, ci, rows):
+        rows = tuple(tuple(row) for row in rows)
+        if len(rows) != len(ci.sequence) or any(len(r) != ci.ideal.ngens for r in rows):
+            raise ValueError("lift matrix must be c x r")
+        gens = ci.ideal.generator_polys()
+        for i, (row, a) in enumerate(zip(rows, ci.sequence), start=1):
+            total = ci.ring.zero
+            for f, m in zip(row, gens):
+                total = total + f * m
+            if total != a:
+                raise ValueError(f"row {i} is not a lift: sum f*m = {total}, expected {a}")
+            for t, (f, m) in enumerate(zip(row, ci.ideal.generators), start=1):
+                degree = ci.degrees[i - 1] - sum(m)
+                if f and (not f.is_homogeneous() or f.total_degree() != degree):
+                    raise ValueError(
+                        f"lift entry f[{i},{t}] = {f} is not homogeneous of degree {degree}"
+                    )
+        return super().__new__(cls, ci, rows)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
     def entry(self, i, t):
         """f_{i,t} with both indices 1-based."""
         return self.rows[i - 1][t - 1]
-
-
-def check_lift(ci, rows):
-    """sum_t f[i,t] * m_t = a_i, and each nonzero f[i,t] is homogeneous of
-    degree deg a_i - deg m_t, so that every sigma entry is graded."""
-    gens = ci.ideal.generator_polys()
-    for i, (row, a) in enumerate(zip(rows, ci.sequence), start=1):
-        total = ci.ring.zero
-        for f, m in zip(row, gens):
-            total = total + f * m
-        if total != a:
-            raise ValueError(f"row {i} is not a lift: sum f*m = {total}, expected {a}")
-        for t, (f, m) in enumerate(zip(row, ci.ideal.generators), start=1):
-            degree = ci.degrees[i - 1] - sum(m)
-            if f and (not f.is_homogeneous() or f.total_degree() != degree):
-                raise ValueError(
-                    f"lift entry f[{i},{t}] = {f} is not homogeneous of degree {degree}"
-                )
 
 
 def compute_lift(a, ideal, rule="first"):
@@ -147,26 +153,23 @@ def lift_matrix(ci, rule="first"):
     rules = list(rule) if isinstance(rule, (list, tuple)) else [rule] * ci.codim
     if len(rules) != ci.codim:
         raise ValueError(f"lift has {len(rules)} assignment rows, sequence has {ci.codim}")
-    rows = tuple(compute_lift(a, ci.ideal, r) for a, r in zip(ci.sequence, rules))
-    check_lift(ci, rows)
-    return LiftMatrix(ci, rows)
+    return LiftMatrix(ci, (compute_lift(a, ci.ideal, r) for a, r in zip(ci.sequence, rules)))
 
 
-def lift_matrix_from_rows(ci, rows):
-    rows = tuple(tuple(row) for row in rows)
-    if len(rows) != len(ci.sequence) or any(len(r) != ci.ideal.ngens for r in rows):
-        raise ValueError("lift matrix must be c x r")
-    check_lift(ci, rows)
-    return LiftMatrix(ci, rows)
+lift_matrix_from_rows = LiftMatrix  # an older name, still exported and used by jsondoc
 
 
 def average_lifts(lifts, weights):
-    """Entrywise convex combination of lift matrices for the same data."""
+    """Entrywise convex combination of lift matrices for the same data, by exact
+    weights (ints or Fractions): a float's binary value is not the number it prints."""
     if len(lifts) != len(weights) or not lifts:
         raise ValueError("need one weight per lift")
     ci = lifts[0].ci
     if any(lift.ci != ci for lift in lifts):
         raise ValueError("lifts belong to different sequences")
+    floats = [w for w in weights if isinstance(w, float)]
+    if floats:
+        raise ValueError(f"weight {floats[0]!r} is a float: give weights as ints or Fractions")
     weights = [Fraction(w) for w in weights]
     if any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative")
@@ -185,8 +188,8 @@ def average_lifts(lifts, weights):
             for lift, w in zip(lifts, coerced):
                 total = total + lift.rows[i][j].scale(w)
             row.append(total)
-        rows.append(tuple(row))
-    return lift_matrix_from_rows(ci, rows)
+        rows.append(row)
+    return LiftMatrix(ci, rows)
 
 
 class HomotopySystem:
@@ -208,7 +211,7 @@ class HomotopySystem:
         )
         self._sigma = {}
         self._products = {}  # (i, t, id(tau entry)) -> sigma entry; the complex holds each tau entry
-        self._residuals = {}  # operand ids -> (operands, residual); held operands keep ids unique
+        self._residuals = None  # the residual of each identity, in order, once computed
         self._steps = {}  # n -> shamash's ({(u, k): positions}, basis) of F_n, built on first use
 
     @property
@@ -260,31 +263,26 @@ class HomotopySystem:
         return sigma
 
     def _identity(self, i, j, k):
-        """(operands, pairs, corrections) of (b) for a_i on T_k if j is None, else
-        of (c) for sigma_i, sigma_j on T_k.  The operands key the residual memo."""
+        """(pairs, corrections) of (b) for a_i on T_k if j is None, else of (c) for
+        sigma_i, sigma_j on T_k."""
         if j is None:
             pairs = [(self.sigma_zero(k + 1), self.sigma_e(i, k))] if k < self.ideal.ngens else []
             if k >= 1:
                 pairs.append((self.sigma_e(i, k - 1), self.sigma_zero(k)))
             a = self.ci.sequence[i - 1]
-            diagonal = (((d, d), a) for d in range(len(self.complex.basis(k))))
-            return (*chain(*pairs), a), pairs, diagonal
+            return pairs, (((d, d), a) for d in range(len(self.complex.basis(k))))
         pairs = [(self.sigma_e(i, k + 1), self.sigma_e(j, k))]
         if i != j:  # sigma_i^2 = 0 is a single composition
             pairs.append((self.sigma_e(j, k + 1), self.sigma_e(i, k)))
-        return (*chain(*pairs),), pairs, ()
+        return pairs, ()
 
     def residuals(self):
-        """The residual of each identity of ``identities``, in order, kept per operand
-        matrices: verify_homotopy_system and the phi.phi certificate share them, and a
-        replaced sigma is checked afresh.  The missing ones take one defects call.
-        """
-        found = [self._identity(*key) for key in self.identities]
-        order = [tuple(map(id, operands)) for operands, _, _ in found]
-        missing = {ids: f for ids, f in zip(order, found) if ids not in self._residuals}
-        for ids, result in zip(missing, defects([f[1:] for f in missing.values()])):
-            self._residuals[ids] = (missing[ids][0], result)
-        return [self._residuals[ids][1] for ids in order]
+        """The residual of each identity of ``identities``, in order, computed in one
+        defects call on first use and kept: verify_homotopy_system and the phi.phi
+        certificate share them."""
+        if self._residuals is None:
+            self._residuals = tuple(defects([self._identity(*key) for key in self.identities]))
+        return self._residuals
 
 
 def homotopy_system(ci, lift="first"):
@@ -301,8 +299,8 @@ def verify_homotopy_system(system):
 
     (b) tau.sigma_i + sigma_i.tau = a_i on every T_k;
     (c) sigma_i.sigma_j + sigma_j.sigma_i = 0 for i < j, and sigma_i^2 = 0.
-    Missing maps at the boundary (k = 0 and k = r) are zero.  Every identity
-    not yet computed is computed in one defects call.  tau.tau = 0 is the
+    Missing maps at the boundary (k = 0 and k = r) are zero.  The system
+    computes every identity once, in one defects call.  tau.tau = 0 is the
     Taylor complex's own identity, and verify_taylor checks it.
     """
     report = Report("homotopy system")

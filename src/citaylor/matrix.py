@@ -8,7 +8,8 @@ constructor copies its entries and drops zeros; a matrix the library builds
 itself (tau_k, sigma, phi and each ``defects`` result) is wrapped around its
 fresh dict of nonzero entries and tuple labels by ``_trusted``, without a
 copy, and the homotopy system builds each step basis, layout and sigma
-product once.
+product once.  They are graded by construction, sigma and phi because their
+``LiftMatrix`` checked the lift; ``verify_taylor`` checks a hand-built complex.
 
 ``defects`` is the one kernel behind every product of matrices: it returns,
 for each identity of a list, the sum of its products minus its expected

@@ -240,10 +240,12 @@ class GradedExactness:
     one dict lookup.  The packing is sized once, for every ``rank(k, d)``
     with d <= D = max_internal_degree: F_0 has twist 0 and no twist is
     negative, so a standard monomial or a product in a block of twist t has
-    degree d - t <= D, and an entry of phi_k, checked homogeneous before it
-    is packed, has degree col.twist - row.twist <= T, the largest twist of
-    the resolution.  Fields hold 2 * max(D, T), so no exponent ever wraps.
-    Coefficients are kept as signed residues mod p.
+    degree d - t <= D.  An entry of phi_k is homogeneous of degree
+    col.twist - row.twist <= T, the largest twist of the resolution, by
+    construction: a tau entry x^(lcm S - lcm face) has the degree of its lcm
+    difference, and a sigma entry f_it * x^(m_t - q) has it because its
+    ``LiftMatrix`` checked that f_it is graded.  Fields hold 2 * max(D, T), so
+    no exponent ever wraps.  Coefficients are kept as signed residues mod p.
     """
 
     def __init__(self, resolution, max_internal_degree):
@@ -275,16 +277,8 @@ class GradedExactness:
 
     def _entries_by_column(self, k):
         if k not in self._columns:
-            phi = self.resolution.differential(k)
-            bad = phi.homogeneity_violations()
-            if bad:
-                row, col, entry = bad[0]
-                raise ValueError(
-                    f"phi_{k} entry ({row}, {col}) = {entry} is not homogeneous "
-                    f"of degree {col.twist - row.twist}"
-                )
             by_col = {}
-            for (i, j), poly in phi.entries.items():
+            for (i, j), poly in self.resolution.differential(k).entries.items():
                 terms = [
                     (self._packing.pack(e), _signed_residue(c.value, self.p))
                     for e, c in self._over_field(poly).terms.items()

@@ -981,7 +981,7 @@ BAD_VALUE_INPUT = {
     ("verify", *THREE_SQUARES_ARGS, "--max-step", "-1"): NEGATIVE_MAX_STEP,
     ("check-exactness", *THREE_SQUARES_ARGS, "--max-step", "-1"): NEGATIVE_MAX_STEP,
 }
-# values that parse but cannot be used; listed last so earlier parameter ids keep their argv
+# values that parse but cannot be used
 UNUSABLE_INPUT = {
     # export-dot reads --lift only with --ci
     **{
@@ -993,7 +993,7 @@ UNUSABLE_INPUT = {
         "--ci needs at least one element"
     ),
 }
-# malformed text and a QQ input that GF(32003) cannot hold; listed last for the same reason
+# malformed text and a QQ input that GF(32003) cannot hold
 MALFORMED_INPUT = {
     ("resolve", "--vars", "x,y,z", "--ideal", "x^2,y^2,z^2", "--ci", "x^2+", "--max-step", "2"): (
         "error: --ci: expected a term, found end of input (at position 4)"
@@ -1050,31 +1050,50 @@ MALFORMED_INPUT = {
 }
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["resolve", "--vars", "x,y", "--ideal", "x+y", "--ci", "x^2", "--lift", "first", "--max-step", "2"],
-        ["resolve", "--vars", "x,y", "--ideal", "x^2", "--ci", "x^2+y", "--lift", "first", "--max-step", "2"],
-        ["resolve", "--vars", "x,y", "--ideal", "x^2", "--ci", "y^2", "--lift", "first", "--max-step", "2"],
-        ["resolve", "--vars", "x,y", "--ideal", "x^2", "--ci", "x^2", "--lift", "slowest", "--max-step", "2"],
-        ["resolve", "--vars", "x,y", "--ideal", "w^2", "--ci", "x^2", "--lift", "first", "--max-step", "2"],
-        ["taylor", "--vars", "x,y", "--ideal", ""],
-        ["resolve", "--vars", "x,y", "--char", "6", "--ideal", "x^2", "--ci", "x^3", "--lift", "first", "--max-step", "2"],
-        *BAD_VALUE_INPUT,
-        # DOT output has one command, export-dot
-        ["taylor", "--vars", "x,y", "--ideal", "x^2", "--format", "dot"],
-        ["resolve", *THREE_SQUARES_ARGS, "--max-step", "3", "--format", "dot"],
-        *UNUSABLE_INPUT,
-        *MALFORMED_INPUT,
-    ],
-)
+# Each case's id is pinned, so that a new case renames no other.  This closed list keeps
+# argv0..argv30, the ids its positions gave it; a new case goes into NAMED_INPUT_ERRORS.
+POSITIONAL_INPUT_ERRORS = [
+    ["resolve", "--vars", "x,y", "--ideal", "x+y", "--ci", "x^2", "--lift", "first", "--max-step", "2"],
+    ["resolve", "--vars", "x,y", "--ideal", "x^2", "--ci", "x^2+y", "--lift", "first", "--max-step", "2"],
+    ["resolve", "--vars", "x,y", "--ideal", "x^2", "--ci", "y^2", "--lift", "first", "--max-step", "2"],
+    ["resolve", "--vars", "x,y", "--ideal", "x^2", "--ci", "x^2", "--lift", "slowest", "--max-step", "2"],
+    ["resolve", "--vars", "x,y", "--ideal", "w^2", "--ci", "x^2", "--lift", "first", "--max-step", "2"],
+    ["taylor", "--vars", "x,y", "--ideal", ""],
+    ["resolve", "--vars", "x,y", "--char", "6", "--ideal", "x^2", "--ci", "x^3", "--lift", "first", "--max-step", "2"],
+    *BAD_VALUE_INPUT,
+    # DOT output has one command, export-dot
+    ["taylor", "--vars", "x,y", "--ideal", "x^2", "--format", "dot"],
+    ["resolve", *THREE_SQUARES_ARGS, "--max-step", "3", "--format", "dot"],
+    *UNUSABLE_INPUT,
+    *MALFORMED_INPUT,
+]
+# id -> (argv, the text naming the bad value in its error message)
+NAMED_INPUT_ERRORS = {
+    # an empty --ci is a sequence with no element, not a missing one
+    "export-dot-empty-ci": (
+        ["export-dot", "--vars", "x,y", "--ideal", "x^2,y^2", "--ci", ""],
+        "--ci needs at least one element",
+    ),
+    "export-dot-empty-ci-with-lift": (
+        ["export-dot", "--vars", "x,y", "--ideal", "x^2,y^2", "--ci", "", "--lift", "average"],
+        "--ci needs at least one element",
+    ),
+}
+INPUT_ERRORS = {
+    **dict(zip((f"argv{n}" for n in range(31)), POSITIONAL_INPUT_ERRORS, strict=True)),
+    **{name: argv for name, (argv, _) in NAMED_INPUT_ERRORS.items()},
+}
+
+
+@pytest.mark.parametrize("argv", INPUT_ERRORS.values(), ids=INPUT_ERRORS.keys())
 def test_input_errors_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     # argparse rejects an option's value after the usage line, naming the command
     message = err.splitlines()[-1]
     assert message.startswith(("error:", f"citaylor {argv[0]}: error:"))
-    bad_value = {**BAD_VALUE_INPUT, **UNUSABLE_INPUT, **MALFORMED_INPUT}.get(tuple(argv))
+    named = {tuple(argv): text for argv, text in NAMED_INPUT_ERRORS.values()}
+    bad_value = {**BAD_VALUE_INPUT, **UNUSABLE_INPUT, **MALFORMED_INPUT, **named}.get(tuple(argv))
     if bad_value is not None:
         assert bad_value in message
 

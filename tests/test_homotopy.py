@@ -22,7 +22,6 @@ from citaylor import (
     verify_homotopy_system,
 )
 from citaylor.cli import parse_assignments
-from citaylor.homotopy import check_lift
 
 from conftest import (
     corrupt_sigma_1_on_t_1,
@@ -86,7 +85,7 @@ def test_average_strategy_spreads_uniformly():
     ci = squarefree_ci()
     row = compute_lift(ci.sequence[0], ci.ideal, "average")
     assert [str(f) for f in row] == ["1/3*z", "1/3*y", "1/3*x"]
-    check_lift(ci, (row,))
+    LiftMatrix(ci, (row,))
 
 
 def test_average_blocked_in_bad_characteristic():
@@ -98,7 +97,7 @@ def test_average_blocked_in_bad_characteristic():
 def test_average_fine_in_good_characteristic():
     ci = squarefree_ci(GF(7))
     row = compute_lift(ci.sequence[0], ci.ideal, "average")
-    check_lift(ci, (row,))
+    LiftMatrix(ci, (row,))
 
 
 def test_fixed_assignment_routes_terms():
@@ -184,9 +183,15 @@ def test_lift_rows_are_checked():
         lift_matrix_from_rows(ci, bad)
     with pytest.raises(ValueError, match="c x r"):
         lift_matrix_from_rows(ci, ((R.parse("z"),),))
-    # a LiftMatrix built directly skips the sum check, for feeding the verifier bad data
-    lift = LiftMatrix(ci, bad)
-    assert str(lift.entry(1, 2)) == "1"
+    # the record checks itself: built directly, or by _replace from a checked lift
+    with pytest.raises(ValueError, match=r"^row 1 is not a lift: sum f\*m = x\*y\*z \+ x\*z, expected x\*y\*z$"):
+        LiftMatrix(ci, bad)
+    lift = lift_matrix(ci, "first")
+    with pytest.raises(ValueError, match="not a lift"):
+        lift._replace(rows=bad)
+    with pytest.raises(ValueError, match="c x r"):
+        lift._replace(rows=())
+    assert lift._replace(rows=[list(row) for row in lift.rows]) == lift
 
 
 def test_ungraded_lift_rows_are_rejected():
@@ -201,7 +206,12 @@ def test_ungraded_lift_rows_are_rejected():
     with pytest.raises(ValueError, match=r"^lift entry f\[1,2\] = z\^2 is not homogeneous of degree 1$"):
         lift_matrix_from_rows(ci2, [[R.parse("z"), R.parse("z^2"), R.parse("-y^2")]])
     graded = (R.parse("z"), R.parse("x"), R.zero)
-    assert lift_matrix_from_rows(ci, [graded]).rows == (graded,)
+    lift = lift_matrix_from_rows(ci, [graded])
+    assert lift.rows == (graded,)
+    with pytest.raises(ValueError, match=r"^lift entry f\[1,1\] = y\^2 \+ z is not homogeneous of degree 1$"):
+        LiftMatrix(ci, [ungraded])
+    with pytest.raises(ValueError, match=r"^lift entry f\[1,1\] = y\^2 \+ z is not homogeneous of degree 1$"):
+        lift._replace(rows=[ungraded])
 
 
 # ---- averaging ---------------------------------------------------------------
@@ -245,6 +255,18 @@ def test_average_lifts_rejects_a_weight_the_field_cannot_hold():
     lifts = [lift_matrix(ci, [{(1, 1, 1): g}]) for g in (1, 2, 3)]
     with pytest.raises(ValueError, match="^weight unusable in characteristic 7: "):
         average_lifts(lifts, [Fraction(1, 7), Fraction(3, 7), Fraction(3, 7)])
+
+
+def test_average_lifts_refuses_a_float_weight():
+    """0.2 + 0.8 is 1 as floats, but 0.2's binary value is not 1/5: the float is
+    named before anything is summed, and the exact weights give the exact average."""
+    _, (first, other, _) = variant_lifts()
+    for weights, named in (([0.2, 0.8], "0.2"), ([Fraction(1, 5), 0.8], "0.8"), ([1.0, 0], "1.0")):
+        message = f"weight {named} is a float: give weights as ints or Fractions"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            average_lifts([first, other], weights)
+    exact = average_lifts([first, other], [Fraction(1, 5), Fraction(4, 5)])
+    assert exact.rows[0][0] == first.rows[0][0].scale(Fraction(1, 5))
 
 
 # ---- the homotopies -----------------------------------------------------------
@@ -420,7 +442,8 @@ def test_verify_all_strategies_on_monomial_example():
 def test_verify_flags_corrupted_lift():
     ci = squarefree_ci()
     R = ci.ring
-    bad = LiftMatrix(ci, ((R.parse("z"), R.zero, R.parse("1")),))
+    # past the constructor's check, as only a record made without it can be
+    bad = tuple.__new__(LiftMatrix, (ci, ((R.parse("z"), R.zero, R.parse("1")),)))
     report = verify_homotopy_system(HomotopySystem(bad))
     assert not report.passed
     assert report.failure == "(b) fails for a_1 on T_0 at ({}, {}): defect y*z"
@@ -451,18 +474,6 @@ def test_verify_pins_defects_of_a_corrupted_sigma():
     report = verify_homotopy_system(system)
     assert report.failure == "(b) fails for a_1 on T_1 at (1, 1): defect x*y^2"
     assert failures(report) == CORRUPTED_SIGMA_FAILURES
-
-
-def test_verify_checks_a_sigma_replaced_after_a_pass_afresh():
-    """The residuals a passing check computed stay with their operands: once sigma_1
-    on T_1 is replaced, the identities that use it fail as if never checked."""
-    system = homotopy_system(codim2_ci(), "first")
-    assert verify_homotopy_system(system).passed
-    corrupt_sigma_1_on_t_1(system)
-    assert failures(verify_homotopy_system(system)) == CORRUPTED_SIGMA_FAILURES
-    residuals = system.residuals()
-    assert not residuals[system.identities.index((1, None, 1))].is_zero()
-    assert residuals[system.identities.index((2, None, 1))].is_zero()
 
 
 def test_sigma_is_linear_in_the_lift():

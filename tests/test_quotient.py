@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 from math import comb
+from operator import sub
 
 import pytest
 
@@ -330,14 +331,27 @@ def test_exactness_rejects_a_negative_degree_cap():
         GradedExactness(res, -1)
 
 
-def test_exactness_names_a_misgraded_entry():
-    res = build_three_squares(max_step=4)
-    assert str(res.differential(2).entries[(0, 0)]) == "z"
-    set_sigma_on_t_0(res, (0, 0), "x^5")
-    with pytest.raises(
-        ValueError, match=r"^phi_2 entry \(1, \{\}\) = x\^5 is not homogeneous of degree 1$"
-    ):
-        check_exactness(GradedExactness(res, 6), 1)
+def random_route(rng, ideal, a):
+    """A term -> generator map for a: each term goes to a random generator dividing it."""
+    gens = list(enumerate(ideal.generators, start=1))
+    return {e: rng.choice([t for t, m in gens if min(map(sub, e, m)) >= 0]) for e in a.terms}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(DEFAULT_PRIME)], ids=["QQ", "GF(32003)"])
+def test_every_assembled_phi_is_graded(field):
+    """The engine packs phi's entries without checking their degrees: each cell is a tau
+    entry or a sigma entry of a checked lift, so every phi_n is graded by construction,
+    for every lift rule and sequence length."""
+    rng = seeded_rng()
+    for codim in (1, 2, 3):
+        for _ in range(4):
+            ideal = random_ideal(rng, max_vars=3, max_gens=4, field=field)
+            ci = complete_intersection(ideal, random_sequence(rng, ideal, codim))
+            routes = [random_route(rng, ideal, a) for a in ci.sequence]
+            for lift in ("first", "average", routes):
+                res = shamash_resolution(homotopy_system(ci, lift), ideal.ngens + 2)
+                for n, phi in enumerate(res.differentials, start=1):
+                    assert phi.homogeneity_violations() == [], (ci.sequence, lift, n)
 
 
 def test_shared_engine_matches_fresh_checks(monkeypatch):

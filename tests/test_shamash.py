@@ -748,19 +748,27 @@ def test_certificate_refuses_every_step_when_any_identity_fails(monkeypatch):
     assert shamash._identities_hold(system)
 
 
-def test_a_replaced_sigma_is_checked_afresh():
-    """Verdicts are kept per operand matrix: a sigma put into the system after a
-    passing check is checked again once the resolution is re-assembled."""
-    res = build_codim2(max_step=4)
+def test_one_defects_call_serves_every_check_of_a_system(monkeypatch):
+    """The system computes its residuals once: verify_homotopy_system, phi_squared_check
+    and matrix_factorization on one system make one defects call between them, and
+    every later call reads the same residuals."""
+    from citaylor import homotopy, verify_homotopy_system
+
+    calls, real_defects = [], homotopy.defects
+
+    def counted(identities):
+        calls.append(1)
+        return real_defects(identities)
+
+    monkeypatch.setattr(homotopy, "defects", counted)
+    res = build_three_squares(max_step=6)
     system = res.system
+    assert verify_homotopy_system(system).passed
     assert phi_squared_check(res).passed
-    corrupt_sigma_1_on_t_1(system)
-    bad = shamash_resolution(system, 4)
-    report = phi_squared_check(bad)
-    assert not report.passed
-    step = next(m for m in (1, 2, 3) if shift_reference_failure(bad, m))
-    row, col, entry = shift_reference_failure(bad, step)
-    assert report.failure == f"phi_{step}.phi_{step + 1} defect at ({row}, {col}): {entry}"
+    assert matrix_factorization(res)
+    assert verify_homotopy_system(system).passed and phi_squared_check(res).passed
+    assert len(calls) == 1
+    assert system.residuals() is system.residuals()
 
 
 CORRUPTED_SIGMA_PHI_REPORTS = {
